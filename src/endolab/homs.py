@@ -11,25 +11,23 @@ enumeration cap except the explicit hom-enumeration helpers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
-from .linalg import IntMatrix, IntVector
+from .linalg import IntVector
 from .modules import (
     FiniteModule,
     ModuleHom,
     Submodule,
-    coordinates_in_subgroup,
     extract,
     identity_hom,
     submodule_coordinates,
-    zero_submodule,
 )
 from .rings import FiniteRing, RingElement
-from .verdicts import CapExceeded
+from .verdicts import CapExceeded, InternalInconsistency
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,8 @@ class HomGroup:
         if solved is None:
             raise ValueError("matrix is not an R-homomorphism in this hom group")
         particular, homogeneous = solved
-        assert homogeneous == ()
+        if homogeneous != ():
+            raise InternalInconsistency("hom-group generators must give unique coordinates")
         return particular
 
     def iter_homs(self) -> Iterator[ModuleHom]:
@@ -230,12 +229,6 @@ def is_m_generated(n: Submodule) -> bool:
     return trace(n.ambient, inner).order() == inner.size()
 
 
-def m_generated_submodules(m: FiniteModule, cap: int) -> list[Submodule]:
-    from .modules import enumerate_submodules
-
-    return [n for n in enumerate_submodules(m, cap) if is_m_generated(n)]
-
-
 def product_submodules(k: Submodule, l: Submodule) -> Submodule:
     """The submodule product K_M L = sum of f(L) over f in Hom(M, K).
 
@@ -337,8 +330,10 @@ def summand_test(n: Submodule) -> Optional[ModuleHom]:
         tuple(particular[e_idx(i, j)] % m.moduli[j] for j in range(nm)) for i in range(nm)
     )
     proj = ModuleHom(m, m, mat)
-    assert proj.then(proj).matrix == proj.matrix
-    assert image(proj).gens == n.gens
+    if proj.then(proj).matrix != proj.matrix:
+        raise InternalInconsistency("summand projection is not idempotent")
+    if image(proj).gens != n.gens:
+        raise InternalInconsistency("summand projection has the wrong image")
     return proj
 
 

@@ -17,7 +17,7 @@ from . import linalg
 from .homs import end_ring
 from .modules import FiniteModule, ModuleHom, is_module_hom, submodule_generated
 from .rings import FiniteRing, validate_ring
-from .verdicts import CapExceeded
+from .verdicts import CapExceeded, InternalInconsistency
 
 
 class NonCommutativeBase(ValueError):
@@ -160,7 +160,8 @@ def build_incidence_algebra(x: Preorder, a: FiniteRing) -> IncidenceAlgebraBundl
         name=f"I(X,{a.name})" if a.name else "I(X,A)",
     )
     ok, msg = validate_ring(ring)
-    assert ok, msg
+    if not ok:
+        raise InternalInconsistency(f"incidence algebra fails a ring axiom: {msg}")
     return IncidenceAlgebraBundle(ring=ring, base=a, preorder=x, pair_index=pairs)
 
 

@@ -42,7 +42,7 @@ from .modules import (
     submodule_sum,
     zero_submodule,
 )
-from .verdicts import CapExceeded, Caps, InternalInconsistency, Verdict, agree
+from .verdicts import CapExceeded, Caps, InternalInconsistency, Verdict, agree, memo
 
 
 class NotFullyInvariant(ValueError):
@@ -62,6 +62,7 @@ def iter_end_homs(m: FiniteModule, cap: int) -> Iterator[ModuleHom]:
 # ---------------------------------------------------------------------------
 
 
+@memo
 def is_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """End ring von Neumann regular; cross-checked against the kernel/image
     summand characterization."""
@@ -72,10 +73,12 @@ def is_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     )
 
 
+@memo
 def _endoregular_via_ring(m: FiniteModule, caps: Caps) -> Verdict:
     return rings.is_regular(end_ring(m).ring, caps.homs)
 
 
+@memo
 def _endoregular_via_summands(m: FiniteModule, caps: Caps) -> Verdict:
     try:
         for phi in iter_end_homs(m, caps.homs):
@@ -108,6 +111,7 @@ def azumaya_agreement(m: FiniteModule, caps: Caps) -> Verdict:
     return Verdict.yes()
 
 
+@memo
 def is_abelian_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Three routes: abelian regular End ring; M = Ker ⊕ Im for every
     endomorphism; endoregular with all M-generated submodules fully
@@ -120,10 +124,12 @@ def is_abelian_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     )
 
 
+@memo
 def abelian_route_end_ring(m: FiniteModule, caps: Caps) -> Verdict:
     return rings.is_abelian_regular(end_ring(m).ring, caps.homs)
 
 
+@memo
 def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
     size = m.size()
     try:
@@ -136,12 +142,9 @@ def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
     return Verdict.yes()
 
 
+@memo
 def abelian_route_fully_invariant(m: FiniteModule, caps: Caps) -> Verdict:
-    endo = agree(
-        f"endoregular({m.name})",
-        _endoregular_via_ring(m, caps),
-        _endoregular_via_summands(m, caps),
-    )
+    endo = is_endoregular(m, caps)
     if not endo.decided:
         return endo
     if endo.value is False:
@@ -156,6 +159,7 @@ def abelian_route_fully_invariant(m: FiniteModule, caps: Caps) -> Verdict:
     return Verdict.yes()
 
 
+@memo
 def is_unit_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     return rings.is_unit_regular(end_ring(m).ring, caps.homs)
 
@@ -193,11 +197,6 @@ def has_sip(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
         if summand_test(s) is None:
             return Verdict.no(witness=(a, b), reason="intersection of summands not a summand")
     return Verdict.yes()
-
-
-def summand_lattice(m: FiniteModule, caps: Caps = Caps()) -> list[Submodule]:
-    """The direct summands, sorted canonically (a lattice when SSP and SIP hold)."""
-    return direct_summands(m, caps)
 
 
 def is_distributive_boolean(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
@@ -439,6 +438,7 @@ def is_semiprime_module(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+@memo
 def is_quasi_duo(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     try:
         maxes = maximal_submodules(m, caps.submodules)
@@ -461,6 +461,7 @@ def is_duo(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     return Verdict.yes()
 
 
+@memo
 def is_subdirect_of_simples(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """For finite modules: radical zero (every proper submodule sits under a
     maximal one, so the canonical map into the simple quotients embeds)."""

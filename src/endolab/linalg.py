@@ -23,6 +23,8 @@ from __future__ import annotations
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
+from .verdicts import InternalInconsistency
+
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 ModuliVector = tuple[int, ...]
@@ -38,10 +40,6 @@ def as_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
 
 def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zero_matrix(rows: int, cols: int) -> IntMatrix:
-    return tuple((0,) * cols for _ in range(rows))
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
@@ -378,7 +376,8 @@ def subgroup_structure(
             coeff[j] = q
             if q:
                 rem = [a - q * b for a, b in zip(rem, row)]
-        assert not any(rem)
+        if any(rem):
+            raise InternalInconsistency("diag(m) is not in the lattice of the subgroup")
         c_rows.append(coeff)
     _, _, s, v, _ = _snf_full(c_rows)
     new_basis = mat_mul(v, basis)
@@ -499,9 +498,6 @@ def solve_congruence_system(
             if bp[i] % si:
                 return None
             w[i] = bp[i] // si
-    # Diagonal indices only exist below c; any bp beyond c is vacuous.
-    for i in range(c, total):
-        pass
     z = vec_mat(w, uinv)
     particular = vec_mod(z[:r], in_moduli)
 
@@ -517,7 +513,8 @@ def kernel_subgroup(
 ) -> IntMatrix:
     """Canonical generators of {x : x @ A = 0 (mod out_moduli)} over in_moduli."""
     solved = solve_congruence_system(a, (0,) * len(out_moduli), out_moduli, in_moduli)
-    assert solved is not None
+    if solved is None:
+        raise InternalInconsistency("homogeneous congruence system has no solution")
     _, homogeneous = solved
     return homogeneous
 

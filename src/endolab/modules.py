@@ -17,12 +17,12 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .linalg import IntMatrix, IntVector, ModuliVector
-from .rings import FiniteRing, RingElement
-from .verdicts import CapExceeded
+from .rings import FiniteRing
+from .verdicts import CapExceeded, InternalInconsistency, memo
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,6 @@ class ModuleHom:
 
 def identity_hom(m: FiniteModule) -> ModuleHom:
     return ModuleHom(m, m, linalg.identity_matrix(m.rank))
-
-
-def zero_hom(dom: FiniteModule, cod: FiniteModule) -> ModuleHom:
-    return ModuleHom(dom, cod, linalg.zero_matrix(dom.rank, cod.rank))
 
 
 def is_module_hom(h: ModuleHom) -> bool:
@@ -360,31 +356,11 @@ def is_simple(m: FiniteModule, cap: int) -> bool:
     return len(enumerate_submodules(m, cap)) == 2
 
 
+@memo
 def is_essential(n: Submodule, cap: int) -> bool:
     """n meets every nonzero submodule of its ambient nontrivially."""
     for k in enumerate_submodules(n.ambient, cap):
         if not k.is_zero() and submodule_intersect(n, k).is_zero():
-            return False
-    return True
-
-
-def is_essentially_closed(n: Submodule, cap: int) -> bool:
-    """No proper essential extension of n inside the ambient module.
-
-    n is essential in a submodule L iff n meets every nonzero submodule
-    contained in L; submodules of L are exactly the ambient submodules
-    inside L.
-    """
-    subs = enumerate_submodules(n.ambient, cap)
-    for l in subs:
-        if l.gens == n.gens or not l.contains_sub(n) or l.order() <= n.order():
-            continue
-        essential_in_l = all(
-            not submodule_intersect(n, k).is_zero()
-            for k in subs
-            if not k.is_zero() and l.contains_sub(k)
-        )
-        if essential_in_l:
             return False
     return True
 
@@ -473,5 +449,6 @@ def coordinates_in_subgroup(
     if solved is None:
         raise ValueError("element lies outside the subgroup")
     particular, homogeneous = solved
-    assert homogeneous == (), "invariant-factor generators must give unique coordinates"
+    if homogeneous != ():
+        raise InternalInconsistency("invariant-factor generators must give unique coordinates")
     return particular

@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import linalg
 from .linalg import IntMatrix, IntVector, ModuliVector
-from .verdicts import CapExceeded, InternalInconsistency, Verdict, agree
+from .verdicts import CapExceeded, InternalInconsistency, Verdict, memo
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,12 @@ def regularity_witness(x: RingElement) -> Optional[RingElement]:
         return None
     particular, _ = solved
     y = ring.element(particular)
-    assert (x * y * x).coords == x.coords
+    if (x * y * x).coords != x.coords:
+        raise InternalInconsistency(f"quasi-inverse check failed for {x!r}")
     return y
 
 
+@memo
 def is_regular(ring: FiniteRing, cap: int) -> Verdict:
     """Every element has a quasi-inverse (von Neumann regularity)."""
     try:
@@ -208,6 +210,7 @@ def is_central(x: RingElement) -> bool:
     return True
 
 
+@memo
 def is_abelian_regular(ring: FiniteRing, cap: int) -> Verdict:
     """Regular with all idempotents central; cross-checked via reducedness.
 
@@ -267,6 +270,7 @@ def is_unit(x: RingElement) -> bool:
     return v is not None and x.ring.mul_coords(v.coords, x.coords) == one
 
 
+@memo
 def is_unit_regular(ring: FiniteRing, cap: int) -> Verdict:
     """Every x admits a unit quasi-inverse u with x*u*x = x."""
     try:

@@ -7,8 +7,9 @@ never as a pass.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional, TypeVar
 
 
 class CapExceeded(Exception):
@@ -88,3 +89,31 @@ class Caps:
     elements: int = 4096
     submodules: int = 512
     homs: int = 4096
+
+
+F = TypeVar("F", bound=Callable[..., Any])
+
+
+def memo(fn: F) -> F:
+    """Remember a route's answer for the life of the process.
+
+    The key is the arguments (caps included) plus the ``name`` of each
+    argument that has one: modules and rings compare equal regardless of
+    their names, but reason strings and witnesses carry them.  Only
+    returned values are stored; an exception propagates and the next call
+    computes afresh.  ``fn.__wrapped__`` is the uncached computation.
+    """
+    cache: dict = {}
+
+    @functools.wraps(fn)
+    def memoized(*args, **kwargs):
+        values = args + tuple(kwargs.values())
+        key = (args, tuple(kwargs.items()), tuple(getattr(v, "name", None) for v in values))
+        try:
+            return cache[key]
+        except KeyError:
+            pass
+        result = cache[key] = fn(*args, **kwargs)
+        return result
+
+    return memoized  # type: ignore[return-value]

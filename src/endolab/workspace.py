@@ -61,29 +61,29 @@ def _require(cond: bool, msg: str) -> None:
         raise WorkspaceError(msg)
 
 
+def _int_list(data: Any, what: str) -> tuple[int, ...]:
+    _require(isinstance(data, list) and all(isinstance(v, int) for v in data),
+             f"{what} must be a list of integers")
+    return tuple(data)
+
+
 def _int_matrix(data: Any, what: str) -> tuple[tuple[int, ...], ...]:
     _require(isinstance(data, list), f"{what} must be a list of rows")
-    rows = []
-    for r in data:
-        _require(isinstance(r, list) and all(isinstance(v, int) for v in r),
-                 f"{what} rows must be lists of integers")
-        rows.append(tuple(r))
-    return tuple(rows)
+    return tuple(_int_list(r, f"{what} rows") for r in data)
 
 
 def parse_ring(name: str, data: Any) -> FiniteRing:
     _require(isinstance(data, dict), f"ring {name}: expected an object")
     _require("moduli" in data and "mul" in data and "one" in data,
              f"ring {name}: needs moduli, mul, one")
-    moduli = tuple(data["moduli"])
-    _require(all(isinstance(c, int) and c > 1 for c in moduli),
-             f"ring {name}: moduli must be integers > 1")
+    moduli = _int_list(data["moduli"], f"ring {name}: moduli")
+    _require(all(c > 1 for c in moduli), f"ring {name}: moduli must be integers > 1")
     k = len(moduli)
     mul_raw = data["mul"]
     _require(isinstance(mul_raw, list) and len(mul_raw) == k,
              f"ring {name}: mul must have one row per basis element")
-    mul = tuple(tuple(tuple(cell) for cell in row) for row in mul_raw)
-    one = tuple(data["one"])
+    mul = tuple(_int_matrix(row, f"ring {name}: mul[{i}]") for i, row in enumerate(mul_raw))
+    one = _int_list(data["one"], f"ring {name}: one")
     ring = FiniteRing(moduli=moduli, mul=mul, one=one, name=name)
     ok, msg = validate_ring(ring)
     _require(ok, f"ring {name}: {msg}")
@@ -96,13 +96,15 @@ def parse_module(
     _require(isinstance(data, dict), f"module {name}: expected an object")
     _require("ring" in data, f"module {name}: needs a ring reference")
     ring_id = data["ring"]
+    _require(isinstance(ring_id, str), f"module {name}: ring reference must be a string")
     _require(ring_id in known_rings, f"module {name}: unknown ring {ring_id!r}")
     ring = known_rings[ring_id]
     if data.get("regular"):
         return regular_module(ring, name=name)
     _require("moduli" in data and "action" in data,
              f"module {name}: needs moduli and action")
-    moduli = tuple(data["moduli"])
+    moduli = _int_list(data["moduli"], f"module {name}: moduli")
+    _require(isinstance(data["action"], list), f"module {name}: action must be a list of matrices")
     action = tuple(_int_matrix(mat, f"module {name} action") for mat in data["action"])
     m = FiniteModule(ring=ring, moduli=moduli, action=action, name=name)
     ok, msg = validate_module(m)
@@ -114,6 +116,8 @@ def parse_poset(name: str, data: Any) -> incidence.Preorder:
     _require(isinstance(data, dict), f"poset {name}: expected an object")
     _require("elements" in data and "relation" in data,
              f"poset {name}: needs elements and relation")
+    _require(isinstance(data["elements"], list) and isinstance(data["relation"], list),
+             f"poset {name}: elements and relation must be lists")
     elements = [str(e) for e in data["elements"]]
     pairs = []
     for p in data["relation"]:
@@ -136,14 +140,19 @@ def parse_workspace(path: str) -> Workspace:
         raise WorkspaceError(f"{path} is not valid JSON: {exc}") from exc
     _require(isinstance(data, dict), "workspace root must be an object")
 
+    for section in ("rings", "modules", "posets", "corpora", "caps"):
+        _require(isinstance(data.get(section, {}), dict), f"{section} must be an object")
     caps_raw = data.get("caps", {})
     caps = Caps(
         elements=caps_raw.get("elements", 4096),
         submodules=caps_raw.get("submodules", 512),
         homs=caps_raw.get("homs", 4096),
     )
+    for key, value in vars(caps).items():
+        _require(type(value) is int and value > 0,
+                 f"caps: {key} must be a positive integer, got {value!r}")
     seed = data.get("seed", 0)
-    _require(isinstance(seed, int), "seed must be an integer")
+    _require(type(seed) is int, "seed must be an integer")
 
     known_rings = {}
     for name, spec in data.get("rings", {}).items():
@@ -224,10 +233,18 @@ def generate(ws: Workspace, kind: str, arg: str) -> list[CorpusMember]:
         mx = incidence.build_mx(mem.module, bundle)
         return [CorpusMember(f"mx-{poset_id}-{module_id}", mx)]
     if kind == "random":
-        opts = dict(part.split("=") for part in arg.split(",") if part)
-        count = int(opts.get("count", 10))
-        seed = int(opts.get("seed", ws.seed))
-        return random_modules(count, seed, ws.caps)
+        opts = {"count": 10, "seed": ws.seed}
+        for part in filter(None, arg.split(",")):
+            key, _, value = part.partition("=")
+            try:
+                if key not in opts:
+                    raise ValueError(key)
+                opts[key] = int(value)
+            except ValueError:
+                raise WorkspaceError(
+                    f"random generator: bad option {part!r}; expected count=N or seed=N"
+                ) from None
+        return random_modules(opts["count"], opts["seed"], ws.caps)
     raise WorkspaceError(f"unknown generator kind {kind!r}")
 
 

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from endolab import cli
 
 HERE = os.path.dirname(__file__)
@@ -115,3 +117,41 @@ def test_suite_without_corpora_is_input_error(tmp_path, capsys):
     p.write_text('{"rings": {}}', encoding="utf-8")
     code, _, err = run(capsys, "suite", str(p))
     assert code == 2
+
+
+def _validate(tmp_path, capsys, ws):
+    p = tmp_path / "ws.json"
+    p.write_text(json.dumps(ws), encoding="utf-8")
+    return run(capsys, "validate", str(p))
+
+
+@pytest.mark.parametrize("ws, message", [
+    ({"rings": {"r": {"moduli": [2], "mul": [[[1]]], "one": 1}}},
+     "ring r: one must be a list"),
+    ({"rings": {"r": {"moduli": [2], "mul": [[1]], "one": [1]}}},
+     "ring r: mul[0] rows must be a list"),
+    ({"rings": []}, "rings must be an object"),
+    ({"modules": {"m": {"ring": ["r"], "regular": True}}},
+     "module m: ring reference must be a string"),
+    ({"posets": {"p": {"elements": 5, "relation": []}}},
+     "poset p: elements and relation must be lists"),
+])
+def test_malformed_workspace_shapes_are_input_errors(tmp_path, capsys, ws, message):
+    code, _, err = _validate(tmp_path, capsys, ws)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_random_option_without_value_is_input_error(tmp_path, capsys):
+    code, _, err = _validate(tmp_path, capsys, {"corpora": {"c": ["random:count"]}})
+    assert code == 2
+    assert "random generator: bad option 'count'" in err
+    assert "Traceback" not in err
+
+
+def test_non_positive_cap_is_input_error(tmp_path, capsys):
+    code, _, err = _validate(tmp_path, capsys, {"caps": {"homs": -5}})
+    assert code == 2
+    assert "caps: homs must be a positive integer" in err
+    assert "Traceback" not in err

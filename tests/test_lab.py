@@ -1,9 +1,13 @@
 """Module-level property deciders and the theorem suites."""
 
+import ast
+import glob
+import os
+
 import pytest
 
-from endolab import lab, modules, rings
-from endolab.verdicts import Caps
+from endolab import homs, lab, modules, rings, workspace
+from endolab.verdicts import Caps, InternalInconsistency, Verdict
 
 CAPS = Caps()
 
@@ -66,9 +70,9 @@ def test_ssp_sip():
 
 
 def test_summand_lattice_shape():
-    assert len(lab.summand_lattice(reg(6), CAPS)) == 4
-    assert len(lab.summand_lattice(reg(2), CAPS)) == 2
-    assert len(lab.summand_lattice(plane(), CAPS)) == 5
+    assert len(lab.direct_summands(reg(6), CAPS)) == 4
+    assert len(lab.direct_summands(reg(2), CAPS)) == 2
+    assert len(lab.direct_summands(plane(), CAPS)) == 5
     assert lab.is_distributive_boolean(reg(6), CAPS).value is True
     assert lab.is_distributive_boolean(plane(), CAPS).value is False
     assert lab.is_distributive_boolean(reg(2), CAPS).value is True
@@ -192,3 +196,96 @@ def test_analyze_report():
     assert len(rep.spec) == 1
     lines = rep.lines()
     assert any("abelian endoregular: true" in ln for ln in lines)
+
+
+# ---------------------------------------------------------------------------
+# The route memo
+# ---------------------------------------------------------------------------
+
+
+def _memoized(namespace):
+    return [
+        f for f in vars(namespace).values()
+        if hasattr(f, "__wrapped__") and f.__module__ == namespace.__name__
+    ]
+
+
+def _observable(v):
+    """Everything of a verdict that reaches the output stream, names included."""
+    if isinstance(v, bool):
+        return v
+    return v.value, v.reason, workspace.to_jsonable(v.witness)
+
+
+def _memo_corpus():
+    zn = [modules.regular_module(z(n), name=f"Z/{n}") for n in range(2, 13)]
+    m2 = modules.regular_module(rings.matrix_ring_presentation(2, 2))
+    randoms = [mem.module for mem in workspace.random_modules(12, 7, Caps())]
+    return zn + [m2, plane()] + randoms
+
+
+def test_memo_answers_equal_fresh_computation_in_either_order():
+    module_routes = _memoized(lab)
+    ring_routes = _memoized(rings)
+    assert len(module_routes) == 10 and len(ring_routes) == 3
+    corpus = _memo_corpus()
+    for order in (corpus, corpus[::-1]):
+        for m in order:
+            for f in module_routes:
+                assert _observable(f(m, CAPS)) == _observable(f.__wrapped__(m, CAPS)), f
+            ring = homs.end_ring(m).ring
+            for f in ring_routes:
+                got = f(ring, CAPS.homs)
+                assert _observable(got) == _observable(f.__wrapped__(ring, CAPS.homs)), f
+            for n in modules.enumerate_submodules(m, CAPS.submodules):
+                got = modules.is_essential(n, CAPS.submodules)
+                assert got == modules.is_essential.__wrapped__(n, CAPS.submodules)
+
+
+def test_memo_keeps_equal_modules_with_different_names_apart():
+    tight = Caps(homs=2)
+    left = modules.regular_module(z(6), name="left")
+    right = modules.regular_module(z(6), name="right")
+    assert left == right
+    for m, other in ((left, right), (right, left)):
+        for f in (lab.is_endoregular, lab.is_abelian_endoregular):
+            v = f(m, tight)
+            assert v.value is None
+            assert f"({m.name})" in v.reason
+            assert other.name not in v.reason
+
+
+def test_memo_keys_on_caps():
+    m = modules.regular_module(z(10), name="caps-probe")
+    assert lab.is_endoregular(m, Caps()).value is True
+    assert lab.is_endoregular(m, Caps(homs=2)).value is None
+    assert lab.is_endoregular(m, Caps()).value is True
+
+
+def test_memo_does_not_cache_exceptions(monkeypatch):
+    calls = []
+
+    def disagreeing_route(m, caps):
+        calls.append(m.name)
+        return Verdict.no(reason="forced disagreement")
+
+    monkeypatch.setattr(lab, "_endoregular_via_summands", disagreeing_route)
+    m = modules.regular_module(z(6), name="inconsistency-probe")
+    for _ in range(2):
+        with pytest.raises(InternalInconsistency):
+            lab.is_endoregular(m, CAPS)
+    assert calls == ["inconsistency-probe"] * 2
+
+
+def test_library_has_no_assert_statements():
+    """Invariants raise InternalInconsistency: ``python -O`` strips asserts."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "endolab", "*.py")
+    found = []
+    for path in sorted(glob.glob(src)):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        ]
+    assert found == []
