@@ -24,7 +24,6 @@ from .modules import (
     Submodule,
     extract,
     identity_hom,
-    submodule_coordinates,
 )
 from .rings import FiniteRing, RingElement
 from .verdicts import CapExceeded, InternalInconsistency
@@ -264,72 +263,26 @@ def is_fully_invariant(n: Submodule) -> bool:
 def summand_test(n: Submodule) -> Optional[ModuleHom]:
     """Idempotent projection of the ambient module onto n, if one exists.
 
-    Solves the linear system: E is an endomorphism, every row of E lies in
-    the subgroup of n (via auxiliary coefficients), and E fixes each
-    canonical generator of n.  A solution is automatically an idempotent
-    with image exactly n.
+    n is a summand iff its inclusion splits: some f in Hom(M, n) has
+    inc-then-f equal to the identity of n.  That condition is linear in the
+    coordinates of f over the hom-group generators, so one congruence solve
+    decides it, and f-then-inc is then an idempotent with image exactly n.
     """
     m = n.ambient
-    nm = m.rank
-    if nm == 0:
-        return identity_hom(m)
-    gens, orders = submodule_coordinates(n)
-    ng = len(gens)
-    unknowns = nm * nm + nm * ng  # E entries then coefficient rows
-    e_idx = lambda i, j: i * nm + j
-    c_idx = lambda i, l: nm * nm + i * ng + l
-
-    columns: list[list[int]] = []
-    out_moduli: list[int] = []
-    rhs: list[int] = []
-
-    def new_eq(modulus: int, b: int = 0) -> list[int]:
-        col = [0] * unknowns
-        columns.append(col)
-        out_moduli.append(modulus)
-        rhs.append(b % modulus)
-        return col
-
-    for t in range(m.ring.basis_count):
-        rho = m.action[t]
-        for u in range(nm):
-            for v in range(nm):
-                eq = new_eq(m.moduli[v])
-                for i in range(nm):
-                    eq[e_idx(i, v)] += rho[u][i]
-                for j in range(nm):
-                    eq[e_idx(u, j)] -= rho[j][v]
-    for i in range(nm):
-        for j in range(nm):
-            eq = new_eq(m.moduli[j])
-            eq[e_idx(i, j)] = m.moduli[i]
-    # row i of E = sum_l c_{i,l} * gens_l
-    for i in range(nm):
-        for j in range(nm):
-            eq = new_eq(m.moduli[j])
-            eq[e_idx(i, j)] = 1
-            for l in range(ng):
-                eq[c_idx(i, l)] = -gens[l][j]
-    # E fixes the canonical generators of n
-    for g in n.gens:
-        for j in range(nm):
-            eq = new_eq(m.moduli[j], b=g[j])
-            for i in range(nm):
-                eq[e_idx(i, j)] += g[i]
-
-    a = [[columns[e][x] for e in range(len(columns))] for x in range(unknowns)]
-    in_moduli = tuple(
-        [m.moduli[j] for i in range(nm) for j in range(nm)]
-        + [orders[l] for i in range(nm) for l in range(ng)]
-    )
-    solved = linalg.solve_congruence_system(a, tuple(rhs), tuple(out_moduli), in_moduli)
+    if n.is_zero():
+        return identity_hom(m).scale(0)
+    inner, inc = extract(n)
+    homs = hom_group(m, inner)
+    rows = [
+        tuple(v for row in inc.then(g).matrix for v in row) for g in homs.gens
+    ]
+    target = tuple(v for row in identity_hom(inner).matrix for v in row)
+    out_moduli = tuple(d for _ in range(inner.rank) for d in inner.moduli)
+    solved = linalg.solve_congruence_system(rows, target, out_moduli, homs.orders)
     if solved is None:
         return None
     particular, _ = solved
-    mat = tuple(
-        tuple(particular[e_idx(i, j)] % m.moduli[j] for j in range(nm)) for i in range(nm)
-    )
-    proj = ModuleHom(m, m, mat)
+    proj = homs.from_coords(particular).then(inc)
     if proj.then(proj).matrix != proj.matrix:
         raise InternalInconsistency("summand projection is not idempotent")
     if image(proj).gens != n.gens:

@@ -3,8 +3,8 @@
 Everything downstream (rings, modules, hom computation) reduces to three
 primitives implemented here:
 
-* Smith normal form of an integer matrix, with the unimodular transforms
-  and their inverses.
+* Smith normal form of an integer matrix, with the row transform and the
+  column transform and its inverse.
 * Solving linear congruence systems ``x @ A = b (mod m)`` where each output
   coordinate carries its own modulus.
 * A canonical (Howell/Hermite-style) generator matrix for subgroups of
@@ -79,27 +79,24 @@ def mat_mod(a: Sequence[Sequence[int]], m: ModuliVector) -> IntMatrix:
 
 
 class _Transform:
-    """Mutable S with accumulated U, Uinv, V, Vinv so that A = U S V always."""
+    """Mutable S with accumulated Uinv, V, Vinv so that Uinv A = S V always."""
 
     def __init__(self, a: Sequence[Sequence[int]]):
         self.s = [list(row) for row in a]
         self.rows = len(self.s)
         self.cols = len(self.s[0]) if self.s else 0
-        self.u = [list(row) for row in identity_matrix(self.rows)]
         self.uinv = [list(row) for row in identity_matrix(self.rows)]
         self.v = [list(row) for row in identity_matrix(self.cols)]
         self.vinv = [list(row) for row in identity_matrix(self.cols)]
 
-    # Row operations transform S on the left; U absorbs the inverse so that
-    # U*S*V stays equal to the original matrix.
+    # Row operations act on S and Uinv alike; column operations act on S and
+    # Vinv on the right and on V by the inverse operation on the left.
 
     def row_swap(self, i: int, j: int) -> None:
         if i == j:
             return
         self.s[i], self.s[j] = self.s[j], self.s[i]
         self.uinv[i], self.uinv[j] = self.uinv[j], self.uinv[i]
-        for row in self.u:
-            row[i], row[j] = row[j], row[i]
 
     def row_addmul(self, src: int, dst: int, k: int) -> None:
         if k == 0:
@@ -110,14 +107,10 @@ class _Transform:
         srow, drow = self.uinv[src], self.uinv[dst]
         for c in range(self.rows):
             drow[c] += k * srow[c]
-        for row in self.u:
-            row[src] -= k * row[dst]
 
     def row_negate(self, i: int) -> None:
         self.s[i] = [-v for v in self.s[i]]
         self.uinv[i] = [-v for v in self.uinv[i]]
-        for row in self.u:
-            row[i] = -row[i]
 
     def col_swap(self, i: int, j: int) -> None:
         if i == j:
@@ -139,16 +132,16 @@ class _Transform:
         for row in self.vinv:
             row[dst] += k * row[src]
 
-    def col_negate(self, i: int) -> None:
-        for row in self.s:
-            row[i] = -row[i]
-        self.v[i] = [-v for v in self.v[i]]
-        for row in self.vinv:
-            row[i] = -row[i]
 
+def smith_normal_form(
+    a: Sequence[Sequence[int]],
+) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form: (Uinv, S, V, Vinv) with Uinv A = S V.
 
-def _snf_full(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, Uinv, S, V, Vinv) with A = U S V, U and V unimodular."""
+    Uinv and V are unimodular and Vinv is the inverse of V, so
+    Uinv A Vinv = S.  S is diagonal with nonnegative entries d_1 | d_2 | ...,
+    zeros last.  Total on all integer matrices, including empty ones.
+    """
     t = _Transform(a)
     n = min(t.rows, t.cols)
 
@@ -218,28 +211,11 @@ def _snf_full(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatr
             t.row_negate(i)
 
     to_t = lambda m: tuple(tuple(row) for row in m)
-    return to_t(t.u), to_t(t.uinv), to_t(t.s), to_t(t.v), to_t(t.vinv)
-
-
-def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: A = U @ S @ V with U, V unimodular.
-
-    S is diagonal with nonnegative entries d_1 | d_2 | ..., zeros last.
-    Total on all integer matrices, including empty ones.
-    """
-    u, _, s, v, _ = _snf_full(a)
-    return u, s, v
-
-
-def snf_with_inverses(
-    a: Sequence[Sequence[int]],
-) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form returning (U, Uinv, S, V, Vinv) with A = U S V."""
-    return _snf_full(a)
+    return to_t(t.uinv), to_t(t.s), to_t(t.v), to_t(t.vinv)
 
 
 def snf_diagonal(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    _, _, s, _, _ = _snf_full(a)
+    _, s, _, _ = smith_normal_form(a)
     return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)))
 
 
@@ -379,7 +355,7 @@ def subgroup_structure(
         if any(rem):
             raise InternalInconsistency("diag(m) is not in the lattice of the subgroup")
         c_rows.append(coeff)
-    _, _, s, v, _ = _snf_full(c_rows)
+    _, s, v, _ = smith_normal_form(c_rows)
     new_basis = mat_mul(v, basis)
     gens = []
     orders = []
@@ -409,7 +385,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
     r = len(rows)
     if r == 0:
         return ()
-    _, uinv, s, _, _ = _snf_full(rows)
+    uinv, s, _, _ = smith_normal_form(rows)
     free = [i for i in range(r) if i >= ncols or s[i][i] == 0]
     return tuple(tuple(uinv[i]) for i in free)
 
@@ -483,7 +459,7 @@ def solve_congruence_system(
     for j in range(c):
         stacked.append([out_moduli[j] if t == j else 0 for t in range(c)])
 
-    _, uinv, s, _, vinv = _snf_full(stacked)
+    uinv, s, _, vinv = smith_normal_form(stacked)
     bp = vec_mat(b, vinv)
     total = r + c
     w = [0] * total

@@ -381,7 +381,7 @@ def quotient(m: FiniteModule, n: Submodule) -> tuple[FiniteModule, ModuleHom]:
         raise ValueError("quotient: submodule of a different module")
     k = m.rank
     basis = linalg.lattice_basis(n.gens, m.moduli)
-    _, _, s, v, vinv = linalg.snf_with_inverses(basis) if k else ((), (), (), (), ())
+    _, s, v, vinv = linalg.smith_normal_form(basis) if k else ((), (), (), ())
     orders = tuple(s[i][i] for i in range(k))
     kept = [i for i in range(k) if orders[i] > 1]
     qmod = tuple(orders[i] for i in kept)

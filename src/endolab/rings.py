@@ -164,15 +164,25 @@ def enumerate_elements(ring: FiniteRing, cap: int) -> list[RingElement]:
     return list(iter_elements(ring))
 
 
-def regularity_witness(x: RingElement) -> Optional[RingElement]:
-    """Some y with x*y*x = x, or None.  Decided by an exact linear solve."""
+def _quasi_inverses(x: RingElement) -> Optional[tuple[IntVector, IntMatrix]]:
+    """The coset of all y with x*y*x = x as (particular, homogeneous), or None.
+
+    y -> xyx is additive, so the coset is one congruence solve over the
+    images x*b_j*x of the basis elements.
+    """
     ring = x.ring
     k = ring.basis_count
     rows = []
     for j in range(k):
         basis = tuple(1 if t == j else 0 for t in range(k))
         rows.append(ring.mul_coords(ring.mul_coords(x.coords, basis), x.coords))
-    solved = linalg.solve_congruence_system(rows, x.coords, ring.moduli, ring.moduli)
+    return linalg.solve_congruence_system(rows, x.coords, ring.moduli, ring.moduli)
+
+
+def regularity_witness(x: RingElement) -> Optional[RingElement]:
+    """Some y with x*y*x = x, or None.  Decided by an exact linear solve."""
+    ring = x.ring
+    solved = _quasi_inverses(x)
     if solved is None:
         return None
     particular, _ = solved
@@ -243,31 +253,17 @@ def is_abelian_regular(ring: FiniteRing, cap: int) -> Verdict:
 
 def units(ring: FiniteRing, cap: int) -> list[RingElement]:
     """All two-sided units, each found by one linear solve per candidate."""
-    out = []
-    one = linalg.vec_mod(ring.one, ring.moduli)
-    for u in enumerate_elements(ring, cap):
-        v = _right_inverse(u)
-        if v is not None and ring.mul_coords(v.coords, u.coords) == one:
-            out.append(u)
-    return out
-
-
-def _right_inverse(u: RingElement) -> Optional[RingElement]:
-    ring = u.ring
-    solved = linalg.solve_congruence_system(
-        ring.left_mul_matrix(u.coords), linalg.vec_mod(ring.one, ring.moduli),
-        ring.moduli, ring.moduli,
-    )
-    if solved is None:
-        return None
-    particular, _ = solved
-    return ring.element(particular)
+    return [u for u in enumerate_elements(ring, cap) if is_unit(u)]
 
 
 def is_unit(x: RingElement) -> bool:
-    one = linalg.vec_mod(x.ring.one, x.ring.moduli)
-    v = _right_inverse(x)
-    return v is not None and x.ring.mul_coords(v.coords, x.coords) == one
+    """Some right inverse v of x (one linear solve) is also a left inverse."""
+    ring = x.ring
+    one = linalg.vec_mod(ring.one, ring.moduli)
+    solved = linalg.solve_congruence_system(
+        ring.left_mul_matrix(x.coords), one, ring.moduli, ring.moduli
+    )
+    return solved is not None and ring.mul_coords(solved[0], x.coords) == one
 
 
 @memo
@@ -285,12 +281,7 @@ def is_unit_regular(ring: FiniteRing, cap: int) -> Verdict:
 
 def _has_unit_witness(x: RingElement) -> bool:
     ring = x.ring
-    k = ring.basis_count
-    rows = []
-    for j in range(k):
-        basis = tuple(1 if t == j else 0 for t in range(k))
-        rows.append(ring.mul_coords(ring.mul_coords(x.coords, basis), x.coords))
-    solved = linalg.solve_congruence_system(rows, x.coords, ring.moduli, ring.moduli)
+    solved = _quasi_inverses(x)
     if solved is None:
         return False
     particular, homogeneous = solved

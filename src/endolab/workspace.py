@@ -99,6 +99,9 @@ def parse_module(
     _require(isinstance(ring_id, str), f"module {name}: ring reference must be a string")
     _require(ring_id in known_rings, f"module {name}: unknown ring {ring_id!r}")
     ring = known_rings[ring_id]
+    for flag in ("regular", "projective"):
+        _require(type(data.get(flag, False)) is bool,
+                 f"module {name}: {flag} must be true or false, got {data.get(flag)!r}")
     if data.get("regular"):
         return regular_module(ring, name=name)
     _require("moduli" in data and "action" in data,
@@ -143,6 +146,9 @@ def parse_workspace(path: str) -> Workspace:
     for section in ("rings", "modules", "posets", "corpora", "caps"):
         _require(isinstance(data.get(section, {}), dict), f"{section} must be an object")
     caps_raw = data.get("caps", {})
+    for key in caps_raw:
+        _require(key in ("elements", "submodules", "homs"),
+                 f"caps: unknown key {key!r}; expected elements, submodules or homs")
     caps = Caps(
         elements=caps_raw.get("elements", 4096),
         submodules=caps_raw.get("submodules", 512),
@@ -161,7 +167,7 @@ def parse_workspace(path: str) -> Workspace:
     projective = {}
     for name, spec in data.get("modules", {}).items():
         known_modules[name] = parse_module(name, spec, known_rings)
-        projective[name] = bool(spec.get("projective", False))
+        projective[name] = spec.get("projective", False)
     posets = {}
     for name, spec in data.get("posets", {}).items():
         posets[name] = parse_poset(name, spec)

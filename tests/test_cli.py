@@ -135,6 +135,14 @@ def _validate(tmp_path, capsys, ws):
      "module m: ring reference must be a string"),
     ({"posets": {"p": {"elements": 5, "relation": []}}},
      "poset p: elements and relation must be lists"),
+    ({"caps": {"hom": 2}},
+     "caps: unknown key 'hom'; expected elements, submodules or homs"),
+    ({"rings": {"r": {"moduli": [4], "mul": [[[1]]], "one": [1]}},
+      "modules": {"m": {"ring": "r", "regular": "no", "moduli": [2], "action": [[[1]]]}}},
+     "module m: regular must be true or false, got 'no'"),
+    ({"rings": {"r": {"moduli": [4], "mul": [[[1]]], "one": [1]}},
+      "modules": {"m": {"ring": "r", "regular": True, "projective": "no"}}},
+     "module m: projective must be true or false, got 'no'"),
 ])
 def test_malformed_workspace_shapes_are_input_errors(tmp_path, capsys, ws, message):
     code, _, err = _validate(tmp_path, capsys, ws)

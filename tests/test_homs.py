@@ -135,6 +135,35 @@ def test_summand_test_rejects_nonsummand():
     assert summand_test(two) is None
 
 
+def _summand_oracle_modules():
+    z4 = z(4)
+    yield reg(12)
+    yield reg(8)
+    yield modules.regular_module(rings.matrix_ring_presentation(2, 2))
+    yield modules.regular_module(
+        rings.matrix_ring_presentation(2, 4, upper_triangular=True))
+    yield modules.FiniteModule(ring=z4, moduli=(2, 4), action=(((1, 0), (0, 1)),),
+                               name="Z2+Z4")
+    yield modules.direct_sum([reg(2)] * 3)[0]
+
+
+def test_summand_test_matches_complement_search():
+    # N is a summand iff some submodule K has N ∩ K = 0 and N + K = M.
+    for m in _summand_oracle_modules():
+        subs = modules.enumerate_submodules(m, 512)
+        for n in subs:
+            has_complement = any(
+                modules.submodule_intersect(n, k).is_zero()
+                and modules.submodule_sum(n, k).is_full()
+                for k in subs
+            )
+            proj = summand_test(n)
+            assert (proj is not None) == has_complement, (m.name, n.gens)
+            if proj is not None:
+                assert proj.then(proj).matrix == proj.matrix
+                assert image(proj).gens == n.gens
+
+
 def test_azumaya_fixture_z4():
     # multiplication by 2 has no quasi-inverse and non-summand kernel
     m = reg(4)

@@ -6,8 +6,11 @@ import math
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.matrices.normalforms import smith_normal_form
 
 from endolab import linalg
 
@@ -35,8 +38,9 @@ def moduli_vectors(max_len=3, choices=(2, 3, 4, 6, 8)):
 @settings(max_examples=150, deadline=None)
 @given(small_matrix())
 def test_snf_reconstruction(rows):
-    u, s, v = linalg.smith_normal_form(rows)
-    assert linalg.mat_mul(linalg.mat_mul(u, s), v) == linalg.as_matrix(rows)
+    uinv, s, v, vinv = linalg.smith_normal_form(rows)
+    assert linalg.mat_mul(uinv, rows) == linalg.mat_mul(s, v)
+    assert linalg.mat_mul(linalg.mat_mul(uinv, rows), vinv) == s
 
 
 @settings(max_examples=150, deadline=None)
@@ -54,11 +58,18 @@ def test_snf_divisibility_chain(rows):
 @settings(max_examples=100, deadline=None)
 @given(small_matrix(max_dim=5, lo=-20, hi=20))
 def test_snf_inverses_are_inverses(rows):
-    u, uinv, s, v, vinv = linalg.snf_with_inverses(rows)
-    n, m = len(u), len(v)
-    assert linalg.mat_mul(u, uinv) == linalg.identity_matrix(n)
-    assert linalg.mat_mul(v, vinv) == linalg.identity_matrix(m)
-    assert linalg.mat_mul(linalg.mat_mul(u, s), v) == linalg.as_matrix(rows)
+    uinv, _, v, vinv = linalg.smith_normal_form(rows)
+    assert linalg.mat_mul(v, vinv) == linalg.identity_matrix(len(v))
+    assert abs(sympy.Matrix(uinv).det()) == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_matrix(max_dim=6, lo=-30, hi=30))
+def test_snf_diagonal_matches_sympy(rows):
+    theirs = smith_normal_form(sympy.Matrix(rows), domain=ZZ)
+    diag = [abs(int(theirs[i, i])) for i in range(min(theirs.shape))]
+    want = tuple([d for d in diag if d] + [0] * diag.count(0))
+    assert linalg.snf_diagonal(rows) == want
 
 
 def test_snf_fixture_diag():
