@@ -22,6 +22,7 @@ from .modules import (
     FiniteModule,
     ModuleHom,
     Submodule,
+    coordinates_in_subgroup,
     extract,
     identity_hom,
 )
@@ -61,24 +62,10 @@ class HomGroup:
 
     def coords_of(self, h: ModuleHom) -> IntVector:
         """Unique coefficient vector of a hom over the generators."""
-        flat_gens = [
-            tuple(v for row in g.matrix for v in row) for g in self.gens
-        ]
+        flat_gens = tuple(tuple(v for row in g.matrix for v in row) for g in self.gens)
+        flat_moduli = self.codomain.moduli * self.domain.rank
         flat_target = tuple(v for row in h.matrix for v in row)
-        out_moduli = tuple(
-            self.codomain.moduli[j]
-            for _ in range(self.domain.rank)
-            for j in range(self.codomain.rank)
-        )
-        solved = linalg.solve_congruence_system(
-            flat_gens, flat_target, out_moduli, self.orders
-        )
-        if solved is None:
-            raise ValueError("matrix is not an R-homomorphism in this hom group")
-        particular, homogeneous = solved
-        if homogeneous != ():
-            raise InternalInconsistency("hom-group generators must give unique coordinates")
-        return particular
+        return coordinates_in_subgroup(flat_target, flat_gens, self.orders, flat_moduli)
 
     def iter_homs(self) -> Iterator[ModuleHom]:
         for coords in itertools.product(*(range(o) for o in self.orders)):

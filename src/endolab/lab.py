@@ -30,6 +30,7 @@ from .modules import (
     FiniteModule,
     ModuleHom,
     Submodule,
+    coordinates_in_subgroup,
     direct_sum,
     enumerate_submodules,
     extract,
@@ -38,11 +39,22 @@ from .modules import (
     quotient,
     radical,
     socle,
+    submodule_generated,
     submodule_intersect,
     submodule_sum,
     zero_submodule,
 )
-from .verdicts import CapExceeded, Caps, InternalInconsistency, Verdict, agree, memo
+from .verdicts import (
+    CapExceeded,
+    Caps,
+    InternalInconsistency,
+    Verdict,
+    agree,
+    assuming,
+    implies,
+    memo,
+    undecided_on_cap,
+)
 
 
 class NotFullyInvariant(ValueError):
@@ -79,13 +91,11 @@ def _endoregular_via_ring(m: FiniteModule, caps: Caps) -> Verdict:
 
 
 @memo
+@undecided_on_cap
 def _endoregular_via_summands(m: FiniteModule, caps: Caps) -> Verdict:
-    try:
-        for phi in iter_end_homs(m, caps.homs):
-            if summand_test(kernel(phi)) is None or summand_test(image(phi)) is None:
-                return Verdict.no(witness=phi, reason="kernel or image not a summand")
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
+    for phi in iter_end_homs(m, caps.homs):
+        if summand_test(kernel(phi)) is None or summand_test(image(phi)) is None:
+            return Verdict.no(witness=phi, reason="kernel or image not a summand")
     return Verdict.yes()
 
 
@@ -130,30 +140,25 @@ def abelian_route_end_ring(m: FiniteModule, caps: Caps) -> Verdict:
 
 
 @memo
+@undecided_on_cap
 def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
     size = m.size()
-    try:
-        for phi in iter_end_homs(m, caps.homs):
-            ker, im = kernel(phi), image(phi)
-            if ker.order() * im.order() != size or not submodule_intersect(ker, im).is_zero():
-                return Verdict.no(witness=phi, reason="M != Ker ⊕ Im")
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
+    for phi in iter_end_homs(m, caps.homs):
+        ker, im = kernel(phi), image(phi)
+        if ker.order() * im.order() != size or not submodule_intersect(ker, im).is_zero():
+            return Verdict.no(witness=phi, reason="M != Ker ⊕ Im")
     return Verdict.yes()
 
 
 @memo
+@undecided_on_cap
 def abelian_route_fully_invariant(m: FiniteModule, caps: Caps) -> Verdict:
     endo = is_endoregular(m, caps)
     if not endo.decided:
         return endo
     if endo.value is False:
         return Verdict.no(witness=endo.witness, reason="not endoregular")
-    try:
-        subs = enumerate_submodules(m, caps.submodules)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
-    for n in subs:
+    for n in enumerate_submodules(m, caps.submodules):
         if is_m_generated(n) and not is_fully_invariant(n):
             return Verdict.no(witness=n, reason="movable M-generated submodule")
     return Verdict.yes()
@@ -173,42 +178,34 @@ def direct_summands(m: FiniteModule, caps: Caps) -> list[Submodule]:
     return [n for n in enumerate_submodules(m, caps.submodules) if summand_test(n) is not None]
 
 
+@undecided_on_cap
 def has_ssp(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Sum of any two direct summands is a direct summand."""
-    try:
-        summands = direct_summands(m, caps)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
-    for a, b in itertools.combinations(summands, 2):
+    for a, b in itertools.combinations(direct_summands(m, caps), 2):
         s = submodule_sum(a, b)
         if summand_test(s) is None:
             return Verdict.no(witness=(a, b), reason="sum of summands not a summand")
     return Verdict.yes()
 
 
+@undecided_on_cap
 def has_sip(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Intersection of any two direct summands is a direct summand."""
-    try:
-        summands = direct_summands(m, caps)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
-    for a, b in itertools.combinations(summands, 2):
+    for a, b in itertools.combinations(direct_summands(m, caps), 2):
         s = submodule_intersect(a, b)
         if summand_test(s) is None:
             return Verdict.no(witness=(a, b), reason="intersection of summands not a summand")
     return Verdict.yes()
 
 
+@undecided_on_cap
 def is_distributive_boolean(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Summand lattice distributive (then complemented, hence Boolean).
 
     Checks A ∩ (B + C) = (A ∩ B) + (A ∩ C) on every triple of summands and
     existence of a complement for every summand.
     """
-    try:
-        summands = direct_summands(m, caps)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
+    summands = direct_summands(m, caps)
     for a in summands:
         if not any(
             submodule_intersect(a, b).is_zero() and submodule_sum(a, b).is_full()
@@ -373,15 +370,12 @@ def fully_invariant_submodules(m: FiniteModule, caps: Caps) -> list[Submodule]:
     return subs
 
 
+@undecided_on_cap
 def is_prime_in(n: Submodule, caps: Caps = Caps()) -> Verdict:
     """n proper fully invariant, and K_M L ⊆ n forces K ⊆ n or L ⊆ n for
     fully invariant K, L."""
     _require_proper_fully_invariant(n)
-    m = n.ambient
-    try:
-        fi = fully_invariant_submodules(m, caps)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
+    fi = fully_invariant_submodules(n.ambient, caps)
     for k, l in itertools.product(fi, repeat=2):
         prod_kl = product_submodules(k, l)
         if n.contains_sub(prod_kl) and not n.contains_sub(k) and not n.contains_sub(l):
@@ -389,14 +383,10 @@ def is_prime_in(n: Submodule, caps: Caps = Caps()) -> Verdict:
     return Verdict.yes()
 
 
+@undecided_on_cap
 def is_semiprime_in(n: Submodule, caps: Caps = Caps()) -> Verdict:
     _require_proper_fully_invariant(n)
-    m = n.ambient
-    try:
-        fi = fully_invariant_submodules(m, caps)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
-    for k in fi:
+    for k in fully_invariant_submodules(n.ambient, caps):
         if n.contains_sub(product_submodules(k, k)) and not n.contains_sub(k):
             return Verdict.no(witness=k, reason="square inside, factor outside")
     return Verdict.yes()
@@ -439,88 +429,72 @@ def is_semiprime_module(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
 
 
 @memo
+@undecided_on_cap
 def is_quasi_duo(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
-    try:
-        maxes = maximal_submodules(m, caps.submodules)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
-    for n in maxes:
+    for n in maximal_submodules(m, caps.submodules):
         if not is_fully_invariant(n):
             return Verdict.no(witness=n, reason="movable maximal submodule")
     return Verdict.yes()
 
 
+@undecided_on_cap
 def is_duo(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
-    try:
-        subs = enumerate_submodules(m, caps.submodules)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
-    for n in subs:
+    for n in enumerate_submodules(m, caps.submodules):
         if not is_fully_invariant(n):
             return Verdict.no(witness=n, reason="movable submodule")
     return Verdict.yes()
 
 
 @memo
+@undecided_on_cap
 def is_subdirect_of_simples(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """For finite modules: radical zero (every proper submodule sits under a
     maximal one, so the canonical map into the simple quotients embeds)."""
-    try:
-        rad = radical(m, caps.submodules)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
+    rad = radical(m, caps.submodules)
     if rad.is_zero():
         return Verdict.yes()
     return Verdict.no(witness=rad, reason="nonzero radical")
 
 
+@undecided_on_cap
 def is_k_nonsingular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """No nonzero endomorphism has essential kernel."""
-    try:
-        for phi in iter_end_homs(m, caps.homs):
-            if phi.is_zero():
-                continue
-            if is_essential(kernel(phi), caps.submodules):
-                return Verdict.no(witness=phi, reason="nonzero endomorphism with essential kernel")
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
+    for phi in iter_end_homs(m, caps.homs):
+        if phi.is_zero():
+            continue
+        if is_essential(kernel(phi), caps.submodules):
+            return Verdict.no(witness=phi, reason="nonzero endomorphism with essential kernel")
     return Verdict.yes()
 
 
+@undecided_on_cap
 def is_polyform(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """No nonzero partial homomorphism K -> M has kernel essential in K."""
-    try:
-        subs = enumerate_submodules(m, caps.submodules)
-        for k_sub in subs:
-            if k_sub.is_zero():
+    for k_sub in enumerate_submodules(m, caps.submodules):
+        if k_sub.is_zero():
+            continue
+        inner, _ = extract(k_sub)
+        homs = hom_group(inner, m)
+        if homs.size() > caps.homs:
+            return Verdict.undecided(
+                f"|Hom(K, M)| = {homs.size()} exceeds hom cap {caps.homs}"
+            )
+        for f in homs.iter_homs():
+            if f.is_zero():
                 continue
-            inner, _ = extract(k_sub)
-            homs = hom_group(inner, m)
-            if homs.size() > caps.homs:
-                return Verdict.undecided(
-                    f"|Hom(K, M)| = {homs.size()} exceeds hom cap {caps.homs}"
+            if is_essential(kernel(f), caps.submodules):
+                return Verdict.no(
+                    witness=(k_sub, f),
+                    reason="partial homomorphism with essential kernel",
                 )
-            for f in homs.iter_homs():
-                if f.is_zero():
-                    continue
-                if is_essential(kernel(f), caps.submodules):
-                    return Verdict.no(
-                        witness=(k_sub, f),
-                        reason="partial homomorphism with essential kernel",
-                    )
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
     return Verdict.yes()
 
 
+@undecided_on_cap
 def idempotents_central_in_end(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
-    try:
-        bundle = end_ring(m)
-        for e in rings.idempotents(bundle.ring, caps.homs):
-            if not rings.is_central(e):
-                return Verdict.no(witness=e, reason="non-central idempotent in End")
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
+    for e in rings.idempotents(end_ring(m).ring, caps.homs):
+        if not rings.is_central(e):
+            return Verdict.no(witness=e, reason="non-central idempotent in End")
     return Verdict.yes()
 
 
@@ -582,16 +556,8 @@ def _record(object_id: str, check_id: str, v: Verdict) -> ResultRecord:
     return ResultRecord(object_id, check_id, "skip", v.reason)
 
 
-def _implication(hyp: Verdict, concl: Verdict, vacuous: str = "hypothesis fails") -> Verdict:
-    if hyp.value is False:
-        return Verdict.yes(reason=vacuous)
-    if not hyp.decided:
-        return Verdict.undecided(hyp.reason)
-    if concl.value is True:
-        return Verdict.yes()
-    if concl.value is False:
-        return Verdict.no(witness=concl.witness, reason=concl.reason)
-    return Verdict.undecided(concl.reason)
+def _implication(hyp: Verdict, concl: Verdict) -> Verdict:
+    return implies(hyp, lambda: Verdict.yes() if concl.value is True else concl)
 
 
 def _biconditional(a: Verdict, b: Verdict) -> Verdict:
@@ -621,13 +587,11 @@ def check_route_agreement(m: FiniteModule, caps: Caps) -> Verdict:
     return Verdict.yes()
 
 
+# A hypothesis is a lambda rather than the route itself, so that the route
+# name is looked up on each call, like every other call in this module.
+@assuming(lambda m, caps: is_endoregular(m, caps))
 def check_ssp_sip(m: FiniteModule, caps: Caps) -> Verdict:
     """Endoregular modules have both summand-closure properties."""
-    endo = is_endoregular(m, caps)
-    if endo.value is False:
-        return Verdict.yes(reason="hypothesis fails")
-    if not endo.decided:
-        return Verdict.undecided(endo.reason)
     return _both(has_ssp(m, caps), has_sip(m, caps))
 
 
@@ -641,37 +605,23 @@ def _both(a: Verdict, b: Verdict) -> Verdict:
     return Verdict.undecided(a.reason or b.reason)
 
 
+@undecided_on_cap
+@assuming(lambda m, caps: is_endoregular(m, caps))
 def check_generated_iff_summand(m: FiniteModule, caps: Caps) -> Verdict:
     """On an endoregular module, M-generated submodules are exactly the
     direct summands."""
-    endo = is_endoregular(m, caps)
-    if endo.value is False:
-        return Verdict.yes(reason="hypothesis fails")
-    if not endo.decided:
-        return Verdict.undecided(endo.reason)
-    try:
-        subs = enumerate_submodules(m, caps.submodules)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
-    for n in subs:
+    for n in enumerate_submodules(m, caps.submodules):
         if is_m_generated(n) != (summand_test(n) is not None):
             return Verdict.no(witness=n, reason="M-generated and summand status differ")
     return Verdict.yes()
 
 
+@undecided_on_cap
+@assuming(lambda m, caps: is_abelian_endoregular(m, caps))
 def check_summands_inherit(m: FiniteModule, caps: Caps) -> Verdict:
     """Direct summands and M-generated submodules of an abelian endoregular
     module are abelian endoregular."""
-    ab = is_abelian_endoregular(m, caps)
-    if ab.value is False:
-        return Verdict.yes(reason="hypothesis fails")
-    if not ab.decided:
-        return Verdict.undecided(ab.reason)
-    try:
-        subs = enumerate_submodules(m, caps.submodules)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
-    for n in subs:
+    for n in enumerate_submodules(m, caps.submodules):
         if summand_test(n) is None and not is_m_generated(n):
             continue
         inner, _ = extract(n)
@@ -683,46 +633,36 @@ def check_summands_inherit(m: FiniteModule, caps: Caps) -> Verdict:
     return Verdict.yes()
 
 
+@undecided_on_cap
+@assuming(lambda m, caps: is_endoregular(m, caps))
 def check_ker_im_summands_in_powers(m: FiniteModule, caps: Caps) -> Verdict:
     """For endoregular M and homs between small finite powers of M, kernels
     and images are direct summands."""
-    endo = is_endoregular(m, caps)
-    if endo.value is False:
-        return Verdict.yes(reason="hypothesis fails")
-    if not endo.decided:
-        return Verdict.undecided(endo.reason)
     powers = {}
     for k in (1, 2):
         powers[k], _, _ = direct_sum([m] * k)
-    try:
-        # size every hom group first: one over-cap group makes the whole
-        # check undecidable, so do not burn time on the small ones
-        for n in (1, 2):
-            for l in (1, 2):
-                size = hom_group(powers[n], powers[l]).size()
-                if size > caps.homs:
-                    return Verdict.undecided(
-                        f"|Hom(M^{n}, M^{l})| = {size} exceeds hom cap {caps.homs}"
-                    )
-        for n in (1, 2):
-            for l in (1, 2):
-                homs = hom_group(powers[n], powers[l])
-                for f in homs.iter_homs():
-                    if summand_test(kernel(f)) is None or summand_test(image(f)) is None:
-                        return Verdict.no(witness=f, reason="kernel or image not a summand")
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
+    # size every hom group first: one over-cap group makes the whole
+    # check undecidable, so do not burn time on the small ones
+    for n in (1, 2):
+        for l in (1, 2):
+            size = hom_group(powers[n], powers[l]).size()
+            if size > caps.homs:
+                return Verdict.undecided(
+                    f"|Hom(M^{n}, M^{l})| = {size} exceeds hom cap {caps.homs}"
+                )
+    for n in (1, 2):
+        for l in (1, 2):
+            homs = hom_group(powers[n], powers[l])
+            for f in homs.iter_homs():
+                if summand_test(kernel(f)) is None or summand_test(image(f)) is None:
+                    return Verdict.no(witness=f, reason="kernel or image not a summand")
     return Verdict.yes()
 
 
+@assuming(lambda m, caps: _both(is_quasi_duo(m, caps), is_subdirect_of_simples(m, caps)))
 def check_central_idempotents_from_subdirect(m: FiniteModule, caps: Caps) -> Verdict:
     """A quasi-duo subdirect product of simples has central idempotents in
     its endomorphism ring; with endoregularity it is abelian endoregular."""
-    hyp = _both(is_quasi_duo(m, caps), is_subdirect_of_simples(m, caps))
-    if hyp.value is False:
-        return Verdict.yes(reason="hypothesis fails")
-    if not hyp.decided:
-        return Verdict.undecided(hyp.reason)
     central = idempotents_central_in_end(m, caps)
     if central.value is not True:
         return central
@@ -746,24 +686,18 @@ def check_subdirect_characterization(m: FiniteModule, caps: Caps, projective: bo
     return _implication(cond2, cond1)
 
 
+@undecided_on_cap
+@assuming(lambda m, caps: is_abelian_endoregular(m, caps))
 def check_prime_iff_maximal(m: FiniteModule, caps: Caps) -> Verdict:
     """On projective abelian endoregular members, prime submodules are
     exactly the maximal ones, and the module is quasi-duo."""
-    ab = is_abelian_endoregular(m, caps)
-    if ab.value is False:
-        return Verdict.yes(reason="hypothesis fails")
-    if not ab.decided:
-        return Verdict.undecided(ab.reason)
     qd = is_quasi_duo(m, caps)
     if qd.value is False:
         return Verdict.no(witness=qd.witness, reason="not quasi-duo")
     if not qd.decided:
         return Verdict.undecided(qd.reason)
-    try:
-        primes = {p.gens for p in spec_of(m, caps)}
-        maxes = {n.gens for n in maximal_submodules(m, caps.submodules)}
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
+    primes = {p.gens for p in spec_of(m, caps)}
+    maxes = {n.gens for n in maximal_submodules(m, caps.submodules)}
     if primes != maxes:
         return Verdict.no(
             witness=(sorted(primes), sorted(maxes)),
@@ -772,13 +706,11 @@ def check_prime_iff_maximal(m: FiniteModule, caps: Caps) -> Verdict:
     return Verdict.yes()
 
 
+@undecided_on_cap
 def check_fi_maximal_is_prime(m: FiniteModule, caps: Caps) -> Verdict:
     """On projective members, a submodule maximal in the lattice of fully
     invariant submodules is prime."""
-    try:
-        fi = fully_invariant_submodules(m, caps)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
+    fi = fully_invariant_submodules(m, caps)
     proper = [n for n in fi if not n.is_full()]
     for n in proper:
         maximal_fi = not any(
@@ -794,13 +726,10 @@ def check_fi_maximal_is_prime(m: FiniteModule, caps: Caps) -> Verdict:
     return Verdict.yes()
 
 
+@undecided_on_cap
 def check_prime_quotients(m: FiniteModule, caps: Caps) -> Verdict:
     """Zero is prime (semiprime) in M/N whenever N is prime (semiprime) in M."""
-    try:
-        fi = fully_invariant_submodules(m, caps)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
-    for n in fi:
+    for n in fully_invariant_submodules(m, caps):
         if n.is_full():
             continue
         for test, quotient_test in (
@@ -821,35 +750,32 @@ def check_prime_quotients(m: FiniteModule, caps: Caps) -> Verdict:
     return Verdict.yes()
 
 
+@undecided_on_cap
 def check_fi_summand_descends(m: FiniteModule, caps: Caps) -> Verdict:
     """A fully invariant direct summand L of M with L ≤ N stays fully
     invariant inside N."""
-    try:
-        subs = enumerate_submodules(m, caps.submodules)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
+    subs = enumerate_submodules(m, caps.submodules)
     fi_summands = [
         l for l in subs if is_fully_invariant(l) and summand_test(l) is not None
     ]
     for n in subs:
-        inner, _ = extract(n)
+        _, inc = extract(n)
         for l in fi_summands:
             if not n.contains_sub(l):
                 continue
-            inside = _pull_into(l, n, inner)
+            inside = _pull_into(l, inc)
             if not is_fully_invariant(inside):
                 return Verdict.no(witness=(l, n), reason="full invariance lost in submodule")
     return Verdict.yes()
 
 
-def _pull_into(l: Submodule, n: Submodule, inner: FiniteModule) -> Submodule:
-    """Rewrite l ≤ n in the coordinates of the extracted copy of n."""
-    from .modules import coordinates_in_subgroup, submodule_coordinates, submodule_generated
-
-    gens, orders = submodule_coordinates(n)
-    ambient_moduli = n.ambient.moduli
+def _pull_into(l: Submodule, inc: ModuleHom) -> Submodule:
+    """Rewrite l, which lies in the image of the inclusion inc of an
+    extracted submodule, in the coordinates of inc's domain."""
+    inner = inc.domain
     gens_inside = [
-        coordinates_in_subgroup(g, gens, orders, ambient_moduli) for g in l.gens
+        coordinates_in_subgroup(g, inc.matrix, inner.moduli, inc.codomain.moduli)
+        for g in l.gens
     ]
     return submodule_generated(inner, gens_inside)
 
@@ -858,13 +784,9 @@ def check_polyform_implies_k_nonsingular(m: FiniteModule, caps: Caps) -> Verdict
     return _implication(is_polyform(m, caps), is_k_nonsingular(m, caps))
 
 
+@assuming(lambda m, caps: is_endoregular(m, caps))
 def check_five_way(m: FiniteModule, caps: Caps) -> Verdict:
     """On endoregular members, the five characterizations all agree."""
-    endo = is_endoregular(m, caps)
-    if endo.value is False:
-        return Verdict.yes(reason="hypothesis fails")
-    if not endo.decided:
-        return Verdict.undecided(endo.reason)
     try:
         report = five_way_suite(m, caps)
     except InternalInconsistency as exc:
@@ -880,19 +802,19 @@ def check_unit_converses(m: FiniteModule, caps: Caps) -> Verdict:
         report = unit_suite(m, caps)
     except InternalInconsistency as exc:
         return Verdict.no(reason=str(exc))
-    if report.conclusion_checked.value is True:
-        return Verdict.yes()
-    if report.conclusion_checked.decided:
-        return Verdict.no(reason=report.conclusion_checked.reason)
-    if report.unit_endoregular.decided and not report.unit_endoregular.value:
-        return Verdict.yes(reason="hypothesis fails")
-    if (
-        report.unit_endoregular.value
-        and report.im_plus_ker_always_full.value is False
+    unit, concl = report.unit_endoregular, report.conclusion_checked
+    if concl.decided:
+        return Verdict.yes() if concl.value else Verdict.no(reason=concl.reason)
+    if not unit.decided:
+        return Verdict.undecided(concl.reason)
+    no_converse = (
+        report.im_plus_ker_always_full.value is False
         and report.idempotents_commute_with_units.value is False
-    ):
-        return Verdict.yes(reason="vacuous: no converse hypothesis holds")
-    return Verdict.undecided(report.conclusion_checked.reason)
+    )
+    return implies(unit, lambda: (
+        Verdict.yes(reason="vacuous: no converse hypothesis holds") if no_converse
+        else Verdict.undecided(concl.reason)
+    ))
 
 
 MEMBER_CHECKS = (
@@ -963,8 +885,6 @@ def theorem_suites(
         except InternalInconsistency as exc:
             records.append(ResultRecord(fam_id, "direct-sum-characterization", "fail", str(exc)))
             continue
-        except CapExceeded as exc:
-            v = Verdict.undecided(str(exc))
         records.append(_record(fam_id, "direct-sum-characterization", v))
     return SuiteReport(records)
 
@@ -1015,12 +935,7 @@ class PropertyReport:
 
 
 def analyze(module_id: str, m: FiniteModule, caps: Caps = Caps()) -> PropertyReport:
-    props: dict[str, Verdict] = {}
-    for name, fn in PROPERTY_FUNCS:
-        try:
-            props[name] = fn(m, caps)
-        except CapExceeded as exc:
-            props[name] = Verdict.undecided(str(exc))
+    props = {name: fn(m, caps) for name, fn in PROPERTY_FUNCS}
     routes = {
         "abelian via End ring": abelian_route_end_ring(m, caps),
         "abelian via Ker ⊕ Im": abelian_route_ker_im(m, caps),

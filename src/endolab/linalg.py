@@ -20,7 +20,7 @@ kept positionally so embedding indices stay stable.
 
 from __future__ import annotations
 
-from math import gcd, lcm, prod
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .verdicts import InternalInconsistency
@@ -418,14 +418,13 @@ def solve_congruence_system(
     a: Sequence[Sequence[int]],
     b: Sequence[int],
     out_moduli: ModuliVector,
-    in_moduli: Optional[ModuliVector] = None,
+    in_moduli: ModuliVector,
 ) -> Optional[tuple[IntVector, IntMatrix]]:
     """Solve ``x @ A = b  (mod out_moduli coordinatewise)`` exactly.
 
     The unknown x has one coordinate per row of A.  ``in_moduli`` gives the
     modulus each coordinate of x is taken by (so the solution set is a coset
-    inside the finite group ⊕ Z/in_moduli_i); it defaults to the lcm of the
-    output moduli in every coordinate.  Each in_moduli[i] must annihilate
+    inside the finite group ⊕ Z/in_moduli_i).  Each in_moduli[i] must annihilate
     row i of A modulo the output moduli, otherwise the reduction would be
     unsound and a ValueError is raised.
 
@@ -442,10 +441,7 @@ def solve_congruence_system(
         if len(row) != c:
             raise DimensionMismatch(f"row length {len(row)} vs {c} output moduli")
 
-    if in_moduli is None:
-        big = lcm(*out_moduli) if out_moduli else 1
-        in_moduli = (big,) * r
-    elif len(in_moduli) != r:
+    if len(in_moduli) != r:
         raise DimensionMismatch(f"{len(in_moduli)} input moduli vs {r} rows")
     for i, row in enumerate(a):
         for j, v in enumerate(row):

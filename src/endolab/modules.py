@@ -405,12 +405,6 @@ def quotient(m: FiniteModule, n: Submodule) -> tuple[FiniteModule, ModuleHom]:
 
 
 @lru_cache(maxsize=None)
-def submodule_coordinates(n: Submodule) -> tuple[IntMatrix, tuple[int, ...]]:
-    """Invariant-factor generators and orders of the subgroup under n."""
-    return linalg.subgroup_structure(n.gens, n.ambient.moduli)
-
-
-@lru_cache(maxsize=None)
 def extract(n: Submodule) -> tuple[FiniteModule, ModuleHom]:
     """A standalone module isomorphic to n, with its inclusion hom.
 
@@ -418,7 +412,7 @@ def extract(n: Submodule) -> tuple[FiniteModule, ModuleHom]:
     extraction is canonical per submodule.
     """
     m = n.ambient
-    gens, orders = submodule_coordinates(n)
+    gens, orders = linalg.subgroup_structure(n.gens, m.moduli)
     inner = FiniteModule(
         ring=m.ring,
         moduli=orders,

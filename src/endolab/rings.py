@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import linalg
 from .linalg import IntMatrix, IntVector, ModuliVector
-from .verdicts import CapExceeded, InternalInconsistency, Verdict, memo
+from .verdicts import CapExceeded, InternalInconsistency, Verdict, memo, undecided_on_cap
 
 
 @dataclass(frozen=True)
@@ -193,13 +193,10 @@ def regularity_witness(x: RingElement) -> Optional[RingElement]:
 
 
 @memo
+@undecided_on_cap
 def is_regular(ring: FiniteRing, cap: int) -> Verdict:
     """Every element has a quasi-inverse (von Neumann regularity)."""
-    try:
-        elems = enumerate_elements(ring, cap)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
-    for x in elems:
+    for x in enumerate_elements(ring, cap):
         if regularity_witness(x) is None:
             return Verdict.no(witness=x, reason="element with no quasi-inverse")
     return Verdict.yes()
@@ -267,13 +264,10 @@ def is_unit(x: RingElement) -> bool:
 
 
 @memo
+@undecided_on_cap
 def is_unit_regular(ring: FiniteRing, cap: int) -> Verdict:
     """Every x admits a unit quasi-inverse u with x*u*x = x."""
-    try:
-        elems = enumerate_elements(ring, cap)
-    except CapExceeded as exc:
-        return Verdict.undecided(str(exc))
-    for x in elems:
+    for x in enumerate_elements(ring, cap):
         if not _has_unit_witness(x):
             return Verdict.no(witness=x, reason="no unit quasi-inverse")
     return Verdict.yes()

@@ -2,7 +2,9 @@
 
 A Verdict is True, False (with an optional witness), or undecided when an
 enumeration cap was hit.  Suites must treat undecided as "skip with notice",
-never as a pass.
+never as a pass.  Each verdict policy has one home here: ``agree`` merges
+routes, ``undecided_on_cap`` turns a cap hit into undecided, and ``implies``
+passes a theorem check vacuously when its hypothesis is false.
 """
 
 from __future__ import annotations
@@ -117,3 +119,54 @@ def memo(fn: F) -> F:
         return result
 
     return memoized  # type: ignore[return-value]
+
+
+def _named_like(fn: Callable, wrapper: F) -> F:
+    """Give ``wrapper`` the name and docstring of ``fn``.
+
+    Unlike functools.wraps this sets no ``__wrapped__``: that attribute
+    marks a memoized route and leads to its uncached computation.
+    """
+    functools.update_wrapper(wrapper, fn)
+    del wrapper.__wrapped__
+    return wrapper
+
+
+def undecided_on_cap(fn: F) -> F:
+    """The cap policy: a CapExceeded escaping ``fn`` becomes an undecided
+    verdict whose reason names the cap.  Stack it under ``@memo`` so the
+    undecided verdict is remembered like any other."""
+
+    def capped(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except CapExceeded as exc:
+            return Verdict.undecided(str(exc))
+
+    return _named_like(fn, capped)
+
+
+def implies(hyp: Verdict, conclusion: Callable[[], Verdict]) -> Verdict:
+    """The vacuous-pass policy for a claim "if hyp then conclusion".
+
+    A false hypothesis passes vacuously and an undecided one leaves the claim
+    undecided; only a true one computes the conclusion.
+    """
+    if hyp.value is False:
+        return Verdict.yes(reason="hypothesis fails")
+    if not hyp.decided:
+        return Verdict.undecided(hyp.reason)
+    return conclusion()
+
+
+def assuming(hypothesis: Callable[..., Verdict]) -> Callable[[F], F]:
+    """Guard a check with ``implies``: the check's body is the conclusion,
+    run only when ``hypothesis`` holds for the same arguments."""
+
+    def guard(check: F) -> F:
+        def guarded(*args, **kwargs):
+            return implies(hypothesis(*args, **kwargs), lambda: check(*args, **kwargs))
+
+        return _named_like(check, guarded)
+
+    return guard

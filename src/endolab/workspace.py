@@ -61,6 +61,12 @@ def _require(cond: bool, msg: str) -> None:
         raise WorkspaceError(msg)
 
 
+def _known_keys(data: dict, allowed: Sequence[str], what: str) -> None:
+    expected = ", ".join(allowed[:-1]) + " or " + allowed[-1]
+    for key in data:
+        _require(key in allowed, f"{what}: unknown key {key!r}; expected {expected}")
+
+
 def _int_list(data: Any, what: str) -> tuple[int, ...]:
     _require(isinstance(data, list) and all(isinstance(v, int) for v in data),
              f"{what} must be a list of integers")
@@ -74,6 +80,7 @@ def _int_matrix(data: Any, what: str) -> tuple[tuple[int, ...], ...]:
 
 def parse_ring(name: str, data: Any) -> FiniteRing:
     _require(isinstance(data, dict), f"ring {name}: expected an object")
+    _known_keys(data, ("moduli", "mul", "one"), f"ring {name}")
     _require("moduli" in data and "mul" in data and "one" in data,
              f"ring {name}: needs moduli, mul, one")
     moduli = _int_list(data["moduli"], f"ring {name}: moduli")
@@ -94,6 +101,7 @@ def parse_module(
     name: str, data: Any, known_rings: dict[str, FiniteRing]
 ) -> FiniteModule:
     _require(isinstance(data, dict), f"module {name}: expected an object")
+    _known_keys(data, ("ring", "regular", "projective", "moduli", "action"), f"module {name}")
     _require("ring" in data, f"module {name}: needs a ring reference")
     ring_id = data["ring"]
     _require(isinstance(ring_id, str), f"module {name}: ring reference must be a string")
@@ -117,6 +125,7 @@ def parse_module(
 
 def parse_poset(name: str, data: Any) -> incidence.Preorder:
     _require(isinstance(data, dict), f"poset {name}: expected an object")
+    _known_keys(data, ("elements", "relation"), f"poset {name}")
     _require("elements" in data and "relation" in data,
              f"poset {name}: needs elements and relation")
     _require(isinstance(data["elements"], list) and isinstance(data["relation"], list),
@@ -142,13 +151,12 @@ def parse_workspace(path: str) -> Workspace:
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"{path} is not valid JSON: {exc}") from exc
     _require(isinstance(data, dict), "workspace root must be an object")
+    _known_keys(data, ("rings", "modules", "posets", "corpora", "caps", "seed"), "workspace root")
 
     for section in ("rings", "modules", "posets", "corpora", "caps"):
         _require(isinstance(data.get(section, {}), dict), f"{section} must be an object")
     caps_raw = data.get("caps", {})
-    for key in caps_raw:
-        _require(key in ("elements", "submodules", "homs"),
-                 f"caps: unknown key {key!r}; expected elements, submodules or homs")
+    _known_keys(caps_raw, ("elements", "submodules", "homs"), "caps")
     caps = Caps(
         elements=caps_raw.get("elements", 4096),
         submodules=caps_raw.get("submodules", 512),

@@ -143,6 +143,15 @@ def _validate(tmp_path, capsys, ws):
     ({"rings": {"r": {"moduli": [4], "mul": [[[1]]], "one": [1]}},
       "modules": {"m": {"ring": "r", "regular": True, "projective": "no"}}},
      "module m: projective must be true or false, got 'no'"),
+    ({"cap": {"homs": 2}},
+     "workspace root: unknown key 'cap'; expected rings, modules, posets, corpora, caps or seed"),
+    ({"rings": {"r": {"moduli": [2], "mul": [[[1]]], "one": [1]}},
+      "modules": {"m": {"ring": "r", "regular": True, "projectve": True}}},
+     "module m: unknown key 'projectve'; expected ring, regular, projective, moduli or action"),
+    ({"rings": {"r": {"moduli": [2], "mul": [[[1]]], "one": [1], "ones": [1]}}},
+     "ring r: unknown key 'ones'; expected moduli, mul or one"),
+    ({"posets": {"p": {"elements": [], "relation": [], "order": []}}},
+     "poset p: unknown key 'order'; expected elements or relation"),
 ])
 def test_malformed_workspace_shapes_are_input_errors(tmp_path, capsys, ws, message):
     code, _, err = _validate(tmp_path, capsys, ws)

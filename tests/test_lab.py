@@ -3,6 +3,7 @@
 import ast
 import glob
 import os
+import re
 
 import pytest
 
@@ -185,6 +186,46 @@ def test_verdicts_skip_loudly_under_caps():
     v = lab.is_endoregular(reg(12), tight)
     assert v.value is None
     assert "cap" in v.reason or "exceeds" in v.reason
+
+
+TIGHT_CAPS = (
+    Caps(1, 1, 1), Caps(4096, 1, 1), Caps(16, 16, 16),
+    Caps(4096, 4, 8), Caps(8, 512, 4096), Caps(4096, 512, 16),
+)
+
+# Composite checks that summarise undecided parts without repeating them;
+# the parts are the PROPERTY_FUNCS routes, whose reasons are checked here too.
+SUMMARY_SKIPS = {
+    "abelian-route-agreement": "all routes undecided",
+    "five-way-agreement": "some conditions undecided",
+    "unit-converses": "vacuous: no hypothesis holds",
+}
+
+
+def _cap_corpus():
+    zn = [modules.regular_module(z(n), name=f"Z/{n}") for n in (4, 6, 8, 12)]
+    m2 = modules.regular_module(rings.matrix_ring_presentation(2, 2))
+    return zn + [m2] + [mem.module for mem in workspace.random_modules(8, 5, Caps())]
+
+
+@pytest.mark.parametrize("caps", TIGHT_CAPS, ids=str)
+def test_cap_hits_become_undecided_verdicts_that_name_the_cap(caps):
+    calls = [(cid, lambda m, f=f: f(m, caps, True)) for cid, f in lab.MEMBER_CHECKS]
+    calls += [(name, lambda m, f=f: f(m, caps)) for name, f in lab.PROPERTY_FUNCS]
+    cap_values = {str(v) for v in vars(caps).values()}
+    skipped = 0
+    for m in _cap_corpus():
+        for name, call in calls:
+            v = call(m)
+            assert isinstance(v, Verdict), (name, m.name)
+            if v.decided:
+                continue
+            skipped += 1
+            if SUMMARY_SKIPS.get(name) == v.reason:
+                continue
+            hits = re.findall(r"exceeds (?:hom )?cap (\d+)", v.reason)
+            assert hits and set(hits) <= cap_values, (name, m.name, v.reason)
+    assert skipped
 
 
 def test_analyze_report():
