@@ -166,9 +166,6 @@ class EndRingBundle:
     def from_hom(self, h: ModuleHom) -> RingElement:
         return self.ring.element(self.homs.coords_of(h))
 
-    def identity(self) -> RingElement:
-        return self.ring.one_element()
-
 
 @lru_cache(maxsize=None)
 def end_ring(m: FiniteModule) -> EndRingBundle:

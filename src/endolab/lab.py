@@ -154,9 +154,7 @@ def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
 @undecided_on_cap
 def abelian_route_fully_invariant(m: FiniteModule, caps: Caps) -> Verdict:
     endo = is_endoregular(m, caps)
-    if not endo.decided:
-        return endo
-    if endo.value is False:
+    if not endo.require():
         return Verdict.no(witness=endo.witness, reason="not endoregular")
     for n in enumerate_submodules(m, caps.submodules):
         if is_m_generated(n) and not is_fully_invariant(n):
@@ -346,16 +344,28 @@ def unit_suite(m: FiniteModule, caps: Caps = Caps()) -> UnitSuiteReport:
     except CapExceeded as exc:
         hyp2 = Verdict.undecided(str(exc))
 
-    conclusion = Verdict.undecided("vacuous: no hypothesis holds")
-    if unit.value and (hyp1.value or hyp2.value):
-        ab = is_abelian_endoregular(m, caps)
-        if ab.value is False:
+    return UnitSuiteReport(unit, hyp1, hyp2, _converses_hold(m, caps, unit, (hyp1, hyp2)))
+
+
+@undecided_on_cap
+def _converses_hold(
+    m: FiniteModule, caps: Caps, unit: Verdict, hyps: tuple[Verdict, ...]
+) -> Verdict:
+    """The unit suite's claim, true when it holds (vacuously or not)."""
+
+    def conclusion() -> Verdict:
+        if not any(h.value for h in hyps):
+            for h in hyps:
+                h.require()
+            return Verdict.yes(reason="vacuous: no converse hypothesis holds")
+        if not is_abelian_endoregular(m, caps).require():
             raise InternalInconsistency(
                 f"unit endoregular module {m.name} satisfies a converse hypothesis "
                 "but is not abelian endoregular"
             )
-        conclusion = ab
-    return UnitSuiteReport(unit, hyp1, hyp2, conclusion)
+        return Verdict.yes()
+
+    return implies(unit, conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +552,6 @@ class SuiteReport:
     def failed(self) -> bool:
         return any(r.status == "fail" for r in self.records)
 
-    def summary(self) -> str:
-        c = self.counts()
-        return f"{c['pass']} passed, {c['fail']} failed, {c['skip']} skipped"
-
 
 def _record(object_id: str, check_id: str, v: Verdict) -> ResultRecord:
     """Theorem checks phrase the claim so that True means the theorem holds."""
@@ -556,34 +562,13 @@ def _record(object_id: str, check_id: str, v: Verdict) -> ResultRecord:
     return ResultRecord(object_id, check_id, "skip", v.reason)
 
 
-def _implication(hyp: Verdict, concl: Verdict) -> Verdict:
-    return implies(hyp, lambda: Verdict.yes() if concl.value is True else concl)
-
-
-def _biconditional(a: Verdict, b: Verdict) -> Verdict:
-    if not a.decided or not b.decided:
-        return Verdict.undecided(a.reason or b.reason)
-    if a.value == b.value:
-        return Verdict.yes()
-    return Verdict.no(
-        witness=(a.witness, b.witness),
-        reason=f"sides differ: {a.describe()} vs {b.describe()}",
-    )
-
-
+@undecided_on_cap
 def check_route_agreement(m: FiniteModule, caps: Caps) -> Verdict:
     """The three abelian-endoregularity routes agree wherever decided."""
     try:
-        is_abelian_endoregular(m, caps)
+        is_abelian_endoregular(m, caps).require()
     except InternalInconsistency as exc:
         return Verdict.no(reason=str(exc))
-    routes = [
-        abelian_route_end_ring(m, caps),
-        abelian_route_ker_im(m, caps),
-        abelian_route_fully_invariant(m, caps),
-    ]
-    if not any(v.decided for v in routes):
-        return Verdict.undecided("all routes undecided")
     return Verdict.yes()
 
 
@@ -625,11 +610,8 @@ def check_summands_inherit(m: FiniteModule, caps: Caps) -> Verdict:
         if summand_test(n) is None and not is_m_generated(n):
             continue
         inner, _ = extract(n)
-        v = is_abelian_endoregular(inner, caps)
-        if v.value is False:
+        if not is_abelian_endoregular(inner, caps).require():
             return Verdict.no(witness=n, reason="submodule not abelian endoregular")
-        if not v.decided:
-            return Verdict.undecided(v.reason)
     return Verdict.yes()
 
 
@@ -659,6 +641,7 @@ def check_ker_im_summands_in_powers(m: FiniteModule, caps: Caps) -> Verdict:
     return Verdict.yes()
 
 
+@undecided_on_cap
 @assuming(lambda m, caps: _both(is_quasi_duo(m, caps), is_subdirect_of_simples(m, caps)))
 def check_central_idempotents_from_subdirect(m: FiniteModule, caps: Caps) -> Verdict:
     """A quasi-duo subdirect product of simples has central idempotents in
@@ -666,11 +649,8 @@ def check_central_idempotents_from_subdirect(m: FiniteModule, caps: Caps) -> Ver
     central = idempotents_central_in_end(m, caps)
     if central.value is not True:
         return central
-    endo = is_endoregular(m, caps)
-    if endo.value is True:
+    if is_endoregular(m, caps).require():
         return is_abelian_endoregular(m, caps)
-    if not endo.decided:
-        return Verdict.undecided(endo.reason)
     return Verdict.yes()
 
 
@@ -680,10 +660,10 @@ def check_subdirect_characterization(m: FiniteModule, caps: Caps, projective: bo
     rad_zero = is_subdirect_of_simples(m, caps)
     cond1 = _both(_both(is_quasi_duo(m, caps), is_endoregular(m, caps)), rad_zero)
     cond2 = _both(is_abelian_endoregular(m, caps), rad_zero)
-    forward = _implication(cond1, cond2)
+    forward = implies(cond1, lambda: cond2)
     if forward.value is not True or not projective:
         return forward
-    return _implication(cond2, cond1)
+    return implies(cond2, lambda: cond1)
 
 
 @undecided_on_cap
@@ -692,10 +672,8 @@ def check_prime_iff_maximal(m: FiniteModule, caps: Caps) -> Verdict:
     """On projective abelian endoregular members, prime submodules are
     exactly the maximal ones, and the module is quasi-duo."""
     qd = is_quasi_duo(m, caps)
-    if qd.value is False:
+    if not qd.require():
         return Verdict.no(witness=qd.witness, reason="not quasi-duo")
-    if not qd.decided:
-        return Verdict.undecided(qd.reason)
     primes = {p.gens for p in spec_of(m, caps)}
     maxes = {n.gens for n in maximal_submodules(m, caps.submodules)}
     if primes != maxes:
@@ -719,10 +697,8 @@ def check_fi_maximal_is_prime(m: FiniteModule, caps: Caps) -> Verdict:
         if not maximal_fi:
             continue
         v = is_prime_in(n, caps)
-        if v.value is False:
+        if not v.require():
             return Verdict.no(witness=(n, v.witness), reason="maximal fully invariant, not prime")
-        if not v.decided:
-            return Verdict.undecided(v.reason)
     return Verdict.yes()
 
 
@@ -736,17 +712,12 @@ def check_prime_quotients(m: FiniteModule, caps: Caps) -> Verdict:
             (is_prime_in, is_prime_module),
             (is_semiprime_in, is_semiprime_module),
         ):
-            v = test(n, caps)
-            if v.value is not True:
-                if not v.decided:
-                    return Verdict.undecided(v.reason)
+            if not test(n, caps).require():
                 continue
             q, _ = quotient(m, n)
             qv = quotient_test(q, caps)
-            if qv.value is False:
+            if not qv.require():
                 return Verdict.no(witness=(n, qv.witness), reason="quotient loses primeness")
-            if not qv.decided:
-                return Verdict.undecided(qv.reason)
     return Verdict.yes()
 
 
@@ -781,9 +752,10 @@ def _pull_into(l: Submodule, inc: ModuleHom) -> Submodule:
 
 
 def check_polyform_implies_k_nonsingular(m: FiniteModule, caps: Caps) -> Verdict:
-    return _implication(is_polyform(m, caps), is_k_nonsingular(m, caps))
+    return implies(is_polyform(m, caps), lambda: is_k_nonsingular(m, caps))
 
 
+@undecided_on_cap
 @assuming(lambda m, caps: is_endoregular(m, caps))
 def check_five_way(m: FiniteModule, caps: Caps) -> Verdict:
     """On endoregular members, the five characterizations all agree."""
@@ -791,30 +763,16 @@ def check_five_way(m: FiniteModule, caps: Caps) -> Verdict:
         report = five_way_suite(m, caps)
     except InternalInconsistency as exc:
         return Verdict.no(reason=str(exc))
-    verdicts = report.all_verdicts()
-    if all(v.decided for v in verdicts):
-        return Verdict.yes()
-    return Verdict.undecided("some conditions undecided")
+    for v in report.all_verdicts():
+        v.require()
+    return Verdict.yes()
 
 
 def check_unit_converses(m: FiniteModule, caps: Caps) -> Verdict:
     try:
-        report = unit_suite(m, caps)
+        return unit_suite(m, caps).conclusion_checked
     except InternalInconsistency as exc:
         return Verdict.no(reason=str(exc))
-    unit, concl = report.unit_endoregular, report.conclusion_checked
-    if concl.decided:
-        return Verdict.yes() if concl.value else Verdict.no(reason=concl.reason)
-    if not unit.decided:
-        return Verdict.undecided(concl.reason)
-    no_converse = (
-        report.im_plus_ker_always_full.value is False
-        and report.idempotents_commute_with_units.value is False
-    )
-    return implies(unit, lambda: (
-        Verdict.yes(reason="vacuous: no converse hypothesis holds") if no_converse
-        else Verdict.undecided(concl.reason)
-    ))
 
 
 MEMBER_CHECKS = (
@@ -843,6 +801,7 @@ MEMBER_CHECKS = (
 )
 
 
+@undecided_on_cap
 def check_direct_sum_family(members: Sequence[CorpusMember], caps: Caps) -> Verdict:
     """The direct sum is abelian endoregular iff each factor is and each
     embedded factor is fully invariant in the sum."""
@@ -859,7 +818,12 @@ def check_direct_sum_family(members: Sequence[CorpusMember], caps: Caps) -> Verd
     rhs = Verdict.yes()
     for v in factor_checks:
         rhs = _both(rhs, v)
-    return _biconditional(lhs, rhs)
+    if lhs.require() == rhs.require():
+        return Verdict.yes()
+    return Verdict.no(
+        witness=(lhs.witness, rhs.witness),
+        reason=f"sides differ: {lhs.describe()} vs {rhs.describe()}",
+    )
 
 
 def theorem_suites(

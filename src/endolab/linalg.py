@@ -34,10 +34,6 @@ class DimensionMismatch(ValueError):
     """Raised when matrix/vector shapes or moduli lengths are incompatible."""
 
 
-def as_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(v) for v in row) for row in rows)
-
-
 def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

@@ -47,9 +47,6 @@ class FiniteRing:
     def zero(self) -> "RingElement":
         return self.element((0,) * self.basis_count)
 
-    def one_element(self) -> "RingElement":
-        return self.element(self.one)
-
     def add_coords(self, x: Sequence[int], y: Sequence[int]) -> IntVector:
         return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
 
@@ -218,6 +215,7 @@ def is_central(x: RingElement) -> bool:
 
 
 @memo
+@undecided_on_cap
 def is_abelian_regular(ring: FiniteRing, cap: int) -> Verdict:
     """Regular with all idempotents central; cross-checked via reducedness.
 
@@ -225,9 +223,7 @@ def is_abelian_regular(ring: FiniteRing, cap: int) -> Verdict:
     the same answer; a mismatch raises InternalInconsistency.
     """
     reg = is_regular(ring, cap)
-    if not reg.decided:
-        return reg
-    if reg.value is False:
+    if not reg.require():
         return Verdict.no(witness=reg.witness, reason="not regular")
     elems = enumerate_elements(ring, cap)
     route_idem = Verdict.yes()

@@ -3,8 +3,9 @@
 A Verdict is True, False (with an optional witness), or undecided when an
 enumeration cap was hit.  Suites must treat undecided as "skip with notice",
 never as a pass.  Each verdict policy has one home here: ``agree`` merges
-routes, ``undecided_on_cap`` turns a cap hit into undecided, and ``implies``
-passes a theorem check vacuously when its hypothesis is false.
+routes, ``undecided_on_cap`` turns a cap hit or an undecided part
+(``Verdict.require``) into undecided, and ``implies`` passes a theorem check
+vacuously when its hypothesis is false.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, TypeVar
 
 
-class CapExceeded(Exception):
+class Undecided(Exception):
+    """A part of a decision is undecided; the message is the reason."""
+
+
+class CapExceeded(Undecided):
     """An enumeration would produce more objects than the configured cap."""
 
     def __init__(self, total: int, cap: int, what: str = "elements"):
@@ -51,6 +56,13 @@ class Verdict:
     @property
     def decided(self) -> bool:
         return self.value is not None
+
+    def require(self) -> bool:
+        """The decided value; an undecided verdict raises Undecided with its
+        reason, which ``undecided_on_cap`` turns back into a verdict."""
+        if self.value is None:
+            raise Undecided(self.reason)
+        return self.value
 
     def __bool__(self) -> bool:
         if self.value is None:
@@ -133,14 +145,16 @@ def _named_like(fn: Callable, wrapper: F) -> F:
 
 
 def undecided_on_cap(fn: F) -> F:
-    """The cap policy: a CapExceeded escaping ``fn`` becomes an undecided
-    verdict whose reason names the cap.  Stack it under ``@memo`` so the
-    undecided verdict is remembered like any other."""
+    """The undecided policy: an Undecided escaping ``fn`` (a cap hit, or an
+    undecided part passed to ``Verdict.require``) becomes an undecided
+    verdict with the same reason, so it names the cap that caused it.  Stack
+    it under ``@memo`` so the undecided verdict is remembered like any
+    other."""
 
     def capped(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except CapExceeded as exc:
+        except Undecided as exc:
             return Verdict.undecided(str(exc))
 
     return _named_like(fn, capped)

@@ -300,9 +300,15 @@ def random_modules(count: int, seed: int, caps: Caps) -> list[CorpusMember]:
     pool = _random_ring_pool()
     out: list[CorpusMember] = []
     attempts = 0
+    cap_hit: Optional[CapExceeded] = None
     while len(out) < count:
         attempts += 1
         if attempts > 50 * count:
+            if cap_hit is not None:
+                raise WorkspaceError(
+                    f"random generator stalled: base modules skipped at the submodules "
+                    f"cap {caps.submodules} ({cap_hit})"
+                )
             raise WorkspaceError("random generator stalled; loosen the size limit")
         ring = rng.choice(pool)
         reg = regular_module(ring, name=ring.name)
@@ -312,7 +318,8 @@ def random_modules(count: int, seed: int, caps: Caps) -> list[CorpusMember]:
             continue
         try:
             subs = enumerate_submodules(base, caps.submodules)
-        except CapExceeded:
+        except CapExceeded as exc:
+            cap_hit = exc
             continue
         sub = subs[rng.randrange(len(subs))]
         mode = rng.choice(["sub", "quot"])

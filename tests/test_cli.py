@@ -152,6 +152,9 @@ def _validate(tmp_path, capsys, ws):
      "ring r: unknown key 'ones'; expected moduli, mul or one"),
     ({"posets": {"p": {"elements": [], "relation": [], "order": []}}},
      "poset p: unknown key 'order'; expected elements or relation"),
+    ({"caps": {"elements": 4096, "submodules": 1, "homs": 1},
+      "corpora": {"c": ["random:count=3"]}},
+     "random generator stalled: base modules skipped at the submodules cap 1"),
 ])
 def test_malformed_workspace_shapes_are_input_errors(tmp_path, capsys, ws, message):
     code, _, err = _validate(tmp_path, capsys, ws)

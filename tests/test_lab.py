@@ -193,14 +193,6 @@ TIGHT_CAPS = (
     Caps(4096, 4, 8), Caps(8, 512, 4096), Caps(4096, 512, 16),
 )
 
-# Composite checks that summarise undecided parts without repeating them;
-# the parts are the PROPERTY_FUNCS routes, whose reasons are checked here too.
-SUMMARY_SKIPS = {
-    "abelian-route-agreement": "all routes undecided",
-    "five-way-agreement": "some conditions undecided",
-    "unit-converses": "vacuous: no hypothesis holds",
-}
-
 
 def _cap_corpus():
     zn = [modules.regular_module(z(n), name=f"Z/{n}") for n in (4, 6, 8, 12)]
@@ -221,8 +213,6 @@ def test_cap_hits_become_undecided_verdicts_that_name_the_cap(caps):
             if v.decided:
                 continue
             skipped += 1
-            if SUMMARY_SKIPS.get(name) == v.reason:
-                continue
             hits = re.findall(r"exceeds (?:hom )?cap (\d+)", v.reason)
             assert hits and set(hits) <= cap_values, (name, m.name, v.reason)
     assert skipped
