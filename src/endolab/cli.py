@@ -97,7 +97,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "radical_order": report.radical_order,
             "socle_order": report.socle_order,
             "summand_count": report.summand_count,
-            "spec": [workspace.to_jsonable(p) for p in report.spec],
+            "spec": None if report.spec is None else [workspace.to_jsonable(p) for p in report.spec],
             "properties": {
                 k: {"value": v.value, "detail": v.reason,
                     "witness": workspace.to_jsonable(v.witness)}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from typing import Iterator, Optional, Sequence
 
@@ -22,6 +22,7 @@ from .modules import (
     FiniteModule,
     ModuleHom,
     Submodule,
+    coordinate_system,
     coordinates_in_subgroup,
     extract,
     identity_hom,
@@ -60,12 +61,17 @@ class HomGroup:
         mat = tuple(linalg.vec_mod(r, self.codomain.moduli) for r in rows)
         return ModuleHom(self.domain, self.codomain, mat)
 
-    def coords_of(self, h: ModuleHom) -> IntVector:
-        """Unique coefficient vector of a hom over the generators."""
+    @cached_property
+    def _coordinates(self) -> linalg.CongruenceSystem:
+        """The generators' coordinate system, factored once per hom group."""
         flat_gens = tuple(tuple(v for row in g.matrix for v in row) for g in self.gens)
         flat_moduli = self.codomain.moduli * self.domain.rank
+        return coordinate_system(flat_gens, self.orders, flat_moduli)
+
+    def coords_of(self, h: ModuleHom) -> IntVector:
+        """Unique coefficient vector of a hom over the generators."""
         flat_target = tuple(v for row in h.matrix for v in row)
-        return coordinates_in_subgroup(flat_target, flat_gens, self.orders, flat_moduli)
+        return coordinates_in_subgroup(flat_target, self._coordinates)
 
     def iter_homs(self) -> Iterator[ModuleHom]:
         for coords in itertools.product(*(range(o) for o in self.orders)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import rings
 from .homs import (
@@ -30,6 +30,7 @@ from .modules import (
     FiniteModule,
     ModuleHom,
     Submodule,
+    coordinate_system,
     coordinates_in_subgroup,
     direct_sum,
     enumerate_submodules,
@@ -744,10 +745,8 @@ def _pull_into(l: Submodule, inc: ModuleHom) -> Submodule:
     """Rewrite l, which lies in the image of the inclusion inc of an
     extracted submodule, in the coordinates of inc's domain."""
     inner = inc.domain
-    gens_inside = [
-        coordinates_in_subgroup(g, inc.matrix, inner.moduli, inc.codomain.moduli)
-        for g in l.gens
-    ]
+    system = coordinate_system(inc.matrix, inner.moduli, inc.codomain.moduli)
+    gens_inside = [coordinates_in_subgroup(g, system) for g in l.gens]
     return submodule_generated(inner, gens_inside)
 
 
@@ -875,22 +874,29 @@ PROPERTY_FUNCS = (
 
 @dataclass
 class PropertyReport:
+    """What ``analyze`` found.  A count or the spectrum that a cap stopped is
+    None, and ``undecided`` maps its field name to the cap's reason."""
+
     module_id: str
     properties: dict[str, Verdict]
     routes: dict[str, Verdict]
-    radical_order: int
-    socle_order: int
+    radical_order: Optional[int]
+    socle_order: Optional[int]
     end_size: int
     summand_count: Optional[int]
-    spec: list[Submodule]
+    spec: Optional[list[Submodule]]
+    undecided: dict[str, str]
+
+    def _shown(self, name: str, show: Callable = str) -> str:
+        value = getattr(self, name)
+        return f"undecided ({self.undecided[name]})" if value is None else str(show(value))
 
     def lines(self) -> list[str]:
         out = [f"module {self.module_id}"]
         out.append(f"  |End| = {self.end_size}")
-        out.append(f"  |Rad| = {self.radical_order}, |Soc| = {self.socle_order}")
-        if self.summand_count is not None:
-            out.append(f"  direct summands: {self.summand_count}")
-        out.append(f"  prime submodules: {len(self.spec)}")
+        out.append(f"  |Rad| = {self._shown('radical_order')}, |Soc| = {self._shown('socle_order')}")
+        out.append(f"  direct summands: {self._shown('summand_count')}")
+        out.append(f"  prime submodules: {self._shown('spec', len)}")
         for name, v in self.properties.items():
             out.append(f"  {name}: {v.describe()}")
         for name, v in self.routes.items():
@@ -905,26 +911,23 @@ def analyze(module_id: str, m: FiniteModule, caps: Caps = Caps()) -> PropertyRep
         "abelian via Ker ⊕ Im": abelian_route_ker_im(m, caps),
         "abelian via fully invariant": abelian_route_fully_invariant(m, caps),
     }
-    try:
-        rad = radical(m, caps.submodules).order()
-        soc = socle(m, caps.submodules).order()
-    except CapExceeded:
-        rad = soc = -1
-    try:
-        summand_count: Optional[int] = len(direct_summands(m, caps))
-    except CapExceeded:
-        summand_count = None
-    try:
-        primes = spec_of(m, caps)
-    except CapExceeded:
-        primes = []
+    undecided: dict[str, str] = {}
+
+    def unless_capped(name: str, compute: Callable):
+        try:
+            return compute()
+        except CapExceeded as exc:
+            undecided[name] = str(exc)
+            return None
+
     return PropertyReport(
         module_id=module_id,
         properties=props,
         routes=routes,
-        radical_order=rad,
-        socle_order=soc,
+        radical_order=unless_capped("radical_order", lambda: radical(m, caps.submodules).order()),
+        socle_order=unless_capped("socle_order", lambda: socle(m, caps.submodules).order()),
+        summand_count=unless_capped("summand_count", lambda: len(direct_summands(m, caps))),
+        spec=unless_capped("spec", lambda: spec_of(m, caps)),
         end_size=end_ring(m).homs.size(),
-        summand_count=summand_count,
-        spec=primes,
+        undecided=undecided,
     )

@@ -1,17 +1,20 @@
 """Exact integer linear algebra over Z and over products of Z/m.
 
 Everything downstream (rings, modules, hom computation) reduces to three
-primitives implemented here:
+primitives implemented here, all built on the row Hermite normal form:
 
-* Smith normal form of an integer matrix, with the row transform and the
-  column transform and its inverse.
 * Solving linear congruence systems ``x @ A = b (mod m)`` where each output
-  coordinate carries its own modulus.
+  coordinate carries its own modulus.  ``CongruenceSystem`` factors A with
+  one HNF, then solves for each right-hand side by forward substitution.
 * A canonical (Howell/Hermite-style) generator matrix for subgroups of
   ``Z/m_1 x ... x Z/m_k``, so that subgroup equality is bit-equality.
+* Subgroup intersection, one Zassenhaus HNF of the two lifted lattices.
+
+The Smith normal form, with the column transform and its inverse, gives
+invariant factors only: subgroup structure, quotients and group types.
 
 All arithmetic uses Python's arbitrary-precision integers; intermediate
-entries in a Smith reduction can exceed any fixed word size.
+entries in a reduction can exceed any fixed word size.
 
 Matrices are tuples of tuples of ints (row-major).  Moduli vectors are
 tuples of ints ``m_j >= 1``; ``m_j == 1`` marks a zero coordinate that is
@@ -75,24 +78,21 @@ def mat_mod(a: Sequence[Sequence[int]], m: ModuliVector) -> IntMatrix:
 
 
 class _Transform:
-    """Mutable S with accumulated Uinv, V, Vinv so that Uinv A = S V always."""
+    """Mutable S with the column transform V and its inverse Vinv, so that
+    U A Vinv = S where U, the product of the row operations, is not kept."""
 
     def __init__(self, a: Sequence[Sequence[int]]):
         self.s = [list(row) for row in a]
         self.rows = len(self.s)
         self.cols = len(self.s[0]) if self.s else 0
-        self.uinv = [list(row) for row in identity_matrix(self.rows)]
         self.v = [list(row) for row in identity_matrix(self.cols)]
         self.vinv = [list(row) for row in identity_matrix(self.cols)]
 
-    # Row operations act on S and Uinv alike; column operations act on S and
-    # Vinv on the right and on V by the inverse operation on the left.
+    # Row operations act on S alone.  Column operations act on S and Vinv on
+    # the right and on V by the inverse operation on the left.
 
     def row_swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
         self.s[i], self.s[j] = self.s[j], self.s[i]
-        self.uinv[i], self.uinv[j] = self.uinv[j], self.uinv[i]
 
     def row_addmul(self, src: int, dst: int, k: int) -> None:
         if k == 0:
@@ -100,13 +100,9 @@ class _Transform:
         srow, drow = self.s[src], self.s[dst]
         for c in range(self.cols):
             drow[c] += k * srow[c]
-        srow, drow = self.uinv[src], self.uinv[dst]
-        for c in range(self.rows):
-            drow[c] += k * srow[c]
 
     def row_negate(self, i: int) -> None:
         self.s[i] = [-v for v in self.s[i]]
-        self.uinv[i] = [-v for v in self.uinv[i]]
 
     def col_swap(self, i: int, j: int) -> None:
         if i == j:
@@ -131,11 +127,11 @@ class _Transform:
 
 def smith_normal_form(
     a: Sequence[Sequence[int]],
-) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: (Uinv, S, V, Vinv) with Uinv A = S V.
+) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form: (S, V, Vinv) with U A Vinv = S for some unimodular U.
 
-    Uinv and V are unimodular and Vinv is the inverse of V, so
-    Uinv A Vinv = S.  S is diagonal with nonnegative entries d_1 | d_2 | ...,
+    V is unimodular and Vinv is its inverse, so A Vinv and S have the same
+    row lattice.  S is diagonal with nonnegative entries d_1 | d_2 | ...,
     zeros last.  Total on all integer matrices, including empty ones.
     """
     t = _Transform(a)
@@ -207,11 +203,11 @@ def smith_normal_form(
             t.row_negate(i)
 
     to_t = lambda m: tuple(tuple(row) for row in m)
-    return to_t(t.uinv), to_t(t.s), to_t(t.v), to_t(t.vinv)
+    return to_t(t.s), to_t(t.v), to_t(t.vinv)
 
 
 def snf_diagonal(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    _, s, _, _ = smith_normal_form(a)
+    s, _, _ = smith_normal_form(a)
     return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)))
 
 
@@ -351,7 +347,7 @@ def subgroup_structure(
         if any(rem):
             raise InternalInconsistency("diag(m) is not in the lattice of the subgroup")
         c_rows.append(coeff)
-    _, s, v, _ = smith_normal_form(c_rows)
+    s, v, _ = smith_normal_form(c_rows)
     new_basis = mat_mul(v, basis)
     gens = []
     orders = []
@@ -377,13 +373,14 @@ def enumerate_subgroup(canon: Sequence[Sequence[int]], m: ModuliVector) -> list[
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
-    """Basis of {z in Z^r : z @ M = 0} for the r x ncols matrix M."""
+    """HNF basis of {z in Z^r : z @ M = 0} for the r x ncols matrix M.
+
+    The HNF of [M, I_r] has, below its rows with a pivot among the first
+    ncols columns, exactly a basis of the kernel in its last r columns.
+    """
     r = len(rows)
-    if r == 0:
-        return ()
-    uinv, s, _, _ = smith_normal_form(rows)
-    free = [i for i in range(r) if i >= ncols or s[i][i] == 0]
-    return tuple(tuple(uinv[i]) for i in free)
+    lifted = [list(row) + [int(t == i) for t in range(r)] for i, row in enumerate(rows)]
+    return tuple(row[ncols:] for row in hermite_normal_form(lifted, ncols + r) if not any(row[:ncols]))
 
 
 def subgroup_intersection(
@@ -393,21 +390,96 @@ def subgroup_intersection(
 ) -> IntMatrix:
     """Canonical form of the intersection of two subgroups of ⊕ Z/m_j.
 
-    Works on the lifted lattices: both contain diag(m), so the intersection
-    lattice does too and descends back to the subgroup intersection.
+    Zassenhaus on the lifted lattices: the HNF of [[B_a, B_a], [B_b, 0]]
+    has, below its rows with a pivot in the left half, exactly the HNF of
+    the intersection lattice in its right half.  That lattice contains
+    diag(m), so its rows whose pivot equals the modulus drop out as in
+    ``subgroup_canonical_form``.
     """
     k = len(m)
     basis_a = lattice_basis(a_canon, m)
     basis_b = lattice_basis(b_canon, m)
-    stacked = [list(r) for r in basis_a] + [[-v for v in r] for r in basis_b]
-    kern = integer_kernel(stacked, k)
-    rows = [vec_mat(z[:k], basis_a) for z in kern]
-    return subgroup_canonical_form(rows, m)
+    stacked = [list(r) + list(r) for r in basis_a] + [list(r) + [0] * k for r in basis_b]
+    hnf = hermite_normal_form(stacked, 2 * k)
+    inter = hnf[len(hnf) - k:]
+    return tuple(row[k:] for i, row in enumerate(inter) if row[k + i] != m[i])
 
 
 # ---------------------------------------------------------------------------
 # Congruence systems
 # ---------------------------------------------------------------------------
+
+
+class CongruenceSystem:
+    """``x @ A = b  (mod out_moduli coordinatewise)``, factored once for many b.
+
+    The unknown x has one coordinate per row of A, and ``in_moduli`` gives
+    the modulus each coordinate of x is taken by (so every solution set is
+    a coset inside the finite group ⊕ Z/in_moduli_i).  Each in_moduli[i]
+    must annihilate row i of A modulo the output moduli, otherwise the
+    reduction would be unsound and a ValueError is raised.
+
+    The factorization is one row HNF of the lattice spanned by
+    ``[[A, I], [diag(out_moduli), 0], [0, diag(in_moduli)]]``, whose
+    vectors are the pairs (x @ A, x) up to multiples of the moduli.  Its
+    rows with zeros in the first c = len(out_moduli) columns are the HNF of
+    the homogeneous solutions, so dropping those whose pivot equals its
+    modulus gives ``homogeneous``, the canonical generator matrix of that
+    group over in_moduli.  The other rows solve any right-hand side by
+    forward substitution.
+    """
+
+    def __init__(
+        self,
+        a: Sequence[Sequence[int]],
+        out_moduli: ModuliVector,
+        in_moduli: ModuliVector,
+    ):
+        r = len(a)
+        c = len(out_moduli)
+        if len(in_moduli) != r:
+            raise DimensionMismatch(f"{len(in_moduli)} input moduli vs {r} rows")
+        for i, row in enumerate(a):
+            if len(row) != c:
+                raise DimensionMismatch(f"row length {len(row)} vs {c} output moduli")
+            for j, v in enumerate(row):
+                if (in_moduli[i] * v) % out_moduli[j]:
+                    raise ValueError(
+                        f"in_moduli[{i}]={in_moduli[i]} does not annihilate A[{i}][{j}]={v} "
+                        f"mod {out_moduli[j]}"
+                    )
+        self.out_moduli = tuple(out_moduli)
+        self.in_moduli = tuple(in_moduli)
+        width = c + r
+        lattice = [list(row) + [int(t == i) for t in range(r)] for i, row in enumerate(a)]
+        lattice += [[out_moduli[j] if t == j else 0 for t in range(width)] for j in range(c)]
+        lattice += [[in_moduli[i] if t == c + i else 0 for t in range(width)] for i in range(r)]
+        hnf = hermite_normal_form(lattice, width)
+        # The lattice has full rank and contains diag(out_moduli, in_moduli),
+        # so row i of the HNF pivots on column i: the first c rows solve, and
+        # the last r rows are the homogeneous solutions.
+        self._solving = hnf[:c]
+        self.homogeneous: IntMatrix = tuple(
+            row[c:] for i, row in enumerate(hnf[c:]) if row[c + i] != in_moduli[i]
+        )
+
+    def particular(self, b: Sequence[int]) -> Optional[IntVector]:
+        """Some x with x @ A = b (mod out_moduli), reduced mod in_moduli, or None."""
+        c = len(self.out_moduli)
+        if len(b) != c:
+            raise DimensionMismatch(f"rhs length {len(b)} vs {c} output moduli")
+        rem = [v % m for v, m in zip(b, self.out_moduli)]
+        x = [0] * len(self.in_moduli)
+        for j, row in enumerate(self._solving):
+            q, rest = divmod(rem[j], row[j])
+            if rest:
+                return None
+            if q:
+                for t in range(j, c):
+                    rem[t] -= q * row[t]
+                for i, v in enumerate(row[c:]):
+                    x[i] += q * v
+        return vec_mod(x, self.in_moduli)
 
 
 def solve_congruence_system(
@@ -416,62 +488,16 @@ def solve_congruence_system(
     out_moduli: ModuliVector,
     in_moduli: ModuliVector,
 ) -> Optional[tuple[IntVector, IntMatrix]]:
-    """Solve ``x @ A = b  (mod out_moduli coordinatewise)`` exactly.
+    """Solve ``x @ A = b  (mod out_moduli)`` once; see ``CongruenceSystem``.
 
-    The unknown x has one coordinate per row of A.  ``in_moduli`` gives the
-    modulus each coordinate of x is taken by (so the solution set is a coset
-    inside the finite group ⊕ Z/in_moduli_i).  Each in_moduli[i] must annihilate
-    row i of A modulo the output moduli, otherwise the reduction would be
-    unsound and a ValueError is raised.
-
-    Returns None when no solution exists, else ``(particular, homogeneous)``
-    where ``homogeneous`` is the canonical generator matrix (over in_moduli)
-    of the group of homogeneous solutions.  The coset
-    particular + <homogeneous> enumerates the full solution set.
+    Returns None when no solution exists, else ``(particular, homogeneous)``:
+    the coset particular + <homogeneous> is the full solution set.
     """
-    r = len(a)
-    c = len(out_moduli)
-    if len(b) != c:
-        raise DimensionMismatch(f"rhs length {len(b)} vs {c} output moduli")
-    for row in a:
-        if len(row) != c:
-            raise DimensionMismatch(f"row length {len(row)} vs {c} output moduli")
-
-    if len(in_moduli) != r:
-        raise DimensionMismatch(f"{len(in_moduli)} input moduli vs {r} rows")
-    for i, row in enumerate(a):
-        for j, v in enumerate(row):
-            if (in_moduli[i] * v) % out_moduli[j]:
-                raise ValueError(
-                    f"in_moduli[{i}]={in_moduli[i]} does not annihilate A[{i}][{j}]={v} "
-                    f"mod {out_moduli[j]}"
-                )
-
-    stacked = [list(row) for row in a]
-    for j in range(c):
-        stacked.append([out_moduli[j] if t == j else 0 for t in range(c)])
-
-    uinv, s, _, vinv = smith_normal_form(stacked)
-    bp = vec_mat(b, vinv)
-    total = r + c
-    w = [0] * total
-    free = []
-    for i in range(total):
-        si = s[i][i] if i < c else 0
-        if si == 0:
-            free.append(i)
-            if i < c and bp[i] != 0:
-                return None
-        else:
-            if bp[i] % si:
-                return None
-            w[i] = bp[i] // si
-    z = vec_mat(w, uinv)
-    particular = vec_mod(z[:r], in_moduli)
-
-    hom_rows = [uinv[i][:r] for i in free]
-    homogeneous = subgroup_canonical_form(hom_rows, in_moduli)
-    return particular, homogeneous
+    system = CongruenceSystem(a, out_moduli, in_moduli)
+    particular = system.particular(b)
+    if particular is None:
+        return None
+    return particular, system.homogeneous
 
 
 def kernel_subgroup(
@@ -480,11 +506,7 @@ def kernel_subgroup(
     in_moduli: ModuliVector,
 ) -> IntMatrix:
     """Canonical generators of {x : x @ A = 0 (mod out_moduli)} over in_moduli."""
-    solved = solve_congruence_system(a, (0,) * len(out_moduli), out_moduli, in_moduli)
-    if solved is None:
-        raise InternalInconsistency("homogeneous congruence system has no solution")
-    _, homogeneous = solved
-    return homogeneous
+    return CongruenceSystem(a, out_moduli, in_moduli).homogeneous
 
 
 def abelian_group_type(m: ModuliVector) -> tuple[int, ...]:

@@ -381,7 +381,7 @@ def quotient(m: FiniteModule, n: Submodule) -> tuple[FiniteModule, ModuleHom]:
         raise ValueError("quotient: submodule of a different module")
     k = m.rank
     basis = linalg.lattice_basis(n.gens, m.moduli)
-    _, s, v, vinv = linalg.smith_normal_form(basis) if k else ((), (), (), ())
+    s, v, vinv = linalg.smith_normal_form(basis) if k else ((), (), ())
     orders = tuple(s[i][i] for i in range(k))
     kept = [i for i in range(k) if orders[i] > 1]
     qmod = tuple(orders[i] for i in kept)
@@ -425,24 +425,26 @@ def extract(n: Submodule) -> tuple[FiniteModule, ModuleHom]:
 def _extracted_action(
     m: FiniteModule, gens: IntMatrix, orders: tuple[int, ...]
 ) -> tuple[IntMatrix, ...]:
-    action = []
-    for t in range(m.ring.basis_count):
-        rows = []
-        for g in gens:
-            image = linalg.vec_mod(linalg.vec_mat(g, m.action[t]), m.moduli)
-            rows.append(coordinates_in_subgroup(image, gens, orders, m.moduli))
-        action.append(tuple(rows))
-    return tuple(action)
+    system = coordinate_system(gens, orders, m.moduli)
+    return tuple(
+        tuple(coordinates_in_subgroup(linalg.vec_mat(g, m.action[t]), system) for g in gens)
+        for t in range(m.ring.basis_count)
+    )
 
 
-def coordinates_in_subgroup(
-    x: Sequence[int], gens: IntMatrix, orders: tuple[int, ...], m: ModuliVector
-) -> IntVector:
-    """Unique coefficients c with sum(c_i * gens_i) = x in ⊕ Z/m."""
-    solved = linalg.solve_congruence_system(gens, linalg.vec_mod(x, m), m, orders)
-    if solved is None:
-        raise ValueError("element lies outside the subgroup")
-    particular, homogeneous = solved
-    if homogeneous != ():
+def coordinate_system(
+    gens: IntMatrix, orders: tuple[int, ...], m: ModuliVector
+) -> linalg.CongruenceSystem:
+    """The prepared solve for coefficients over invariant-factor generators."""
+    system = linalg.CongruenceSystem(gens, m, orders)
+    if system.homogeneous != ():
         raise InternalInconsistency("invariant-factor generators must give unique coordinates")
-    return particular
+    return system
+
+
+def coordinates_in_subgroup(x: Sequence[int], system: linalg.CongruenceSystem) -> IntVector:
+    """Unique coefficients c with sum(c_i * gens_i) = x, over a coordinate_system."""
+    coords = system.particular(x)
+    if coords is None:
+        raise ValueError("element lies outside the subgroup")
+    return coords

@@ -62,6 +62,27 @@ def test_analyze_json(capsys):
     assert payload["radical_order"] == 2
 
 
+def test_analyze_names_the_cap_instead_of_sentinels(tmp_path, capsys):
+    ws = {
+        "rings": {"z12": {"moduli": [12], "mul": [[[1]]], "one": [1]}},
+        "modules": {"m": {"ring": "z12", "regular": True}},
+        "caps": {"submodules": 4},
+    }
+    p = tmp_path / "ws.json"
+    p.write_text(json.dumps(ws), encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", str(p), "m")
+    assert code == 0
+    cap = "undecided (12 module elements exceeds cap 4)"
+    assert f"  |Rad| = {cap}, |Soc| = {cap}" in out.splitlines()
+    assert f"  direct summands: {cap}" in out.splitlines()
+    assert f"  prime submodules: {cap}" in out.splitlines()
+    code, out, _ = run(capsys, "analyze", str(p), "m", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    for key in ("radical_order", "socle_order", "summand_count", "spec"):
+        assert payload[key] is None
+
+
 def test_analyze_unknown_id(capsys):
     code, _, err = run(capsys, "analyze", DEMO, "nope")
     assert code == 2

@@ -38,9 +38,13 @@ def moduli_vectors(max_len=3, choices=(2, 3, 4, 6, 8)):
 @settings(max_examples=150, deadline=None)
 @given(small_matrix())
 def test_snf_reconstruction(rows):
-    uinv, s, v, vinv = linalg.smith_normal_form(rows)
-    assert linalg.mat_mul(uinv, rows) == linalg.mat_mul(s, v)
-    assert linalg.mat_mul(linalg.mat_mul(uinv, rows), vinv) == s
+    # U A Vinv = S for a unimodular U iff A Vinv and S, which have the same
+    # number of rows, span the same row lattice.
+    s, v, vinv = linalg.smith_normal_form(rows)
+    width = len(rows[0])
+    a_vinv = linalg.mat_mul(rows, vinv)
+    assert linalg.hermite_normal_form(a_vinv, width) == linalg.hermite_normal_form(s, width)
+    assert linalg.mat_mul(a_vinv, v) == tuple(tuple(r) for r in rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -58,9 +62,9 @@ def test_snf_divisibility_chain(rows):
 @settings(max_examples=100, deadline=None)
 @given(small_matrix(max_dim=5, lo=-20, hi=20))
 def test_snf_inverses_are_inverses(rows):
-    uinv, _, v, vinv = linalg.smith_normal_form(rows)
+    _, v, vinv = linalg.smith_normal_form(rows)
     assert linalg.mat_mul(v, vinv) == linalg.identity_matrix(len(v))
-    assert abs(sympy.Matrix(uinv).det()) == 1
+    assert abs(sympy.Matrix(v).det()) == 1
 
 
 @settings(max_examples=400, deadline=None)
@@ -163,37 +167,63 @@ def test_subgroup_intersection_fixture():
     assert frozenset(linalg.enumerate_subgroup(inter, m)) == {(0,), (6,)}
 
 
+@settings(max_examples=200, deadline=None)
+@given(moduli_vectors(), st.data())
+def test_subgroup_intersection_is_canonical_form_of_enumerated_intersection(m, data):
+    gens = st.lists(
+        st.lists(st.integers(-6, 12), min_size=len(m), max_size=len(m)).map(tuple),
+        min_size=0, max_size=3,
+    )
+    a = linalg.subgroup_canonical_form(data.draw(gens), m)
+    b = linalg.subgroup_canonical_form(data.draw(gens), m)
+    common = set(linalg.enumerate_subgroup(a, m)) & set(linalg.enumerate_subgroup(b, m))
+    assert linalg.subgroup_intersection(a, b, m) == linalg.subgroup_canonical_form(common, m)
+
+
 # ---------------------------------------------------------------------------
 # Congruence solving
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_solve_congruence_agrees_with_enumeration(data):
-    out_m = data.draw(moduli_vectors(max_len=2))
-    in_m = data.draw(moduli_vectors(max_len=2, choices=(2, 3, 4, 6)))
-    rows = len(in_m)
-    cols = len(out_m)
-    # rows scaled so in_moduli annihilate them modulo out_moduli
+@st.composite
+def congruence_systems(draw):
+    """(A, out_moduli, in_moduli) with rows scaled so in_moduli annihilate
+    them modulo out_moduli."""
+    out_m = draw(moduli_vectors(max_len=2))
+    in_m = draw(moduli_vectors(max_len=2, choices=(2, 3, 4, 6)))
     a = []
-    for i in range(rows):
+    for i in range(len(in_m)):
         row = []
-        for j in range(cols):
+        for j in range(len(out_m)):
             step = out_m[j] // math.gcd(in_m[i], out_m[j])
-            row.append(step * data.draw(st.integers(0, 3)))
+            row.append(step * draw(st.integers(0, 3)))
         a.append(tuple(row))
-    b = data.draw(st.lists(st.integers(0, 7), min_size=cols, max_size=cols).map(tuple))
+    return a, out_m, in_m
 
-    solved = linalg.solve_congruence_system(a, b, out_m, in_m)
-    want = {
+
+def brute_solutions(a, b, out_m, in_m):
+    return {
         x
         for x in itertools.product(*(range(mm) for mm in in_m))
         if all(
-            sum(x[i] * a[i][j] for i in range(rows)) % out_m[j] == b[j] % out_m[j]
-            for j in range(cols)
+            sum(x[i] * a[i][j] for i in range(len(in_m))) % out_m[j] == b[j] % out_m[j]
+            for j in range(len(out_m))
         )
     }
+
+
+def rhs(out_m):
+    return st.lists(st.integers(0, 7), min_size=len(out_m), max_size=len(out_m)).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solve_congruence_agrees_with_enumeration(data):
+    a, out_m, in_m = data.draw(congruence_systems())
+    b = data.draw(rhs(out_m))
+
+    solved = linalg.solve_congruence_system(a, b, out_m, in_m)
+    want = brute_solutions(a, b, out_m, in_m)
     if solved is None:
         assert not want
     else:
@@ -203,6 +233,32 @@ def test_solve_congruence_agrees_with_enumeration(data):
             for shift in linalg.enumerate_subgroup(homogeneous, in_m)
         }
         assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(congruence_systems())
+def test_kernel_subgroup_is_canonical_form_of_enumerated_kernel(system):
+    a, out_m, in_m = system
+    kernel = brute_solutions(a, (0,) * len(out_m), out_m, in_m)
+    assert linalg.kernel_subgroup(a, out_m, in_m) == linalg.subgroup_canonical_form(kernel, in_m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_prepared_system_solves_every_rhs(data):
+    a, out_m, in_m = data.draw(congruence_systems())
+    system = linalg.CongruenceSystem(a, out_m, in_m)
+    images = {
+        tuple(sum(x[i] * a[i][j] for i in range(len(in_m))) % out_m[j] for j in range(len(out_m)))
+        for x in itertools.product(*(range(mm) for mm in in_m))
+    }
+    for b in data.draw(st.lists(rhs(out_m), min_size=1, max_size=6)):
+        x = system.particular(b)
+        assert (x is None) == (linalg.solve_congruence_system(a, b, out_m, in_m) is None)
+        assert (x is None) == (tuple(v % mm for v, mm in zip(b, out_m)) not in images)
+        if x is not None:
+            assert all(0 <= v < mm for v, mm in zip(x, in_m))
+            assert x in brute_solutions(a, b, out_m, in_m)
 
 
 def test_solve_rejects_unannihilated_rows():
