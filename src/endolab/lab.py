@@ -224,149 +224,85 @@ def is_distributive_boolean(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiveWayReport:
-    """Per-condition verdicts of the five equivalent characterizations."""
-
-    abelian: Verdict
-    iso_equal: Verdict
-    no_double_embedding: Verdict
-    disjoint_hom_zero: Verdict
-    distributive: Verdict
-
-    def all_verdicts(self) -> tuple[Verdict, ...]:
-        return (
-            self.abelian,
-            self.iso_equal,
-            self.no_double_embedding,
-            self.disjoint_hom_zero,
-            self.distributive,
-        )
-
-    def agreement(self) -> Verdict:
-        return agree("five-way characterization", *self.all_verdicts())
-
-
-def five_way_suite(m: FiniteModule, caps: Caps = Caps()) -> FiveWayReport:
-    """Evaluate the five equivalent conditions on an endoregular module.
-
-    Raises ValueError when the module is not endoregular (the hypothesis of
-    the equivalence) and InternalInconsistency when decided conditions
-    disagree.
-    """
-    endo = is_endoregular(m, caps)
-    if endo.value is False:
-        raise ValueError("five-way suite requires an endoregular module")
-
-    abelian = is_abelian_endoregular(m, caps)
-
-    try:
-        mgen = [n for n in enumerate_submodules(m, caps.submodules) if is_m_generated(n)]
-        iso_equal: Verdict = Verdict.yes()
-        for a, b in itertools.combinations(mgen, 2):
-            ea, _ = extract(a)
-            eb, _ = extract(b)
-            if find_isomorphism(ea, eb, caps.homs) is not None:
-                iso_equal = Verdict.no(witness=(a, b), reason="distinct isomorphic M-generated submodules")
-                break
-
-        no_double: Verdict = Verdict.yes()
-        for b in mgen:
-            if b.is_zero():
-                continue
-            eb, _ = extract(b)
-            doubled, _, _ = direct_sum([eb, eb])
-            if find_embedding(doubled, m, caps.homs) is not None:
-                no_double = Verdict.no(witness=b, reason="B ⊕ B embeds with B nonzero")
-                break
-
-        disjoint: Verdict = Verdict.yes()
-        for a, b in itertools.permutations(mgen, 2):
-            if not submodule_intersect(a, b).is_zero():
-                continue
-            ea, _ = extract(a)
-            eb, _ = extract(b)
-            if hom_group(ea, eb).size() != 1:
-                disjoint = Verdict.no(witness=(a, b), reason="nonzero hom between disjoint submodules")
-                break
-    except CapExceeded as exc:
-        iso_equal = no_double = disjoint = Verdict.undecided(str(exc))
-
-    distributive = is_distributive_boolean(m, caps)
-    report = FiveWayReport(abelian, iso_equal, no_double, disjoint, distributive)
-    report.agreement()  # raises on decided disagreement
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Unit-endoregular partial converses
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UnitSuiteReport:
-    unit_endoregular: Verdict
-    im_plus_ker_always_full: Verdict
-    idempotents_commute_with_units: Verdict
-    conclusion_checked: Verdict
-
-
-def unit_suite(m: FiniteModule, caps: Caps = Caps()) -> UnitSuiteReport:
-    """On a unit endoregular module, each hypothesis that holds must force
-    abelian endoregularity; vacuous when neither hypothesis holds."""
-    unit = is_unit_endoregular(m, caps)
-    size = m.size()
-
-    hyp1: Verdict
-    try:
-        hyp1 = Verdict.yes()
-        for phi in iter_end_homs(m, caps.homs):
-            ker, im = kernel(phi), image(phi)
-            if submodule_sum(im, ker).order() != size:
-                hyp1 = Verdict.no(witness=phi, reason="Im + Ker proper")
-                break
-    except CapExceeded as exc:
-        hyp1 = Verdict.undecided(str(exc))
-
-    hyp2: Verdict
-    try:
-        bundle = end_ring(m)
-        elems = rings.enumerate_elements(bundle.ring, caps.homs)
-        idem = [e for e in elems if (e * e).coords == e.coords]
-        unit_elems = [u for u in elems if rings.is_unit(u)]
-        hyp2 = Verdict.yes()
-        for e in idem:
-            for u in unit_elems:
-                if (e * u).coords != (u * e).coords:
-                    hyp2 = Verdict.no(witness=(e, u), reason="idempotent/unit do not commute")
-                    break
-            if hyp2.value is False:
-                break
-    except CapExceeded as exc:
-        hyp2 = Verdict.undecided(str(exc))
-
-    return UnitSuiteReport(unit, hyp1, hyp2, _converses_hold(m, caps, unit, (hyp1, hyp2)))
+def m_generated_submodules(m: FiniteModule, caps: Caps) -> list[Submodule]:
+    return [n for n in enumerate_submodules(m, caps.submodules) if is_m_generated(n)]
 
 
 @undecided_on_cap
-def _converses_hold(
-    m: FiniteModule, caps: Caps, unit: Verdict, hyps: tuple[Verdict, ...]
-) -> Verdict:
-    """The unit suite's claim, true when it holds (vacuously or not)."""
+def iso_equal(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
+    """Isomorphic M-generated submodules are equal."""
+    for a, b in itertools.combinations(m_generated_submodules(m, caps), 2):
+        ea, _ = extract(a)
+        eb, _ = extract(b)
+        if find_isomorphism(ea, eb, caps.homs) is not None:
+            return Verdict.no(witness=(a, b), reason="distinct isomorphic M-generated submodules")
+    return Verdict.yes()
 
-    def conclusion() -> Verdict:
-        if not any(h.value for h in hyps):
-            for h in hyps:
-                h.require()
-            return Verdict.yes(reason="vacuous: no converse hypothesis holds")
-        if not is_abelian_endoregular(m, caps).require():
-            raise InternalInconsistency(
-                f"unit endoregular module {m.name} satisfies a converse hypothesis "
-                "but is not abelian endoregular"
-            )
-        return Verdict.yes()
 
-    return implies(unit, conclusion)
+@undecided_on_cap
+def no_double_embedding(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
+    """No B ⊕ B embeds in M with B a nonzero M-generated submodule."""
+    for b in m_generated_submodules(m, caps):
+        if b.is_zero():
+            continue
+        eb, _ = extract(b)
+        doubled, _, _ = direct_sum([eb, eb])
+        if find_embedding(doubled, m, caps.homs) is not None:
+            return Verdict.no(witness=b, reason="B ⊕ B embeds with B nonzero")
+    return Verdict.yes()
+
+
+@undecided_on_cap
+def disjoint_hom_zero(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
+    """Hom(A, B) = 0 for M-generated submodules with A ∩ B = 0."""
+    for a, b in itertools.permutations(m_generated_submodules(m, caps), 2):
+        if not submodule_intersect(a, b).is_zero():
+            continue
+        ea, _ = extract(a)
+        eb, _ = extract(b)
+        if hom_group(ea, eb).size() != 1:
+            return Verdict.no(witness=(a, b), reason="nonzero hom between disjoint submodules")
+    return Verdict.yes()
+
+
+def five_way_conditions(m: FiniteModule, caps: Caps = Caps()) -> tuple[Verdict, ...]:
+    """The five conditions that are equivalent on an endoregular module:
+    abelian endoregular, iso_equal, no_double_embedding, disjoint_hom_zero
+    and a Boolean summand lattice."""
+    return (
+        is_abelian_endoregular(m, caps),
+        iso_equal(m, caps),
+        no_double_embedding(m, caps),
+        disjoint_hom_zero(m, caps),
+        is_distributive_boolean(m, caps),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Hypotheses of the unit-endoregular partial converses
+# ---------------------------------------------------------------------------
+
+
+@undecided_on_cap
+def im_plus_ker_always_full(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
+    """Im φ + Ker φ = M for every endomorphism φ."""
+    size = m.size()
+    for phi in iter_end_homs(m, caps.homs):
+        if submodule_sum(image(phi), kernel(phi)).order() != size:
+            return Verdict.no(witness=phi, reason="Im + Ker proper")
+    return Verdict.yes()
+
+
+@undecided_on_cap
+def idempotents_commute_with_units(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
+    """Every idempotent of End(M) commutes with every unit."""
+    ring = end_ring(m).ring
+    units = rings.units(ring, caps.homs)
+    for e in rings.idempotents(ring, caps.homs):
+        for u in units:
+            if (e * u).coords != (u * e).coords:
+                return Verdict.no(witness=(e, u), reason="idempotent/unit do not commute")
+    return Verdict.yes()
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +502,7 @@ def _record(object_id: str, check_id: str, v: Verdict) -> ResultRecord:
 @undecided_on_cap
 def check_route_agreement(m: FiniteModule, caps: Caps) -> Verdict:
     """The three abelian-endoregularity routes agree wherever decided."""
-    try:
-        is_abelian_endoregular(m, caps).require()
-    except InternalInconsistency as exc:
-        return Verdict.no(reason=str(exc))
+    is_abelian_endoregular(m, caps).require()
     return Verdict.yes()
 
 
@@ -758,20 +691,32 @@ def check_polyform_implies_k_nonsingular(m: FiniteModule, caps: Caps) -> Verdict
 @assuming(lambda m, caps: is_endoregular(m, caps))
 def check_five_way(m: FiniteModule, caps: Caps) -> Verdict:
     """On endoregular members, the five characterizations all agree."""
-    try:
-        report = five_way_suite(m, caps)
-    except InternalInconsistency as exc:
-        return Verdict.no(reason=str(exc))
-    for v in report.all_verdicts():
+    conditions = five_way_conditions(m, caps)
+    agree("five-way characterization", *conditions)
+    for v in conditions:
         v.require()
     return Verdict.yes()
 
 
+@undecided_on_cap
 def check_unit_converses(m: FiniteModule, caps: Caps) -> Verdict:
-    try:
-        return unit_suite(m, caps).conclusion_checked
-    except InternalInconsistency as exc:
-        return Verdict.no(reason=str(exc))
+    """On a unit endoregular module, each converse hypothesis that holds
+    forces abelian endoregularity; vacuous when neither holds."""
+
+    def conclusion() -> Verdict:
+        hyps = (im_plus_ker_always_full(m, caps), idempotents_commute_with_units(m, caps))
+        if not any(h.value for h in hyps):
+            for h in hyps:
+                h.require()
+            return Verdict.yes(reason="vacuous: no converse hypothesis holds")
+        if not is_abelian_endoregular(m, caps).require():
+            raise InternalInconsistency(
+                f"unit endoregular module {m.name} satisfies a converse hypothesis "
+                "but is not abelian endoregular"
+            )
+        return Verdict.yes()
+
+    return implies(is_unit_endoregular(m, caps), conclusion)
 
 
 MEMBER_CHECKS = (

@@ -157,11 +157,7 @@ def parse_workspace(path: str) -> Workspace:
         _require(isinstance(data.get(section, {}), dict), f"{section} must be an object")
     caps_raw = data.get("caps", {})
     _known_keys(caps_raw, ("elements", "submodules", "homs"), "caps")
-    caps = Caps(
-        elements=caps_raw.get("elements", 4096),
-        submodules=caps_raw.get("submodules", 512),
-        homs=caps_raw.get("homs", 4096),
-    )
+    caps = Caps(**caps_raw)
     for key, value in vars(caps).items():
         _require(type(value) is int and value > 0,
                  f"caps: {key} must be a positive integer, got {value!r}")
@@ -226,7 +222,13 @@ def generate(ws: Workspace, kind: str, arg: str) -> list[CorpusMember]:
         ]
     if kind == "eR":
         _require(arg in ws.rings, f"eR generator: unknown ring {arg!r}")
-        return idempotent_summands(arg, ws.rings[arg], ws.caps)
+        try:
+            return idempotent_summands(arg, ws.rings[arg], ws.caps)
+        except CapExceeded as exc:
+            raise WorkspaceError(
+                f"eR generator: ring {arg!r} has {exc.total} elements, "
+                f"over the elements cap {exc.cap}"
+            ) from None
     if kind == "sums":
         ids = [s.strip() for s in arg.split(",") if s.strip()]
         _require(1 < len(ids) <= 3, "sums generator: needs 2 or 3 module ids")
@@ -243,7 +245,12 @@ def generate(ws: Workspace, kind: str, arg: str) -> list[CorpusMember]:
         poset_id, module_id = names
         _require(poset_id in ws.posets, f"mx generator: unknown poset {poset_id!r}")
         mem = ws.member(module_id)
-        bundle = incidence.build_incidence_algebra(ws.posets[poset_id], mem.module.ring)
+        try:
+            bundle = incidence.build_incidence_algebra(ws.posets[poset_id], mem.module.ring)
+        except incidence.NonCommutativeBase as exc:
+            raise WorkspaceError(
+                f"mx generator: module {module_id!r} over ring {mem.module.ring.name!r}: {exc}"
+            ) from None
         mx = incidence.build_mx(mem.module, bundle)
         return [CorpusMember(f"mx-{poset_id}-{module_id}", mx)]
     if kind == "random":

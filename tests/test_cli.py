@@ -176,6 +176,17 @@ def _validate(tmp_path, capsys, ws):
     ({"caps": {"elements": 4096, "submodules": 1, "homs": 1},
       "corpora": {"c": ["random:count=3"]}},
      "random generator stalled: base modules skipped at the submodules cap 1"),
+    ({"rings": {"z4": {"moduli": [4], "mul": [[[1]]], "one": [1]}},
+      "caps": {"elements": 2}, "corpora": {"c": ["eR:z4"]}},
+     "eR generator: ring 'z4' has 4 elements, over the elements cap 2"),
+    ({"rings": {"ut": {"moduli": [2, 2, 2], "one": [1, 0, 1],
+                       "mul": [[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+                               [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+                               [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]}},
+      "modules": {"m": {"ring": "ut", "regular": True}},
+      "posets": {"p": {"elements": ["a", "b"], "relation": [["a", "b"]]}},
+      "corpora": {"c": ["mx:p,m"]}},
+     "mx generator: module 'm' over ring 'ut': coefficient ring is not commutative"),
 ])
 def test_malformed_workspace_shapes_are_input_errors(tmp_path, capsys, ws, message):
     code, _, err = _validate(tmp_path, capsys, ws)

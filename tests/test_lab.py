@@ -80,28 +80,23 @@ def test_summand_lattice_shape():
 
 
 def test_five_way_suite():
-    rep = lab.five_way_suite(sum_2_3(), CAPS)
-    assert all(v.value is True for v in rep.all_verdicts())
-    rep = lab.five_way_suite(plane(), CAPS)
-    assert all(v.value is False for v in rep.all_verdicts())
-    rep = lab.five_way_suite(reg(2), CAPS)
-    assert all(v.value is True for v in rep.all_verdicts())
-    with pytest.raises(ValueError):
-        lab.five_way_suite(reg(4), CAPS)
+    assert all(v.value is True for v in lab.five_way_conditions(sum_2_3(), CAPS))
+    assert all(v.value is False for v in lab.five_way_conditions(plane(), CAPS))
+    assert all(v.value is True for v in lab.five_way_conditions(reg(2), CAPS))
+    v = lab.check_five_way(reg(4), CAPS)
+    assert v.value is True and v.reason == "hypothesis fails"
 
 
 def test_unit_suite():
-    rep = lab.unit_suite(reg(6), CAPS)
-    assert rep.unit_endoregular.value is True
-    assert rep.im_plus_ker_always_full.value is True
-    assert rep.idempotents_commute_with_units.value is True
-    assert rep.conclusion_checked.value is True
-    rep = lab.unit_suite(plane(), CAPS)
-    assert rep.im_plus_ker_always_full.value is False
-    assert rep.idempotents_commute_with_units.value is False
+    assert lab.is_unit_endoregular(reg(6), CAPS).value is True
+    assert lab.im_plus_ker_always_full(reg(6), CAPS).value is True
+    assert lab.idempotents_commute_with_units(reg(6), CAPS).value is True
+    assert lab.check_unit_converses(reg(6), CAPS).value is True
+    assert lab.im_plus_ker_always_full(plane(), CAPS).value is False
+    assert lab.idempotents_commute_with_units(plane(), CAPS).value is False
     zero = modules.zero_module(z(2))
-    rep = lab.unit_suite(zero, CAPS)
-    assert rep.unit_endoregular.value is True
+    assert lab.is_unit_endoregular(zero, CAPS).value is True
+    assert lab.check_unit_converses(zero, CAPS).value is True
 
 
 def test_prime_semiprime_z12():
@@ -306,6 +301,18 @@ def test_memo_does_not_cache_exceptions(monkeypatch):
         with pytest.raises(InternalInconsistency):
             lab.is_endoregular(m, CAPS)
     assert calls == ["inconsistency-probe"] * 2
+
+
+def test_route_disagreement_fails_with_its_message(monkeypatch):
+    monkeypatch.setattr(
+        lab, "abelian_route_ker_im", lambda m, caps: Verdict.no(reason="forced disagreement"))
+    m = modules.regular_module(z(6), name="disagreement-probe")
+    report = lab.theorem_suites([lab.CorpusMember("probe", m)], CAPS)
+    by_check = {r.check_id: r for r in report.records}
+    for check_id in ("abelian-route-agreement", "five-way-agreement", "unit-converses"):
+        rec = by_check[check_id]
+        assert rec.status == "fail", check_id
+        assert "independent routes disagree" in rec.detail, (check_id, rec.detail)
 
 
 def test_library_has_no_assert_statements():
