@@ -1,7 +1,8 @@
 """Exact integer linear algebra over Z and over products of Z/m.
 
 Everything downstream (rings, modules, hom computation) reduces to three
-primitives implemented here, all built on the row Hermite normal form:
+primitives implemented here, all built on the row Hermite normal form of a
+lattice that contains diag(moduli):
 
 * Solving linear congruence systems ``x @ A = b (mod m)`` where each output
   coordinate carries its own modulus.  ``CongruenceSystem`` factors A with
@@ -9,6 +10,12 @@ primitives implemented here, all built on the row Hermite normal form:
 * A canonical (Howell/Hermite-style) generator matrix for subgroups of
   ``Z/m_1 x ... x Z/m_k``, so that subgroup equality is bit-equality.
 * Subgroup intersection, one Zassenhaus HNF of the two lifted lattices.
+
+All three compute that HNF with ``lattice_basis``, a modular HNF: since
+m_j * e_j lies in the lattice, every entry of column j is kept reduced mod
+m_j, and each column takes one extended-gcd step per generator that is
+nonzero there.  ``hermite_normal_form`` is the general routine over Z; it
+serves ``integer_kernel`` and is the reference the tests compare against.
 
 The Smith normal form, with the column transform and its inverse, gives
 invariant factors only: subgroup structure, quotients and group types.
@@ -250,16 +257,20 @@ def hermite_normal_form(rows: Iterable[Sequence[int]], ncols: int) -> IntMatrix:
                 pivot_cols.append(c)
                 rank += 1
                 break
-    mat = mat[:rank]
-    # Reduce entries above each pivot into canonical range, left to right so
-    # a reduction never dirties an already-canonical column.
-    for k in range(rank):
-        c = pivot_cols[k]
-        piv = mat[k][c]
+    return _reduce_above_pivots(mat[:rank], pivot_cols)
+
+
+def _reduce_above_pivots(mat: list[list[int]], pivot_cols: Sequence[int]) -> IntMatrix:
+    """Reduce the entries above each pivot of an echelon basis into
+    [0, pivot), left to right so a reduction never dirties an
+    already-canonical column."""
+    for k, c in enumerate(pivot_cols):
+        head = mat[k]
+        piv = head[c]
         for i in range(k):
             q = mat[i][c] // piv
             if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[k])]
+                mat[i] = [a - q * b for a, b in zip(mat[i], head)]
     return tuple(tuple(r) for r in mat)
 
 
@@ -268,22 +279,71 @@ def hermite_normal_form(rows: Iterable[Sequence[int]], ncols: int) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a > 0 and b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
 def lattice_basis(gens: Iterable[Sequence[int]], m: ModuliVector) -> IntMatrix:
     """Full-rank k x k HNF basis of the integer lattice lifting the subgroup.
 
     The subgroup of the finite group generated by ``gens`` corresponds to
-    the lattice spanned by the generator rows together with diag(m); since
+    the lattice L spanned by the generator rows together with diag(m); since
     diag(m) has full rank the HNF is square upper-triangular with diagonal
     entries dividing the moduli.
+
+    Modular HNF (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987):
+    m_j * e_j lies in L, so every working entry in column j is kept reduced
+    mod m_j.  Column c's pivot row starts as m_c * e_c and absorbs each
+    working row that is nonzero at c by one extended-gcd 2x2 unimodular
+    step, which leaves that row zero at c; rows that become zero are
+    dropped.  The rows are zero left of c, so only columns > c change.  The
+    HNF is unique, so the result equals ``hermite_normal_form`` of the
+    generators stacked on diag(m).
     """
     k = len(m)
-    rows = [list(g) for g in gens]
-    for g in rows:
+    work = []
+    for g in gens:
         if len(g) != k:
             raise DimensionMismatch(f"generator length {len(g)} vs {k} moduli")
-    for i in range(k):
-        rows.append([m[i] if j == i else 0 for j in range(k)])
-    return hermite_normal_form(rows, k)
+        row = [v % mm for v, mm in zip(g, m)]
+        if any(row):
+            work.append(row)
+    basis = []
+    for c in range(k):
+        pivot = [0] * k
+        pivot[c] = m[c]
+        rest = range(c + 1, k)
+        live = []
+        for row in work:
+            b = row[c]
+            if b:
+                a = pivot[c]
+                q, r = divmod(b, a)
+                if r:
+                    g, s, t = _xgcd(a, b)
+                    u, v = a // g, b // g
+                    for j in rest:
+                        p, x = pivot[j], row[j]
+                        pivot[j] = (s * p + t * x) % m[j]
+                        row[j] = (u * x - v * p) % m[j]
+                    pivot[c] = g
+                else:
+                    for j in rest:
+                        row[j] = (row[j] - q * pivot[j]) % m[j]
+                row[c] = 0
+                if not any(row):
+                    continue
+            live.append(row)
+        work = live
+        basis.append(pivot)
+    return _reduce_above_pivots(basis, range(k))
 
 
 def subgroup_canonical_form(gens: Iterable[Sequence[int]], m: ModuliVector) -> IntMatrix:
@@ -390,19 +450,20 @@ def subgroup_intersection(
 ) -> IntMatrix:
     """Canonical form of the intersection of two subgroups of ⊕ Z/m_j.
 
-    Zassenhaus on the lifted lattices: the HNF of [[B_a, B_a], [B_b, 0]]
-    has, below its rows with a pivot in the left half, exactly the HNF of
-    the intersection lattice in its right half.  That lattice contains
-    diag(m), so its rows whose pivot equals the modulus drop out as in
+    Zassenhaus on the lifted lattices L_a and L_b: the HNF of the lattice
+    {(x, x) : x in L_a} + {(y, 0) : y in L_b} has, below its rows with a
+    pivot in the left half, exactly the HNF of L_a ∩ L_b in its right half.
+    That lattice is spanned by the rows (a, a) and (b, 0), for a in
+    ``a_canon`` and b in ``b_canon``, together with diag(m ++ m), because
+    (m_j e_j, m_j e_j) is the sum of two of the diagonal rows; so it is one
+    ``lattice_basis`` over m ++ m.  The intersection contains diag(m), so
+    its rows whose pivot equals the modulus drop out as in
     ``subgroup_canonical_form``.
     """
     k = len(m)
-    basis_a = lattice_basis(a_canon, m)
-    basis_b = lattice_basis(b_canon, m)
-    stacked = [list(r) + list(r) for r in basis_a] + [list(r) + [0] * k for r in basis_b]
-    hnf = hermite_normal_form(stacked, 2 * k)
-    inter = hnf[len(hnf) - k:]
-    return tuple(row[k:] for i, row in enumerate(inter) if row[k + i] != m[i])
+    stacked = [list(r) + list(r) for r in a_canon] + [list(r) + [0] * k for r in b_canon]
+    hnf = lattice_basis(stacked, tuple(m) + tuple(m))
+    return tuple(row[k:] for i, row in enumerate(hnf[k:]) if row[k + i] != m[i])
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +480,8 @@ class CongruenceSystem:
     must annihilate row i of A modulo the output moduli, otherwise the
     reduction would be unsound and a ValueError is raised.
 
-    The factorization is one row HNF of the lattice spanned by
+    The factorization is one ``lattice_basis`` of ``[A, I]`` over
+    out_moduli ++ in_moduli: the row HNF of the lattice spanned by
     ``[[A, I], [diag(out_moduli), 0], [0, diag(in_moduli)]]``, whose
     vectors are the pairs (x @ A, x) up to multiples of the moduli.  Its
     rows with zeros in the first c = len(out_moduli) columns are the HNF of
@@ -450,11 +512,8 @@ class CongruenceSystem:
                     )
         self.out_moduli = tuple(out_moduli)
         self.in_moduli = tuple(in_moduli)
-        width = c + r
-        lattice = [list(row) + [int(t == i) for t in range(r)] for i, row in enumerate(a)]
-        lattice += [[out_moduli[j] if t == j else 0 for t in range(width)] for j in range(c)]
-        lattice += [[in_moduli[i] if t == c + i else 0 for t in range(width)] for i in range(r)]
-        hnf = hermite_normal_form(lattice, width)
+        lifted = [list(row) + [int(t == i) for t in range(r)] for i, row in enumerate(a)]
+        hnf = lattice_basis(lifted, self.out_moduli + self.in_moduli)
         # The lattice has full rank and contains diag(out_moduli, in_moduli),
         # so row i of the HNF pivots on column i: the first c rows solve, and
         # the last r rows are the homogeneous solutions.

@@ -68,7 +68,7 @@ def _known_keys(data: dict, allowed: Sequence[str], what: str) -> None:
 
 
 def _int_list(data: Any, what: str) -> tuple[int, ...]:
-    _require(isinstance(data, list) and all(isinstance(v, int) for v in data),
+    _require(isinstance(data, list) and all(type(v) is int for v in data),
              f"{what} must be a list of integers")
     return tuple(data)
 
@@ -303,6 +303,7 @@ def _random_ring_pool() -> list[FiniteRing]:
 def random_modules(count: int, seed: int, caps: Caps) -> list[CorpusMember]:
     """Deterministic stream of small modules: random sub or quotient shapes
     of small free modules over a fixed ring pool."""
+    _require(count >= 1, f"random generator: count must be a positive integer, got {count}")
     rng = random.Random(seed)
     pool = _random_ring_pool()
     out: list[CorpusMember] = []

@@ -187,6 +187,22 @@ def _validate(tmp_path, capsys, ws):
       "posets": {"p": {"elements": ["a", "b"], "relation": [["a", "b"]]}},
       "corpora": {"c": ["mx:p,m"]}},
      "mx generator: module 'm' over ring 'ut': coefficient ring is not commutative"),
+    ({"rings": {"r": {"moduli": [True], "mul": [[[1]]], "one": [1]}}},
+     "ring r: moduli must be a list of integers"),
+    ({"rings": {"r": {"moduli": [2], "mul": [[[True]]], "one": [1]}}},
+     "ring r: mul[0] rows must be a list of integers"),
+    ({"rings": {"r": {"moduli": [2], "mul": [[[1]]], "one": [True]}}},
+     "ring r: one must be a list of integers"),
+    ({"rings": {"r": {"moduli": [2], "mul": [[[1]]], "one": [1]}},
+      "modules": {"m": {"ring": "r", "moduli": [True], "action": [[[1]]]}}},
+     "module m: moduli must be a list of integers"),
+    ({"rings": {"r": {"moduli": [2], "mul": [[[1]]], "one": [1]}},
+      "modules": {"m": {"ring": "r", "moduli": [2], "action": [[[True]]]}}},
+     "module m action rows must be a list of integers"),
+    ({"corpora": {"c": ["random:count=-1,seed=1"]}},
+     "random generator: count must be a positive integer, got -1"),
+    ({"corpora": {"c": ["random:count=0"]}},
+     "random generator: count must be a positive integer, got 0"),
 ])
 def test_malformed_workspace_shapes_are_input_errors(tmp_path, capsys, ws, message):
     code, _, err = _validate(tmp_path, capsys, ws)
@@ -199,6 +215,15 @@ def test_random_option_without_value_is_input_error(tmp_path, capsys):
     code, _, err = _validate(tmp_path, capsys, {"corpora": {"c": ["random:count"]}})
     assert code == 2
     assert "random generator: bad option 'count'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_search_non_positive_count_is_input_error(capsys, count):
+    code, out, err = run(capsys, "search", DEMO, "--count", count)
+    assert code == 2
+    assert f"random generator: count must be a positive integer, got {count}" in err
+    assert "passed" not in out
     assert "Traceback" not in err
 
 

@@ -117,6 +117,45 @@ def brute_subgroup(gens, m):
     return frozenset(elems)
 
 
+@st.composite
+def lattice_cases(draw):
+    """(rows, m) for ``lattice_basis``: k = 0 and empty generator lists,
+    moduli equal to 1, zero and duplicate rows, entries negative or >= m_j."""
+    m = tuple(draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12)), max_size=5)))
+    k = len(m)
+    row = st.one_of(
+        st.just((0,) * k),
+        st.lists(st.integers(-40, 40), min_size=k, max_size=k).map(tuple),
+    )
+    rows = draw(st.lists(row, max_size=5))
+    if rows and draw(st.booleans()):
+        rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+    return rows, m
+
+
+@settings(max_examples=500, deadline=None)
+@given(lattice_cases())
+def test_modular_lattice_basis_equals_integer_hnf(case):
+    rows, m = case
+    k = len(m)
+    diag = [[m[i] if j == i else 0 for j in range(k)] for i in range(k)]
+    basis = linalg.lattice_basis(rows, m)
+    assert basis == linalg.hermite_normal_form(list(rows) + diag, k)
+    if math.prod(m) <= 144:
+        assert brute_subgroup(basis, m) == brute_subgroup(rows, m)
+
+
+def test_modular_lattice_basis_edge_fixtures():
+    assert linalg.lattice_basis([], ()) == ()
+    assert linalg.lattice_basis([(), ()], ()) == ()
+    assert linalg.lattice_basis([], (1, 3)) == ((1, 0), (0, 3))
+    assert linalg.lattice_basis([(5, -1)], (1, 3)) == ((1, 0), (0, 1))
+    assert linalg.lattice_basis([(4, 6), (4, 6), (0, 0)], (8, 9)) == ((4, 0), (0, 3))
+    assert linalg.lattice_basis([(-2, 7)], (4, 4)) == ((2, 1), (0, 2))
+    with pytest.raises(linalg.DimensionMismatch):
+        linalg.lattice_basis([(1,)], (2, 2))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     moduli_vectors(),
