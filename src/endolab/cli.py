@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import incidence as inc
 from . import lab, workspace
-from .verdicts import Caps, InternalInconsistency
+from .verdicts import CapExceeded, Caps, InternalInconsistency
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -176,10 +176,18 @@ def cmd_incidence(args: argparse.Namespace) -> int:
              f"{bundle.ring.size()} elements")
     if args.module is not None:
         mem = ws.member(args.module)
+        if mem.module.ring != base:
+            raise workspace.WorkspaceError(
+                f"module {args.module!r} is over ring {mem.module.ring.name!r}, "
+                f"not over ring {args.ring!r} of the algebra")
         try:
             report = inc.incend_check(mem.module, bundle, cap=ws.caps.homs)
         except (inc.NotCyclic, inc.NoBottomElement) as exc:
             raise workspace.WorkspaceError(str(exc)) from exc
+        except CapExceeded as exc:
+            raise workspace.WorkspaceError(
+                f"module {args.module!r} has {exc.total} {exc.what}, "
+                f"over the homs cap {exc.cap}") from None
         payload.update({
             "module": args.module,
             "end_sizes": [report.left_size, report.right_size],

@@ -86,12 +86,10 @@ def is_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     )
 
 
-@memo
 def _endoregular_via_ring(m: FiniteModule, caps: Caps) -> Verdict:
     return rings.is_regular(end_ring(m).ring, caps.homs)
 
 
-@memo
 @undecided_on_cap
 def _endoregular_via_summands(m: FiniteModule, caps: Caps) -> Verdict:
     for phi in iter_end_homs(m, caps.homs):
@@ -135,12 +133,10 @@ def is_abelian_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     )
 
 
-@memo
 def abelian_route_end_ring(m: FiniteModule, caps: Caps) -> Verdict:
     return rings.is_abelian_regular(end_ring(m).ring, caps.homs)
 
 
-@memo
 @undecided_on_cap
 def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
     size = m.size()
@@ -151,7 +147,6 @@ def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
     return Verdict.yes()
 
 
-@memo
 @undecided_on_cap
 def abelian_route_fully_invariant(m: FiniteModule, caps: Caps) -> Verdict:
     endo = is_endoregular(m, caps)
@@ -163,7 +158,6 @@ def abelian_route_fully_invariant(m: FiniteModule, caps: Caps) -> Verdict:
     return Verdict.yes()
 
 
-@memo
 def is_unit_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     return rings.is_unit_regular(end_ring(m).ring, caps.homs)
 

@@ -31,7 +31,7 @@ kept positionally so embedding indices stay stable.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .verdicts import InternalInconsistency
 
@@ -351,33 +351,42 @@ def subgroup_canonical_form(gens: Iterable[Sequence[int]], m: ModuliVector) -> I
 
     Two generator sets span the same subgroup iff their canonical forms are
     identical tuples.  The zero subgroup canonicalizes to the empty matrix.
-    Rows whose pivot equals its modulus carry no information mod m and are
-    dropped; the remaining HNF rows still generate the subgroup.
+    Rows whose pivot equals its modulus are dropped: such a row is m_c * e_c,
+    since no generator touched column c, so order and membership read the
+    remaining HNF rows directly.
     """
     basis = lattice_basis(gens, m)
-    kept = tuple(row for i, row in enumerate(basis) if row[i] != m[i])
-    return kept
+    return tuple(row for i, row in enumerate(basis) if row[i] != m[i])
+
+
+def _pivots(canon: Sequence[Sequence[int]]) -> Iterator[tuple[Sequence[int], int]]:
+    """Each row of a canonical form with its leading (pivot) column."""
+    c = 0
+    for row in canon:
+        while not row[c]:
+            c += 1
+        yield row, c
 
 
 def subgroup_membership(x: Sequence[int], canon: Sequence[Sequence[int]], m: ModuliVector) -> bool:
-    """True iff x lies in the subgroup with the given canonical form."""
+    """True iff x lies in the subgroup with the given canonical form: forward
+    substitution along its rows leaves every entry 0 mod its modulus."""
     if len(x) != len(m):
         raise DimensionMismatch(f"vector length {len(x)} vs {len(m)} moduli")
-    basis = lattice_basis(canon, m)
     rem = list(x)
-    for i, row in enumerate(basis):
-        if rem[i] % row[i]:
+    for row, c in _pivots(canon):
+        q, r = divmod(rem[c], row[c])
+        if r:
             return False
-        q = rem[i] // row[i]
         if q:
             rem = [a - q * b for a, b in zip(rem, row)]
-    return not any(rem)
+    return not any(v % mm for v, mm in zip(rem, m))
 
 
 def subgroup_order(canon: Sequence[Sequence[int]], m: ModuliVector) -> int:
-    basis = lattice_basis(canon, m)
-    index = prod(basis[i][i] for i in range(len(m)))
-    return prod(m) // index if m else 1
+    """Order of the subgroup with the given canonical form: m_c / pivot per
+    row, since every dropped row m_c * e_c has index 1 in Z/m_c."""
+    return prod(m[c] // row[c] for row, c in _pivots(canon))
 
 
 def subgroup_structure(

@@ -280,24 +280,15 @@ def idempotent_summands(ring_id: str, ring: FiniteRing, caps: Caps) -> list[Corp
     return out
 
 
-_RANDOM_RING_POOL: Optional[list[FiniteRing]] = None
-
-
-def _random_ring_pool() -> list[FiniteRing]:
-    """Rings of at most 64 elements used by the random module generator."""
-    global _RANDOM_RING_POOL
-    if _RANDOM_RING_POOL is None:
-        pool: list[FiniteRing] = [rings.zmod_ring(n) for n in range(2, 17)]
-        for a in (2, 3, 4):
-            for b in (2, 3, 4):
-                if a * b <= 16:
-                    pool.append(rings.product_ring(
-                        rings.zmod_ring(a), rings.zmod_ring(b), name=f"Z/{a}xZ/{b}"))
-        pool.append(rings.matrix_ring_presentation(2, 2, upper_triangular=True))
-        pool.append(rings.matrix_ring_presentation(2, 2))
-        pool.append(rings.matrix_ring_presentation(2, 4, upper_triangular=True))
-        _RANDOM_RING_POOL = pool
-    return _RANDOM_RING_POOL
+# Rings of at most 64 elements used by the random module generator.
+RANDOM_RING_POOL: tuple[FiniteRing, ...] = (
+    *(rings.zmod_ring(n) for n in range(2, 17)),
+    *(rings.product_ring(rings.zmod_ring(a), rings.zmod_ring(b), name=f"Z/{a}xZ/{b}")
+      for a in (2, 3, 4) for b in (2, 3, 4) if a * b <= 16),
+    rings.matrix_ring_presentation(2, 2, upper_triangular=True),
+    rings.matrix_ring_presentation(2, 2),
+    rings.matrix_ring_presentation(2, 4, upper_triangular=True),
+)
 
 
 def random_modules(count: int, seed: int, caps: Caps) -> list[CorpusMember]:
@@ -305,7 +296,6 @@ def random_modules(count: int, seed: int, caps: Caps) -> list[CorpusMember]:
     of small free modules over a fixed ring pool."""
     _require(count >= 1, f"random generator: count must be a positive integer, got {count}")
     rng = random.Random(seed)
-    pool = _random_ring_pool()
     out: list[CorpusMember] = []
     attempts = 0
     cap_hit: Optional[CapExceeded] = None
@@ -318,7 +308,7 @@ def random_modules(count: int, seed: int, caps: Caps) -> list[CorpusMember]:
                     f"cap {caps.submodules} ({cap_hit})"
                 )
             raise WorkspaceError("random generator stalled; loosen the size limit")
-        ring = rng.choice(pool)
+        ring = rng.choice(RANDOM_RING_POOL)
         reg = regular_module(ring, name=ring.name)
         copies = 1 if reg.size() ** 2 > RANDOM_MODULE_SIZE_LIMIT else rng.choice([1, 2])
         base, _, _ = direct_sum([reg] * copies) if copies > 1 else (reg, None, None)

@@ -105,6 +105,23 @@ def test_incidence_unknown_poset(capsys):
     assert "cube" in err
 
 
+@pytest.mark.parametrize("caps, ring, module, message", [
+    (None, "z2", "e1R", "module 'e1R' is over ring 'ut2z2', not over ring 'z2'"),
+    ({"homs": 4}, "z6", "z6-regular",
+     "module 'z6-regular' has 6 module elements, over the homs cap 4"),
+])
+def test_incidence_module_problems_are_input_errors(tmp_path, capsys, caps, ring, module, message):
+    with open(DEMO, encoding="utf-8") as fh:
+        ws = json.load(fh)
+    if caps is not None:
+        ws["caps"] = caps
+    p = tmp_path / "ws.json"
+    p.write_text(json.dumps(ws), encoding="utf-8")
+    code, _, err = run(capsys, "incidence", str(p), "diamond", ring, "--module", module)
+    assert code == 2
+    assert message in err
+
+
 def test_search_small_deterministic(capsys):
     code1, out1, _ = run(capsys, "search", DEMO, "--count", "5",
                          "--seed", "11", "--json")

@@ -117,6 +117,18 @@ def brute_subgroup(gens, m):
     return frozenset(elems)
 
 
+def assert_reads_enumeration(canon, m, want):
+    """``subgroup_order`` and ``subgroup_membership``, read off a canonical
+    form, agree with the enumerated subgroup ``want`` on every element of
+    the ambient group, also given as x + m and as -x."""
+    assert linalg.subgroup_order(canon, m) == len(want)
+    for x in itertools.product(*(range(mm) for mm in m)):
+        inside = x in want
+        assert linalg.subgroup_membership(x, canon, m) == inside, x
+        assert linalg.subgroup_membership([v + mm for v, mm in zip(x, m)], canon, m) == inside, x
+        assert linalg.subgroup_membership([-v for v in x], canon, m) == inside, x
+
+
 @st.composite
 def lattice_cases(draw):
     """(rows, m) for ``lattice_basis``: k = 0 and empty generator lists,
@@ -170,7 +182,7 @@ def test_canonical_form_matches_brute_force(m, data):
     canon = linalg.subgroup_canonical_form(gens, m)
     want = brute_subgroup(gens, m)
     assert frozenset(linalg.enumerate_subgroup(canon, m)) == want
-    assert linalg.subgroup_order(canon, m) == len(want)
+    assert_reads_enumeration(canon, m, want)
     for row in canon:
         for j, v in enumerate(row):
             assert 0 <= v < m[j]
@@ -178,8 +190,6 @@ def test_canonical_form_matches_brute_force(m, data):
     gens2 = list(gens) + list(gens[:1])
     random.Random(0).shuffle(gens2)
     assert linalg.subgroup_canonical_form(gens2, m) == canon
-    for x in want:
-        assert linalg.subgroup_membership(x, canon, m)
 
 
 def test_structure_gives_invariant_factors():
@@ -216,7 +226,9 @@ def test_subgroup_intersection_is_canonical_form_of_enumerated_intersection(m, d
     a = linalg.subgroup_canonical_form(data.draw(gens), m)
     b = linalg.subgroup_canonical_form(data.draw(gens), m)
     common = set(linalg.enumerate_subgroup(a, m)) & set(linalg.enumerate_subgroup(b, m))
-    assert linalg.subgroup_intersection(a, b, m) == linalg.subgroup_canonical_form(common, m)
+    inter = linalg.subgroup_intersection(a, b, m)
+    assert inter == linalg.subgroup_canonical_form(common, m)
+    assert_reads_enumeration(inter, m, common)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +291,9 @@ def test_solve_congruence_agrees_with_enumeration(data):
 def test_kernel_subgroup_is_canonical_form_of_enumerated_kernel(system):
     a, out_m, in_m = system
     kernel = brute_solutions(a, (0,) * len(out_m), out_m, in_m)
-    assert linalg.kernel_subgroup(a, out_m, in_m) == linalg.subgroup_canonical_form(kernel, in_m)
+    canon = linalg.kernel_subgroup(a, out_m, in_m)
+    assert canon == linalg.subgroup_canonical_form(kernel, in_m)
+    assert_reads_enumeration(canon, in_m, kernel)
 
 
 @settings(max_examples=150, deadline=None)
