@@ -181,13 +181,14 @@ def cmd_incidence(args: argparse.Namespace) -> int:
                 f"module {args.module!r} is over ring {mem.module.ring.name!r}, "
                 f"not over ring {args.ring!r} of the algebra")
         try:
-            report = inc.incend_check(mem.module, bundle, cap=ws.caps.homs)
+            report = inc.incend_check(mem.module, bundle, ws.caps)
         except (inc.NotCyclic, inc.NoBottomElement) as exc:
             raise workspace.WorkspaceError(str(exc)) from exc
         except CapExceeded as exc:
+            cap_name = "elements" if exc.what == "module elements" else "homs"
             raise workspace.WorkspaceError(
                 f"module {args.module!r} has {exc.total} {exc.what}, "
-                f"over the homs cap {exc.cap}") from None
+                f"over the {cap_name} cap {exc.cap}") from None
         payload.update({
             "module": args.module,
             "end_sizes": [report.left_size, report.right_size],

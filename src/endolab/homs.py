@@ -148,6 +148,12 @@ def image(h: ModuleHom) -> Submodule:
     return Submodule(h.codomain, canon)
 
 
+def kernel_and_image(h: ModuleHom) -> tuple[Submodule, Submodule]:
+    """(Ker h, Im h) from one factorization of x @ F = y (mod codomain)."""
+    system = linalg.CongruenceSystem(h.matrix, h.codomain.moduli, h.domain.moduli)
+    return Submodule(h.domain, system.homogeneous), Submodule(h.codomain, system.image)
+
+
 # ---------------------------------------------------------------------------
 # Endomorphism rings
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from . import linalg
 from .homs import end_ring
 from .modules import FiniteModule, ModuleHom, is_module_hom, submodule_generated
 from .rings import FiniteRing, validate_ring
-from .verdicts import CapExceeded, InternalInconsistency
+from .verdicts import CapExceeded, Caps, InternalInconsistency
 
 
 class NonCommutativeBase(ValueError):
@@ -222,24 +222,27 @@ def is_cyclic(m: FiniteModule, cap: int) -> bool:
 
 
 def incend_check(
-    m: FiniteModule, bundle: IncidenceAlgebraBundle, cap: int = 4096
+    m: FiniteModule, bundle: IncidenceAlgebraBundle, caps: Caps = Caps()
 ) -> IsoReport:
     """Verify End_A(M) ≅ End_R(M(X)) for cyclic M and X with a bottom element.
 
     The candidate isomorphism sends φ to the blockwise map Φ((m_x)) = (φ(m_x));
     it is checked to be well defined, additive (it is matrix-linear by
-    construction), multiplicative, unital, injective and surjective.
+    construction), multiplicative, unital, injective and surjective.  The
+    cyclicity test enumerates M, so its order is bounded by ``caps.elements``;
+    both endomorphism rings are enumerated, so their sizes are bounded by
+    ``caps.homs``.
     """
     if bundle.preorder.bottom() is None:
         raise NoBottomElement("the preorder has no element below all others")
-    if not is_cyclic(m, cap):
+    if not is_cyclic(m, caps.elements):
         raise NotCyclic("the coefficient module is not cyclic")
 
     mx = build_mx(m, bundle)
     left = end_ring(m)
     right = end_ring(mx)
-    if left.homs.size() > cap or right.homs.size() > cap:
-        raise CapExceeded(max(left.homs.size(), right.homs.size()), cap, "endomorphisms")
+    if left.homs.size() > caps.homs or right.homs.size() > caps.homs:
+        raise CapExceeded(max(left.homs.size(), right.homs.size()), caps.homs, "endomorphisms")
 
     nx = len(bundle.preorder.elements)
     rank = m.rank

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from . import rings
+from . import linalg, rings
 from .homs import (
+    HomGroup,
     end_ring,
     find_embedding,
     find_isomorphism,
@@ -22,10 +23,11 @@ from .homs import (
     image,
     is_fully_invariant,
     is_m_generated,
-    kernel,
+    kernel_and_image,
     product_submodules,
     summand_test,
 )
+from .linalg import IntMatrix
 from .modules import (
     FiniteModule,
     ModuleHom,
@@ -35,7 +37,6 @@ from .modules import (
     direct_sum,
     enumerate_submodules,
     extract,
-    is_essential,
     maximal_submodules,
     quotient,
     radical,
@@ -62,12 +63,39 @@ class NotFullyInvariant(ValueError):
     """Prime/semiprime tests require a proper fully invariant submodule."""
 
 
-def iter_end_homs(m: FiniteModule, cap: int) -> Iterator[ModuleHom]:
-    """All endomorphisms of m; raises CapExceeded before yielding anything."""
-    bundle = end_ring(m)
-    if bundle.homs.size() > cap:
-        raise CapExceeded(bundle.homs.size(), cap, "endomorphisms")
-    return bundle.homs.iter_homs()
+def end_homs(m: FiniteModule, cap: int) -> HomGroup:
+    """End(m) as a hom group; raises CapExceeded past the cap, before any
+    endomorphism is enumerated."""
+    homs = end_ring(m).homs
+    if homs.size() > cap:
+        raise CapExceeded(homs.size(), cap, "endomorphisms")
+    return homs
+
+
+def essential_kernel_coords(homs: HomGroup, cap: int) -> IntMatrix:
+    """Canonical subgroup of the coordinates of the homs f in Hom(K, N)
+    whose kernel is essential in K.
+
+    A finite module's socle is its least essential submodule, so Ker f is
+    essential iff f vanishes on Soc K: s @ f = 0 for every socle generator
+    s, a congruence system linear in f's coordinates over the generators.
+    """
+    soc = socle(homs.domain, cap)
+    rows = [tuple(v for s in soc.gens for v in g.apply(s)) for g in homs.gens]
+    return linalg.kernel_subgroup(rows, homs.codomain.moduli * len(soc.gens), homs.orders)
+
+
+def first_essential_kernel_hom(homs: HomGroup, cap: int) -> Optional[ModuleHom]:
+    """The first nonzero hom in ``iter_homs`` order whose kernel is
+    essential, or None.
+
+    ``iter_homs`` runs through the coordinates lexicographically.  The least
+    nonzero member of a subgroup in that order is the last row of its
+    canonical form: every member is zero before that row's pivot column, and
+    there the least positive value is the pivot, taken by the row alone.
+    """
+    canon = essential_kernel_coords(homs, cap)
+    return homs.from_coords(canon[-1]) if canon else None
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +120,16 @@ def _endoregular_via_ring(m: FiniteModule, caps: Caps) -> Verdict:
 
 @undecided_on_cap
 def _endoregular_via_summands(m: FiniteModule, caps: Caps) -> Verdict:
-    for phi in iter_end_homs(m, caps.homs):
-        if summand_test(kernel(phi)) is None or summand_test(image(phi)) is None:
+    for phi in end_homs(m, caps.homs).iter_homs():
+        if not _ker_im_summands(phi):
             return Verdict.no(witness=phi, reason="kernel or image not a summand")
     return Verdict.yes()
+
+
+def _ker_im_summands(f: ModuleHom) -> bool:
+    """Ker f and Im f are both direct summands."""
+    ker, im = kernel_and_image(f)
+    return summand_test(ker) is not None and summand_test(im) is not None
 
 
 def azumaya_agreement(m: FiniteModule, caps: Caps) -> Verdict:
@@ -107,10 +141,7 @@ def azumaya_agreement(m: FiniteModule, caps: Caps) -> Verdict:
     for coords in itertools.product(*(range(o) for o in bundle.homs.orders)):
         phi = bundle.homs.from_coords(coords)
         witness = rings.regularity_witness(bundle.ring.element(coords)) is not None
-        summands = (
-            summand_test(kernel(phi)) is not None
-            and summand_test(image(phi)) is not None
-        )
+        summands = _ker_im_summands(phi)
         if witness != summands:
             return Verdict.no(
                 witness=phi,
@@ -140,8 +171,8 @@ def abelian_route_end_ring(m: FiniteModule, caps: Caps) -> Verdict:
 @undecided_on_cap
 def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
     size = m.size()
-    for phi in iter_end_homs(m, caps.homs):
-        ker, im = kernel(phi), image(phi)
+    for phi in end_homs(m, caps.homs).iter_homs():
+        ker, im = kernel_and_image(phi)
         if ker.order() * im.order() != size or not submodule_intersect(ker, im).is_zero():
             return Verdict.no(witness=phi, reason="M != Ker ⊕ Im")
     return Verdict.yes()
@@ -281,8 +312,9 @@ def five_way_conditions(m: FiniteModule, caps: Caps = Caps()) -> tuple[Verdict, 
 def im_plus_ker_always_full(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Im φ + Ker φ = M for every endomorphism φ."""
     size = m.size()
-    for phi in iter_end_homs(m, caps.homs):
-        if submodule_sum(image(phi), kernel(phi)).order() != size:
+    for phi in end_homs(m, caps.homs).iter_homs():
+        ker, im = kernel_and_image(phi)
+        if submodule_sum(im, ker).order() != size:
             return Verdict.no(witness=phi, reason="Im + Ker proper")
     return Verdict.yes()
 
@@ -400,11 +432,9 @@ def is_subdirect_of_simples(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
 @undecided_on_cap
 def is_k_nonsingular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """No nonzero endomorphism has essential kernel."""
-    for phi in iter_end_homs(m, caps.homs):
-        if phi.is_zero():
-            continue
-        if is_essential(kernel(phi), caps.submodules):
-            return Verdict.no(witness=phi, reason="nonzero endomorphism with essential kernel")
+    phi = first_essential_kernel_hom(end_homs(m, caps.homs), caps.submodules)
+    if phi is not None:
+        return Verdict.no(witness=phi, reason="nonzero endomorphism with essential kernel")
     return Verdict.yes()
 
 
@@ -420,14 +450,12 @@ def is_polyform(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
             return Verdict.undecided(
                 f"|Hom(K, M)| = {homs.size()} exceeds hom cap {caps.homs}"
             )
-        for f in homs.iter_homs():
-            if f.is_zero():
-                continue
-            if is_essential(kernel(f), caps.submodules):
-                return Verdict.no(
-                    witness=(k_sub, f),
-                    reason="partial homomorphism with essential kernel",
-                )
+        f = first_essential_kernel_hom(homs, caps.submodules)
+        if f is not None:
+            return Verdict.no(
+                witness=(k_sub, f),
+                reason="partial homomorphism with essential kernel",
+            )
     return Verdict.yes()
 
 
@@ -564,7 +592,7 @@ def check_ker_im_summands_in_powers(m: FiniteModule, caps: Caps) -> Verdict:
         for l in (1, 2):
             homs = hom_group(powers[n], powers[l])
             for f in homs.iter_homs():
-                if summand_test(kernel(f)) is None or summand_test(image(f)) is None:
+                if not _ker_im_summands(f):
                     return Verdict.no(witness=f, reason="kernel or image not a summand")
     return Verdict.yes()
 

@@ -30,6 +30,7 @@ kept positionally so embedding indices stay stable.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import prod
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -497,7 +498,9 @@ class CongruenceSystem:
     the homogeneous solutions, so dropping those whose pivot equals its
     modulus gives ``homogeneous``, the canonical generator matrix of that
     group over in_moduli.  The other rows solve any right-hand side by
-    forward substitution.
+    forward substitution, and their left blocks are the HNF of the image
+    span(A) + diag(out_moduli), so dropping those whose pivot equals its
+    modulus gives ``image``, the canonical form of {x @ A} over out_moduli.
     """
 
     def __init__(
@@ -529,6 +532,15 @@ class CongruenceSystem:
         self._solving = hnf[:c]
         self.homogeneous: IntMatrix = tuple(
             row[c:] for i, row in enumerate(hnf[c:]) if row[c + i] != in_moduli[i]
+        )
+
+    @cached_property
+    def image(self) -> IntMatrix:
+        """Canonical form of {x @ A mod out_moduli}: equal to
+        ``subgroup_canonical_form(A, out_moduli)``, read off the solving rows."""
+        c = len(self.out_moduli)
+        return tuple(
+            row[:c] for i, row in enumerate(self._solving) if row[i] != self.out_moduli[i]
         )
 
     def particular(self, b: Sequence[int]) -> Optional[IntVector]:

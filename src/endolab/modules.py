@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 from . import linalg
 from .linalg import IntMatrix, IntVector, ModuliVector
 from .rings import FiniteRing
-from .verdicts import CapExceeded, InternalInconsistency, memo
+from .verdicts import CapExceeded, InternalInconsistency
 
 
 @dataclass(frozen=True)
@@ -356,13 +356,13 @@ def is_simple(m: FiniteModule, cap: int) -> bool:
     return len(enumerate_submodules(m, cap)) == 2
 
 
-@memo
 def is_essential(n: Submodule, cap: int) -> bool:
-    """n meets every nonzero submodule of its ambient nontrivially."""
-    for k in enumerate_submodules(n.ambient, cap):
-        if not k.is_zero() and submodule_intersect(n, k).is_zero():
-            return False
-    return True
+    """n meets every nonzero submodule of its ambient nontrivially.
+
+    Every nonzero submodule of a finite module contains a simple one, so
+    that holds iff n contains every simple submodule, that is, the socle.
+    """
+    return n.contains_sub(socle(n.ambient, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Hom groups, endomorphism rings, traces, products, summand testing."""
 
+import itertools
+
 import pytest
 
-from endolab import homs, modules, rings
+from endolab import homs, modules, rings, workspace
 from endolab.homs import (
     end_ring,
     find_embedding,
@@ -12,10 +14,12 @@ from endolab.homs import (
     is_fully_invariant,
     is_m_generated,
     kernel,
+    kernel_and_image,
     product_submodules,
     summand_test,
     trace,
 )
+from endolab.verdicts import Caps
 
 CAP = 4096
 
@@ -70,6 +74,19 @@ def test_kernel_image_orders_multiply():
     for m in (reg(6), reg(12), plane(), e1R()):
         for h in hom_group(m, m).enumerate_homs(CAP):
             assert kernel(h).order() * image(h).order() == m.size()
+
+
+def test_kernel_and_image_equal_the_separate_computations():
+    pool = [mem.module for mem in workspace.random_modules(40, 7, Caps())]
+    pool += [reg(12), plane(), e1R()]
+    seen = 0
+    for a, b in itertools.product(pool, repeat=2):
+        if a.ring != b.ring or hom_group(a, b).size() > 256:
+            continue
+        for h in hom_group(a, b).iter_homs():
+            assert kernel_and_image(h) == (kernel(h), image(h))
+            seen += 1
+    assert seen > 500
 
 
 def test_end_ring_is_a_ring_and_matches_composition():

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from endolab import homs, lab, modules, rings, workspace
-from endolab.verdicts import Caps, InternalInconsistency, Verdict
+from endolab.verdicts import Caps, InternalInconsistency, Verdict, undecided_on_cap
 
 CAPS = Caps()
 
@@ -213,6 +213,63 @@ def test_cap_hits_become_undecided_verdicts_that_name_the_cap(caps):
     assert skipped
 
 
+# ---------------------------------------------------------------------------
+# Essential kernels through the socle, against the per-hom definition
+# ---------------------------------------------------------------------------
+
+
+def _is_essential_by_definition(n, cap):
+    """n meets every nonzero submodule of its ambient in a nonzero element."""
+    inside = set(n.elements())
+    return all(
+        k.is_zero() or any(any(x) and x in inside for x in k.elements())
+        for k in modules.enumerate_submodules(n.ambient, cap)
+    )
+
+
+@undecided_on_cap
+def _k_nonsingular_per_hom(m, caps):
+    """Reference: test the kernel of every nonzero endomorphism in turn."""
+    for phi in lab.end_homs(m, caps.homs).iter_homs():
+        if not phi.is_zero() and _is_essential_by_definition(homs.kernel(phi), caps.submodules):
+            return Verdict.no(witness=phi, reason="nonzero endomorphism with essential kernel")
+    return Verdict.yes()
+
+
+@undecided_on_cap
+def _polyform_per_hom(m, caps):
+    """Reference: test the kernel of every nonzero hom K -> M in turn."""
+    for k_sub in modules.enumerate_submodules(m, caps.submodules):
+        if k_sub.is_zero():
+            continue
+        inner, _ = modules.extract(k_sub)
+        hg = homs.hom_group(inner, m)
+        if hg.size() > caps.homs:
+            return Verdict.undecided(f"|Hom(K, M)| = {hg.size()} exceeds hom cap {caps.homs}")
+        for f in hg.iter_homs():
+            if not f.is_zero() and _is_essential_by_definition(homs.kernel(f), caps.submodules):
+                return Verdict.no(
+                    witness=(k_sub, f), reason="partial homomorphism with essential kernel")
+    return Verdict.yes()
+
+
+@pytest.mark.parametrize("caps", (CAPS,) + TIGHT_CAPS, ids=str)
+def test_socle_predicates_equal_the_per_hom_definition(caps):
+    for m in _cap_corpus() + _memo_corpus():
+        for fast, reference in (
+            (lab.is_k_nonsingular, _k_nonsingular_per_hom),
+            (lab.is_polyform, _polyform_per_hom),
+        ):
+            assert _observable(fast(m, caps)) == _observable(reference(m, caps)), (fast, m.name)
+
+
+def test_is_essential_equals_the_definition_on_every_submodule():
+    for m in _cap_corpus() + [plane(), e1R(), sum_2_3()]:
+        for n in modules.enumerate_submodules(m, CAPS.submodules):
+            assert modules.is_essential(n, CAPS.submodules) == _is_essential_by_definition(
+                n, CAPS.submodules), (m.name, n.gens)
+
+
 def test_analyze_report():
     rep = lab.analyze("e1R", e1R(), CAPS)
     assert rep.end_size == 2
@@ -268,7 +325,7 @@ def test_memo_answers_equal_fresh_computation_in_either_order():
                 assert _observable(got) == _observable(f.__wrapped__(ring, CAPS.homs)), f
             for n in modules.enumerate_submodules(m, CAPS.submodules):
                 got = modules.is_essential(n, CAPS.submodules)
-                assert got == modules.is_essential.__wrapped__(n, CAPS.submodules)
+                assert got == _is_essential_by_definition(n, CAPS.submodules)
 
 
 def test_memo_keeps_equal_modules_with_different_names_apart():

@@ -314,6 +314,27 @@ def test_prepared_system_solves_every_rhs(data):
             assert x in brute_solutions(a, b, out_m, in_m)
 
 
+@settings(max_examples=150, deadline=None)
+@given(congruence_systems())
+def test_prepared_system_image_is_canonical_form_of_rows(system):
+    a, out_m, in_m = system
+    image = linalg.CongruenceSystem(a, out_m, in_m).image
+    assert image == linalg.subgroup_canonical_form(a, out_m)
+    assert_reads_enumeration(image, out_m, brute_subgroup(a, out_m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(moduli_vectors(max_len=4), st.data())
+def test_last_canonical_row_is_least_nonzero_member(m, data):
+    gens = data.draw(st.lists(
+        st.lists(st.integers(-6, 12), min_size=len(m), max_size=len(m)).map(tuple),
+        max_size=3,
+    ))
+    canon = linalg.subgroup_canonical_form(gens, m)
+    nonzero = sorted(x for x in brute_subgroup(gens, m) if any(x))
+    assert (canon[-1] if canon else None) == (nonzero[0] if nonzero else None)
+
+
 def test_solve_rejects_unannihilated_rows():
     with pytest.raises(ValueError):
         linalg.solve_congruence_system([(1,)], (0,), (4,), (2,))
