@@ -151,13 +151,24 @@ def azumaya_agreement(m: FiniteModule, caps: Caps) -> Verdict:
     return Verdict.yes()
 
 
-@memo
 def is_abelian_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Three routes: abelian regular End ring; M = Ker ⊕ Im for every
     endomorphism; endoregular with all M-generated submodules fully
     invariant.  All feasible routes must agree."""
-    return agree(
-        f"abelian_endoregular({m.name})",
+    return agree(f"abelian_endoregular({m.name})", *abelian_endoregular_routes(m, caps))
+
+
+ABELIAN_ROUTES = ("abelian via End ring", "abelian via Ker ⊕ Im", "abelian via fully invariant")
+
+
+@memo
+def abelian_endoregular_routes(m: FiniteModule, caps: Caps) -> tuple[Verdict, Verdict, Verdict]:
+    """The verdicts of the three routes, named in ``ABELIAN_ROUTES``.
+
+    Memoized here, not in ``is_abelian_endoregular``, so that ``analyze``
+    reports the very verdicts that were merged.
+    """
+    return (
         abelian_route_end_ring(m, caps),
         abelian_route_ker_im(m, caps),
         abelian_route_fully_invariant(m, caps),
@@ -228,19 +239,29 @@ def is_distributive_boolean(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
 
     Checks A ∩ (B + C) = (A ∩ B) + (A ∩ C) on every triple of summands and
     existence of a complement for every summand.
+
+    The identity is symmetric in B and C and holds when B = C, so the first
+    failing triple in product order has B before C, and only those triples
+    are checked, over tables of the pairwise sums and intersections.
     """
     summands = direct_summands(m, caps)
-    for a in summands:
-        if not any(
-            submodule_intersect(a, b).is_zero() and submodule_sum(a, b).is_full()
-            for b in summands
-        ):
+    n = len(summands)
+    meet = [[None] * n for _ in range(n)]
+    join = [[None] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        meet[i][j] = meet[j][i] = submodule_intersect(summands[i], summands[j])
+        join[i][j] = join[j][i] = submodule_sum(summands[i], summands[j])
+    for i, a in enumerate(summands):
+        if not any(meet[i][j].is_zero() and join[i][j].is_full() for j in range(n)):
             return Verdict.no(witness=a, reason="summand without complement")
-    for a, b, c in itertools.product(summands, repeat=3):
-        lhs = submodule_intersect(a, submodule_sum(b, c))
-        rhs = submodule_sum(submodule_intersect(a, b), submodule_intersect(a, c))
-        if lhs.gens != rhs.gens:
-            return Verdict.no(witness=(a, b, c), reason="distributivity fails")
+    for i, a in enumerate(summands):
+        for j, k in itertools.combinations(range(n), 2):
+            lhs = submodule_intersect(a, join[j][k])
+            rhs = submodule_sum(meet[i][j], meet[i][k])
+            if lhs.gens != rhs.gens:
+                return Verdict.no(
+                    witness=(a, summands[j], summands[k]), reason="distributivity fails"
+                )
     return Verdict.yes()
 
 
@@ -873,11 +894,7 @@ class PropertyReport:
 
 def analyze(module_id: str, m: FiniteModule, caps: Caps = Caps()) -> PropertyReport:
     props = {name: fn(m, caps) for name, fn in PROPERTY_FUNCS}
-    routes = {
-        "abelian via End ring": abelian_route_end_ring(m, caps),
-        "abelian via Ker ⊕ Im": abelian_route_ker_im(m, caps),
-        "abelian via fully invariant": abelian_route_fully_invariant(m, caps),
-    }
+    routes = dict(zip(ABELIAN_ROUTES, abelian_endoregular_routes(m, caps)))
     undecided: dict[str, str] = {}
 
     def unless_capped(name: str, compute: Callable):

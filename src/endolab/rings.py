@@ -4,15 +4,20 @@ A ring is an additive group ⊕ Z/c_i with basis b_1..b_k, a multiplication
 table giving the coordinates of every b_i * b_j, and the coordinates of the
 identity.  All regularity predicates work on this presentation: the
 per-element quasi-inverse search is a linear congruence solve (the map
-y -> xyx is additive in y), only the universal quantifier over elements
+y -> xyx is additive in y), and a universal quantifier over elements
 enumerates, guarded by a cap.
+
+``is_regular`` enumerates only to say no.  A finite ring is regular iff it
+is semisimple, iff its Jacobson radical is 0, and ``is_semisimple`` decides
+that from the structure constants with one linear solve per level of the
+Rónyai / Cohen–Ivanyos–Wales radical sequence.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import prod
+from math import lcm, prod
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
@@ -153,11 +158,15 @@ def iter_elements(ring: FiniteRing) -> Iterator[RingElement]:
         yield RingElement(coords, ring)
 
 
-def enumerate_elements(ring: FiniteRing, cap: int) -> list[RingElement]:
-    """All elements of the ring; raises CapExceeded when |R| > cap."""
+def _require_within_cap(ring: FiniteRing, cap: int) -> None:
     total = ring.size()
     if total > cap:
         raise CapExceeded(total, cap, "ring elements")
+
+
+def enumerate_elements(ring: FiniteRing, cap: int) -> list[RingElement]:
+    """All elements of the ring; raises CapExceeded when |R| > cap."""
+    _require_within_cap(ring, cap)
     return list(iter_elements(ring))
 
 
@@ -192,11 +201,136 @@ def regularity_witness(x: RingElement) -> Optional[RingElement]:
 @memo
 @undecided_on_cap
 def is_regular(ring: FiniteRing, cap: int) -> Verdict:
-    """Every element has a quasi-inverse (von Neumann regularity)."""
+    """Every element has a quasi-inverse (von Neumann regularity).
+
+    A finite ring is regular iff it is semisimple, so ``is_semisimple``
+    answers yes without enumerating.  A no enumerates the elements in
+    coordinate order for the first one with no quasi-inverse; finding none
+    means the two routes disagree.  The cap holds on both paths.
+    """
+    _require_within_cap(ring, cap)
+    if is_semisimple(ring):
+        return Verdict.yes()
     for x in enumerate_elements(ring, cap):
         if regularity_witness(x) is None:
             return Verdict.no(witness=x, reason="element with no quasi-inverse")
-    return Verdict.yes()
+    raise InternalInconsistency(
+        f"regularity routes disagree on {ring.name or ring}: the radical is nonzero, "
+        f"but every element has a quasi-inverse"
+    )
+
+
+def is_semisimple(ring: FiniteRing) -> bool:
+    """J(R) = 0, decided from the structure constants alone.
+
+    If p^2 divides the characteristic n (the lcm of the moduli), then
+    (n/p)·1 is a nonzero central nilpotent.  Otherwise R is the product of
+    its p-parts R_p, one F_p-algebra for each prime p | n, and
+    J(R) = ⊕ J(R_p) with each J(R_p) the last ideal of ``radical_chain``.
+    """
+    n = lcm(*ring.moduli)
+    p = 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0 or radical_chain(ring, p)[-1]:
+                return False
+        p += 1
+    return True
+
+
+def radical_chain(ring: FiniteRing, p: int) -> list[IntMatrix]:
+    """The ideals I_0 ⊇ I_1 ⊇ ... ⊇ I_l = J(R_p) of the p-part R_p.
+
+    R needs a squarefree characteristic divisible by p; then R_p is an
+    F_p-algebra with basis u_a = (c_i/p)·b_i over the i with p | c_i, and
+    each ideal is a tuple of independent rows over that basis.  Rónyai,
+    "Computing the structure of finite algebras" (J. Symb. Comp. 9, 1990);
+    Cohen, Ivanyos and Wales, "Finding the radical of an algebra of linear
+    transformations" (JPAA 117/118, 1997): with d = dim R_p and
+    l = floor(log_p d), I_{-1} = R_p and
+
+        I_i = {x in I_{i-1} : g_i(x·u_b) = 0 for every b},
+        g_i(x) = (Tr(L~_x^(p^i)) mod p^(i+1)) / p^i,
+
+    where L~_x is an integer lift of the left multiplication by x.  g_i is
+    F_p-linear on I_{i-1}, so it is a functional w with g_i(y) = w·y there,
+    and each level is one kernel over F_p of the rows x·W, where
+    W[a][b] = w·(u_a u_b).  g_0 is the trace, linear on all of R_p, with
+    w_s = Tr L_{u_s}.  The chain stops early at 0.
+    """
+    consts = _p_part(ring, p)
+    d = len(consts)
+    fp = (p,) * d
+    basis = linalg.identity_matrix(d)
+    functional = tuple(sum(consts[s][j][j] for j in range(d)) % p for s in range(d))
+    chain = []
+    level = 0
+    while True:
+        gram = tuple(
+            tuple(sum(t * w for t, w in zip(prod_ab, functional)) % p for prod_ab in row)
+            for row in consts
+        )
+        rows = [linalg.vec_mat(x, gram) for x in basis]
+        kept = linalg.kernel_subgroup(rows, fp, (p,) * len(basis))
+        basis = tuple(linalg.vec_mod(linalg.vec_mat(y, basis), fp) for y in kept)
+        chain.append(basis)
+        level += 1
+        if not basis or p**level > d:
+            return chain
+        values = [_power_trace(x, consts, p, level) for x in basis]
+        solved = linalg.solve_congruence_system(
+            tuple(zip(*basis)), values, (p,) * len(basis), fp
+        )
+        if solved is None:
+            raise InternalInconsistency("no functional takes given values on independent rows")
+        functional = solved[0]
+
+
+def _p_part(ring: FiniteRing, p: int) -> tuple[tuple[IntVector, ...], ...]:
+    """Structure constants of R_p over u_a = (c_i/p)·b_i, p | c_i.
+
+    u_a·u_b = (c_i/p)(c_j/p)·b_i b_j is p-torsion, so its coordinate at
+    each such s is a multiple of c_s/p, and that multiple mod p is its
+    coordinate at u_s.
+    """
+    m = ring.moduli
+    part = [(i, m[i] // p) for i in range(len(m)) if m[i] % p == 0]
+    return tuple(
+        tuple(
+            tuple((si * sj * ring.mul[i][j][s] % m[s]) // ss for s, ss in part)
+            for j, sj in part
+        )
+        for i, si in part
+    )
+
+
+def _power_trace(
+    x: Sequence[int], consts: tuple[tuple[IntVector, ...], ...], p: int, level: int
+) -> int:
+    """g_level(x) of ``radical_chain``: Tr(L~_x^(p^level)) mod p^(level+1),
+    divided by p^level, for the lift of L_x with entries in [0, p)."""
+    d = len(x)
+    mod = p ** (level + 1)
+    base = [
+        [sum(x[a] * consts[a][j][c] for a in range(d)) % p for c in range(d)]
+        for j in range(d)
+    ]
+    moduli = (mod,) * d
+    power, exponent = linalg.identity_matrix(d), p**level
+    while exponent:
+        if exponent & 1:
+            power = linalg.mat_mod(linalg.mat_mul(power, base), moduli)
+        exponent >>= 1
+        if exponent:
+            base = linalg.mat_mod(linalg.mat_mul(base, base), moduli)
+    trace = sum(power[j][j] for j in range(d)) % mod
+    value, rest = divmod(trace, p**level)
+    if rest:
+        raise InternalInconsistency(
+            f"trace {trace} mod {mod} of a power is not a multiple of {mod // p}"
+        )
+    return value
 
 
 def idempotents(ring: FiniteRing, cap: int) -> list[RingElement]:
@@ -280,18 +414,6 @@ def _has_unit_witness(x: RingElement) -> bool:
         if is_unit(cand):
             return True
     return False
-
-
-def regularity_hierarchy(ring: FiniteRing, cap: int) -> tuple[Verdict, Verdict, Verdict]:
-    """(abelian regular, unit regular, regular); the implications must cascade."""
-    ab = is_abelian_regular(ring, cap)
-    un = is_unit_regular(ring, cap)
-    re = is_regular(ring, cap)
-    if ab.value and un.value is False:
-        raise InternalInconsistency("abelian regular ring that is not unit regular")
-    if un.value and re.value is False:
-        raise InternalInconsistency("unit regular ring that is not regular")
-    return ab, un, re
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import glob
+import itertools
 import os
 import re
 
@@ -270,6 +271,49 @@ def test_is_essential_equals_the_definition_on_every_submodule():
                 n, CAPS.submodules), (m.name, n.gens)
 
 
+@undecided_on_cap
+def _distributive_boolean_by_triples(m, caps):
+    """Reference: recompute every sum and intersection for every triple."""
+    summands = lab.direct_summands(m, caps)
+    for a in summands:
+        if not any(modules.submodule_intersect(a, b).is_zero()
+                   and modules.submodule_sum(a, b).is_full() for b in summands):
+            return Verdict.no(witness=a, reason="summand without complement")
+    for a, b, c in itertools.product(summands, repeat=3):
+        lhs = modules.submodule_intersect(a, modules.submodule_sum(b, c))
+        rhs = modules.submodule_sum(modules.submodule_intersect(a, b),
+                                    modules.submodule_intersect(a, c))
+        if lhs.gens != rhs.gens:
+            return Verdict.no(witness=(a, b, c), reason="distributivity fails")
+    return Verdict.yes()
+
+
+@pytest.mark.parametrize("caps", (CAPS,) + TIGHT_CAPS, ids=str)
+def test_distributive_boolean_equals_the_triple_loop(caps):
+    failing = 0
+    for m in _cap_corpus() + _memo_corpus() + [plane(), e1R(), sum_2_3()]:
+        got = lab.is_distributive_boolean(m, caps)
+        assert _observable(got) == _observable(_distributive_boolean_by_triples(m, caps)), m.name
+        failing += got.value is False
+    assert caps != CAPS or failing > 5
+
+
+def test_analyze_computes_the_abelian_routes_once(monkeypatch):
+    calls = []
+    ker_im = lab.abelian_route_ker_im
+
+    def counted(m, caps):
+        calls.append(m.name)
+        return ker_im(m, caps)
+
+    monkeypatch.setattr(lab, "abelian_route_ker_im", counted)
+    m = modules.regular_module(z(6), name="route-count-probe")
+    rep = lab.analyze("probe", m, CAPS)
+    assert calls == ["route-count-probe"]
+    assert tuple(rep.routes.values()) == lab.abelian_endoregular_routes(m, CAPS)
+    assert rep.properties["abelian endoregular"].value is True
+
+
 def test_analyze_report():
     rep = lab.analyze("e1R", e1R(), CAPS)
     assert rep.end_size == 2
@@ -294,9 +338,12 @@ def _memoized(namespace):
 
 
 def _observable(v):
-    """Everything of a verdict that reaches the output stream, names included."""
+    """Everything of a verdict, or of a tuple of route verdicts, that reaches
+    the output stream, names included."""
     if isinstance(v, bool):
         return v
+    if isinstance(v, tuple):
+        return tuple(_observable(route) for route in v)
     return v.value, v.reason, workspace.to_jsonable(v.witness)
 
 
@@ -311,7 +358,7 @@ def test_memo_answers_equal_fresh_computation_in_either_order():
     module_routes = _memoized(lab)
     ring_routes = _memoized(rings)
     assert {f.__name__ for f in module_routes} == {
-        "is_endoregular", "is_abelian_endoregular", "is_quasi_duo", "is_subdirect_of_simples"}
+        "is_endoregular", "abelian_endoregular_routes", "is_quasi_duo", "is_subdirect_of_simples"}
     assert {f.__name__ for f in ring_routes} == {
         "is_regular", "is_abelian_regular", "is_unit_regular"}
     corpus = _memo_corpus()

@@ -1,11 +1,15 @@
 """Finite rings by structure constants and the regularity hierarchy."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endolab import rings
-from endolab.verdicts import CapExceeded
+from endolab import homs, modules, rings, workspace
+from endolab.verdicts import CapExceeded, Caps, InternalInconsistency
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 CAP = 4096
 
@@ -76,10 +80,16 @@ def test_full_matrix_ring_regular_not_abelian():
     assert rings.is_abelian_regular(ring, CAP).value is False
 
 
+def regularity_hierarchy(ring, cap):
+    """(abelian regular, unit regular, regular) of one ring."""
+    return (rings.is_abelian_regular(ring, cap), rings.is_unit_regular(ring, cap),
+            rings.is_regular(ring, cap))
+
+
 def test_hierarchy_consistency():
     for ring in (rings.zmod_ring(4), rings.zmod_ring(6), ut2(2), mat2(2),
                  rings.product_ring(rings.zmod_ring(2), rings.zmod_ring(2))):
-        abelian, unit, regular = rings.regularity_hierarchy(ring, CAP)
+        abelian, unit, regular = regularity_hierarchy(ring, CAP)
         if abelian.value:
             assert unit.value and regular.value
         if unit.value:
@@ -121,3 +131,80 @@ def test_element_arithmetic():
     assert (a * b).coords == (3,)
     assert (a - b).coords == (10,)
     assert ring.element(ring.one) * a == a or (ring.element(ring.one) * a).coords == a.coords
+
+
+# ---------------------------------------------------------------------------
+# The structural route: regular iff semisimple iff J(R) = 0
+# ---------------------------------------------------------------------------
+
+
+def _regular_by_enumeration(ring):
+    """The reference: every element has a quasi-inverse."""
+    return all(rings.regularity_witness(x) is not None
+               for x in rings.enumerate_elements(ring, CAP))
+
+
+def _stock_rings():
+    out = [rings.zmod_ring(n) for n in range(1, 61)]
+    for m in range(2, 7):
+        out += [mat2(m), ut2(m)]
+    out += [rings.matrix_ring_presentation(3, 2), rings.matrix_ring_presentation(3, 2, True),
+            rings.matrix_ring_presentation(3, 3, True)]
+    pairs = [(mat2(2), rings.zmod_ring(3)), (mat2(3), rings.zmod_ring(2)),
+             (ut2(2), rings.zmod_ring(5)), (mat2(2), ut2(3)), (ut2(2), ut2(3)),
+             (mat2(2), mat2(2)), (rings.zmod_ring(6), mat2(5)),
+             (rings.matrix_ring_presentation(3, 2), rings.zmod_ring(7))]
+    out += [rings.product_ring(a, b) for a, b in pairs]
+    return out
+
+
+def _workspace_modules(path):
+    ws = workspace.parse_workspace(os.path.join(ROOT, path))
+    members = [mem for corpus in ws.corpora.values() for mem in corpus]
+    sums = [modules.direct_sum([mem.module for mem in fam])[0]
+            for fam in workspace.same_ring_families(members)]
+    return list(ws.modules.values()) + [mem.module for mem in members] + sums
+
+
+def _end_rings():
+    found = []
+    for path in ("workspaces/demo.json", "perfbench/workspaces/families.json",
+                 "perfbench/workspaces/search.json", "perfbench/workspaces/end-rings.json"):
+        found += _workspace_modules(path)
+    for seed in (7, 11):
+        found += [mem.module for mem in workspace.random_modules(40, seed, Caps())]
+    return [homs.end_ring(m).ring for m in found]
+
+
+def test_semisimplicity_equals_regularity_by_enumeration():
+    # Rings compare by value, so the dict keeps one presentation of each.
+    pool = dict.fromkeys(r for r in _stock_rings() + _end_rings() if r.size() <= CAP)
+    structural = {ring: rings.is_semisimple(ring) for ring in pool}
+    mismatches = [(ring.name, ring.size()) for ring in pool
+                  if structural[ring] != _regular_by_enumeration(ring)]
+    assert mismatches == []
+    assert len(pool) > 100 and 20 < sum(structural.values()) < len(pool) - 20
+
+
+def test_regular_ring_over_the_cap_stays_undecided():
+    ring = rings.matrix_ring_presentation(3, 2)
+    assert rings.is_semisimple(ring)
+    verdict = rings.is_regular(ring, 100)
+    assert verdict.value is None
+    assert "512 ring elements exceeds cap 100" in verdict.reason
+
+
+@pytest.mark.parametrize("modulus", [2, 6])
+def test_degenerate_trace_form_needs_a_higher_level(modulus):
+    # Tr L_x = 2 tr(x) on M_2, so the level-0 ideal is all of M_2(F_2).
+    chain = rings.radical_chain(mat2(modulus), 2)
+    assert len(chain[0]) == 4
+    assert chain[-1] == ()
+    assert rings.is_semisimple(mat2(modulus))
+    assert rings.is_regular(mat2(modulus), CAP).value is True
+
+
+def test_structural_and_enumeration_disagreement_is_loud(monkeypatch):
+    monkeypatch.setattr(rings, "is_semisimple", lambda ring: False)
+    with pytest.raises(InternalInconsistency, match="regularity routes disagree"):
+        rings.is_regular.__wrapped__(mat2(2), CAP)
