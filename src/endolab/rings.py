@@ -10,7 +10,9 @@ enumerates, guarded by a cap.
 ``is_regular`` enumerates only to say no.  A finite ring is regular iff it
 is semisimple, iff its Jacobson radical is 0, and ``is_semisimple`` decides
 that from the structure constants with one linear solve per level of the
-Rónyai / Cohen–Ivanyos–Wales radical sequence.
+Rónyai / Cohen–Ivanyos–Wales radical sequence.  ``is_unit_regular`` reads
+``is_regular``: a finite ring has stable range one (Bass, "K-theory and
+stable algebra", Publ. IHES 22, 1964), so regular elements are unit-regular.
 """
 
 from __future__ import annotations
@@ -393,27 +395,17 @@ def is_unit(x: RingElement) -> bool:
     return solved is not None and ring.mul_coords(solved[0], x.coords) == one
 
 
-@memo
-@undecided_on_cap
 def is_unit_regular(ring: FiniteRing, cap: int) -> Verdict:
-    """Every x admits a unit quasi-inverse u with x*u*x = x."""
-    for x in enumerate_elements(ring, cap):
-        if not _has_unit_witness(x):
-            return Verdict.no(witness=x, reason="no unit quasi-inverse")
-    return Verdict.yes()
+    """Every x admits a unit quasi-inverse u with x*u*x = x.
 
-
-def _has_unit_witness(x: RingElement) -> bool:
-    ring = x.ring
-    solved = _quasi_inverses(x)
-    if solved is None:
-        return False
-    particular, homogeneous = solved
-    for h in linalg.enumerate_subgroup(homogeneous, ring.moduli):
-        cand = ring.element(ring.add_coords(particular, h))
-        if is_unit(cand):
-            return True
-    return False
+    If x*y*x = x, then yR + (1-yx)R = R, and stable range one gives a unit
+    u = y + (1-yx)t, with xux = x.  So this is ``is_regular``, first witness
+    and memo included, with its own reason for a no.
+    """
+    regular = is_regular(ring, cap)
+    if regular.value is False:
+        return Verdict.no(witness=regular.witness, reason="no unit quasi-inverse")
+    return regular
 
 
 # ---------------------------------------------------------------------------

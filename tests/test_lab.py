@@ -1,6 +1,7 @@
 """Module-level property deciders and the theorem suites."""
 
 import ast
+import collections
 import glob
 import itertools
 import os
@@ -9,7 +10,7 @@ import re
 import pytest
 
 from endolab import homs, lab, modules, rings, workspace
-from endolab.verdicts import Caps, InternalInconsistency, Verdict, undecided_on_cap
+from endolab.verdicts import Caps, InternalInconsistency, Verdict, assuming, undecided_on_cap
 
 CAPS = Caps()
 
@@ -298,6 +299,36 @@ def test_distributive_boolean_equals_the_triple_loop(caps):
     assert caps != CAPS or failing > 5
 
 
+@undecided_on_cap
+@assuming(lambda m, caps: lab.is_endoregular(m, caps))
+def _ker_im_summands_per_power(m, caps):
+    """Reference: size, then enumerate, every Hom(M^n, M^l) for n, l <= 2."""
+    powers = {k: modules.direct_sum([m] * k)[0] for k in (1, 2)}
+    pairs = [(n, l) for n in (1, 2) for l in (1, 2)]
+    for n, l in pairs:
+        size = homs.hom_group(powers[n], powers[l]).size()
+        if size > caps.homs:
+            return Verdict.undecided(f"|Hom(M^{n}, M^{l})| = {size} exceeds hom cap {caps.homs}")
+    for n, l in pairs:
+        for f in homs.hom_group(powers[n], powers[l]).iter_homs():
+            if not lab._ker_im_summands(f):
+                return Verdict.no(witness=f, reason="kernel or image not a summand")
+    return Verdict.yes()
+
+
+def test_power_check_equals_the_per_power_loop():
+    # Caps(4096, 512, 30) lies between |End M| and |End M|^2 for several
+    # members, so the |Hom(M^1, M^2)| message is reached as well.
+    messages = collections.Counter()
+    for caps in (CAPS,) + TIGHT_CAPS + (Caps(4096, 512, 30),):
+        for m in _cap_corpus() + _memo_corpus():
+            got = lab.check_ker_im_summands_in_powers(m, caps)
+            want = _ker_im_summands_per_power(m, caps)
+            assert (got.value, got.reason) == (want.value, want.reason), (caps, m.name)
+            messages.update(re.findall(r"\|Hom\(M\^\d, M\^\d\)\|", got.reason))
+    assert messages["|Hom(M^1, M^2)|"] and messages["|Hom(M^2, M^2)|"], messages
+
+
 def test_analyze_computes_the_abelian_routes_once(monkeypatch):
     calls = []
     ker_im = lab.abelian_route_ker_im
@@ -359,8 +390,7 @@ def test_memo_answers_equal_fresh_computation_in_either_order():
     ring_routes = _memoized(rings)
     assert {f.__name__ for f in module_routes} == {
         "is_endoregular", "abelian_endoregular_routes", "is_quasi_duo", "is_subdirect_of_simples"}
-    assert {f.__name__ for f in ring_routes} == {
-        "is_regular", "is_abelian_regular", "is_unit_regular"}
+    assert {f.__name__ for f in ring_routes} == {"is_regular", "is_abelian_regular"}
     corpus = _memo_corpus()
     for order in (corpus, corpus[::-1]):
         for m in order:

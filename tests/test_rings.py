@@ -1,13 +1,14 @@
 """Finite rings by structure constants and the regularity hierarchy."""
 
+import functools
 import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endolab import homs, modules, rings, workspace
-from endolab.verdicts import CapExceeded, Caps, InternalInconsistency
+from endolab import homs, linalg, modules, rings, workspace
+from endolab.verdicts import CapExceeded, Caps, InternalInconsistency, Verdict
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -176,14 +177,18 @@ def _end_rings():
     return [homs.end_ring(m).ring for m in found]
 
 
-def test_semisimplicity_equals_regularity_by_enumeration():
+@pytest.fixture(scope="module")
+def ring_pool():
     # Rings compare by value, so the dict keeps one presentation of each.
-    pool = dict.fromkeys(r for r in _stock_rings() + _end_rings() if r.size() <= CAP)
-    structural = {ring: rings.is_semisimple(ring) for ring in pool}
-    mismatches = [(ring.name, ring.size()) for ring in pool
+    return list(dict.fromkeys(r for r in _stock_rings() + _end_rings() if r.size() <= CAP))
+
+
+def test_semisimplicity_equals_regularity_by_enumeration(ring_pool):
+    structural = {ring: rings.is_semisimple(ring) for ring in ring_pool}
+    mismatches = [(ring.name, ring.size()) for ring in ring_pool
                   if structural[ring] != _regular_by_enumeration(ring)]
     assert mismatches == []
-    assert len(pool) > 100 and 20 < sum(structural.values()) < len(pool) - 20
+    assert len(ring_pool) > 100 and 20 < sum(structural.values()) < len(ring_pool) - 20
 
 
 def test_regular_ring_over_the_cap_stays_undecided():
@@ -192,6 +197,8 @@ def test_regular_ring_over_the_cap_stays_undecided():
     verdict = rings.is_regular(ring, 100)
     assert verdict.value is None
     assert "512 ring elements exceeds cap 100" in verdict.reason
+    unit = rings.is_unit_regular(ring, 100)
+    assert (unit.value, unit.reason) == (None, verdict.reason)
 
 
 @pytest.mark.parametrize("modulus", [2, 6])
@@ -208,3 +215,37 @@ def test_structural_and_enumeration_disagreement_is_loud(monkeypatch):
     monkeypatch.setattr(rings, "is_semisimple", lambda ring: False)
     with pytest.raises(InternalInconsistency, match="regularity routes disagree"):
         rings.is_regular.__wrapped__(mat2(2), CAP)
+
+
+# ---------------------------------------------------------------------------
+# Unit-regularity: a finite ring has stable range one
+# ---------------------------------------------------------------------------
+
+
+def _has_unit_witness(x, is_unit):
+    """The reference: search the quasi-inverse coset of x for a unit."""
+    solved = rings._quasi_inverses(x)
+    if solved is None:
+        return False
+    particular, homogeneous = solved
+    return any(is_unit(x.ring.element(x.ring.add_coords(particular, h)))
+               for h in linalg.enumerate_subgroup(homogeneous, x.ring.moduli))
+
+
+def test_unit_regularity_equals_the_per_element_unit_search(ring_pool):
+    # Visit the elements the way an enumerating is_unit_regular would: all of
+    # them in a unit-regular ring, and up to the first failure otherwise.
+    mismatches = []
+    for ring in ring_pool:
+        is_unit = functools.lru_cache(maxsize=None)(rings.is_unit)
+        want = Verdict.yes()
+        for x in rings.enumerate_elements(ring, CAP):
+            unit = _has_unit_witness(x, is_unit)
+            if unit != (rings.regularity_witness(x) is not None):
+                mismatches.append((ring.name, x.coords))
+            if not unit:
+                want = Verdict.no(witness=x, reason="no unit quasi-inverse")
+                break
+        got = rings.is_unit_regular(ring, CAP)
+        assert (got.value, got.witness, got.reason) == (want.value, want.witness, want.reason)
+    assert mismatches == []
