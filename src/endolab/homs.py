@@ -10,10 +10,9 @@ enumeration cap except the explicit hom-enumeration helpers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import prod
+from math import gcd, lcm, prod
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
@@ -73,9 +72,70 @@ class HomGroup:
         flat_target = tuple(v for row in h.matrix for v in row)
         return coordinates_in_subgroup(flat_target, self._coordinates)
 
+    def _odometer(self) -> Iterator[tuple[IntVector, list[int]]]:
+        """(coords, flattened matrix) of every hom, coordinates in
+        lexicographic order (last coordinate fastest), each matrix one
+        generator add from the one before.
+
+        Stepping coordinate i adds g_i.  When c_i wraps from o_i - 1 to 0,
+        the add still happens: o_i * g_i = 0, so the sum returns to c_i = 0
+        and the carry moves on to coordinate i - 1.
+        """
+        moduli = self.codomain.moduli * self.domain.rank
+        flat_gens = [[v for row in g.matrix for v in row] for g in self.gens]
+        orders = self.orders
+        coords = [0] * len(orders)
+        flat = [0] * len(moduli)
+        while True:
+            yield tuple(coords), flat
+            i = len(orders) - 1
+            while i >= 0:
+                flat = [(a + b) % d for a, b, d in zip(flat, flat_gens[i], moduli)]
+                coords[i] += 1
+                if coords[i] < orders[i]:
+                    break
+                coords[i] = 0
+                i -= 1
+            if i < 0:
+                return
+
+    def _from_flat(self, flat: Sequence[int]) -> ModuleHom:
+        nc = self.codomain.rank
+        rows = tuple(tuple(flat[r * nc:(r + 1) * nc]) for r in range(self.domain.rank))
+        return ModuleHom(self.domain, self.codomain, rows)
+
     def iter_homs(self) -> Iterator[ModuleHom]:
-        for coords in itertools.product(*(range(o) for o in self.orders)):
-            yield self.from_coords(coords)
+        """Every hom: ``from_coords`` of each coordinate vector in
+        ``itertools.product`` order, built by the odometer walk."""
+        for _, flat in self._odometer():
+            yield self._from_flat(flat)
+
+    def iter_orbit_representatives(self) -> Iterator[ModuleHom]:
+        """The first hom, in ``iter_homs`` order, of each orbit of the
+        units acting by scalar multiplication.
+
+        Let e be the exponent of the codomain and u a unit mod e.  Integers
+        are central, so y -> u*y is an automorphism of the codomain, and
+        Ker(u*f) = Ker f, Im(u*f) = u*Im f = Im f.  Any predicate of
+        (Ker f, Im f) is therefore constant on an orbit, and the first hom
+        of ``iter_homs`` to fail it is the first member of its orbit.
+        u*f has coordinates (u*c_i mod o_i), so only u mod the group's
+        exponent lcm(o_i) matters.  It divides e, and every unit mod it
+        lifts to a unit mod e, so the units mod lcm(o_i) give the same
+        orbits; when lcm(o_i) <= 2 every hom is its own orbit.  ``ahead``
+        holds the orbit members not yet reached, at most the size of the
+        group, and is dropped after the sweep.
+        """
+        exponent = lcm(*self.orders)
+        units = [u for u in range(2, exponent) if gcd(u, exponent) == 1]
+        ahead: set[IntVector] = set()
+        for coords, flat in self._odometer():
+            if coords in ahead:
+                ahead.remove(coords)
+                continue
+            ahead.update(tuple(u * c % o for c, o in zip(coords, self.orders)) for u in units)
+            ahead.discard(coords)
+            yield self._from_flat(flat)
 
     def enumerate_homs(self, cap: int) -> list[ModuleHom]:
         if self.size() > cap:

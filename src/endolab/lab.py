@@ -120,7 +120,7 @@ def _endoregular_via_ring(m: FiniteModule, caps: Caps) -> Verdict:
 
 @undecided_on_cap
 def _endoregular_via_summands(m: FiniteModule, caps: Caps) -> Verdict:
-    for phi in end_homs(m, caps.homs).iter_homs():
+    for phi in end_homs(m, caps.homs).iter_orbit_representatives():
         if not _ker_im_summands(phi):
             return Verdict.no(witness=phi, reason="kernel or image not a summand")
     return Verdict.yes()
@@ -182,7 +182,7 @@ def abelian_route_end_ring(m: FiniteModule, caps: Caps) -> Verdict:
 @undecided_on_cap
 def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
     size = m.size()
-    for phi in end_homs(m, caps.homs).iter_homs():
+    for phi in end_homs(m, caps.homs).iter_orbit_representatives():
         ker, im = kernel_and_image(phi)
         if ker.order() * im.order() != size or not submodule_intersect(ker, im).is_zero():
             return Verdict.no(witness=phi, reason="M != Ker ⊕ Im")
@@ -333,7 +333,7 @@ def five_way_conditions(m: FiniteModule, caps: Caps = Caps()) -> tuple[Verdict, 
 def im_plus_ker_always_full(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Im φ + Ker φ = M for every endomorphism φ."""
     size = m.size()
-    for phi in end_homs(m, caps.homs).iter_homs():
+    for phi in end_homs(m, caps.homs).iter_orbit_representatives():
         ker, im = kernel_and_image(phi)
         if submodule_sum(im, ker).order() != size:
             return Verdict.no(witness=phi, reason="Im + Ker proper")
@@ -394,14 +394,18 @@ def _require_proper_fully_invariant(n: Submodule) -> None:
 
 
 def spec_of(m: FiniteModule, caps: Caps = Caps()) -> list[Submodule]:
-    """All prime submodules of m."""
-    out = []
-    for n in fully_invariant_submodules(m, caps):
-        if n.is_full():
-            continue
-        if is_prime_in(n, caps).value is True:
-            out.append(n)
-    return out
+    """All prime submodules of m: ``is_prime_in`` for each proper fully
+    invariant N, with every product K_M L computed once for all N."""
+    fi = fully_invariant_submodules(m, caps)
+    products = [(k, l, product_submodules(k, l)) for k, l in itertools.product(fi, repeat=2)]
+    return [
+        n for n in fi
+        if not n.is_full()
+        and not any(
+            n.contains_sub(kl) and not n.contains_sub(k) and not n.contains_sub(l)
+            for k, l, kl in products
+        )
+    ]
 
 
 def is_prime_module(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
@@ -602,7 +606,10 @@ def check_ker_im_summands_in_powers(m: FiniteModule, caps: Caps) -> Verdict:
     F in End(M ⊕ M): Ker F is Ker f or Ker f ⊕ M, Im F is Im f or Im f ⊕ 0,
     and by the modular law these are summands exactly when Ker f and Im f
     are.  So only Hom(M^2, M^2) is enumerated, once every
-    |Hom(M^n, M^l)| = |End M|^(n·l) is within the hom cap.
+    |Hom(M^n, M^l)| = |End M|^(n·l) is within the hom cap, and only one F
+    per unit-scalar orbit is factored: Ker(u·F) = Ker F and Im(u·F) = Im F
+    for a unit u, so the first failing F is an orbit's first member
+    (``HomGroup.iter_orbit_representatives``).
     """
     end_size = end_ring(m).homs.size()
     for n, l in ((1, 1), (1, 2), (2, 1), (2, 2)):
@@ -611,7 +618,7 @@ def check_ker_im_summands_in_powers(m: FiniteModule, caps: Caps) -> Verdict:
                 f"|Hom(M^{n}, M^{l})| = {end_size ** (n * l)} exceeds hom cap {caps.homs}"
             )
     square, _, _ = direct_sum([m, m])
-    for f in hom_group(square, square).iter_homs():
+    for f in hom_group(square, square).iter_orbit_representatives():
         if not _ker_im_summands(f):
             return Verdict.no(witness=f, reason="kernel or image not a summand")
     return Verdict.yes()

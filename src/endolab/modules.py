@@ -171,16 +171,12 @@ def regular_module(ring: FiniteRing, name: str = "") -> FiniteModule:
     )
 
 
-def zero_module(ring: FiniteRing) -> FiniteModule:
-    return FiniteModule(ring=ring, moduli=(), action=((),) * ring.basis_count, name="0")
-
-
 def direct_sum(
     summands: Sequence[FiniteModule],
 ) -> tuple[FiniteModule, list[ModuleHom], list[ModuleHom]]:
     """Block-diagonal direct sum with its embeddings and projections."""
     if not summands:
-        raise ValueError("direct_sum of an empty family is ambiguous; pass the ring's zero module")
+        raise ValueError("direct_sum of an empty family is ambiguous; pass a zero module (empty moduli)")
     ring = summands[0].ring
     if any(m.ring != ring for m in summands):
         raise ValueError("direct_sum requires all summands over the same ring")
@@ -350,10 +346,6 @@ def socle(m: FiniteModule, cap: int) -> Submodule:
     for s in minimal:
         acc = submodule_sum(acc, s)
     return acc
-
-
-def is_simple(m: FiniteModule, cap: int) -> bool:
-    return len(enumerate_submodules(m, cap)) == 2
 
 
 def is_essential(n: Submodule, cap: int) -> bool:

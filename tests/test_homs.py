@@ -1,6 +1,8 @@
 """Hom groups, endomorphism rings, traces, products, summand testing."""
 
 import itertools
+import math
+import os
 
 import pytest
 
@@ -210,3 +212,92 @@ def test_fully_invariant_fixtures():
     assert all(not is_fully_invariant(line) for line in lines)
     m = reg(12)
     assert all(is_fully_invariant(n) for n in modules.enumerate_submodules(m, 512))
+
+
+# ---------------------------------------------------------------------------
+# The odometer walk and the unit-scalar orbits, against from_coords
+# ---------------------------------------------------------------------------
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+WORKSPACES = ("workspaces/demo.json", "workspaces/tight-caps.json",
+              "perfbench/workspaces/families.json", "perfbench/workspaces/search.json",
+              "perfbench/workspaces/end-rings.json")
+
+
+@pytest.fixture(scope="module")
+def orbit_groups():
+    """End(M) and End(M ⊕ M) of size <= 4096 for the workspace modules and
+    corpus members and the random modules of seeds 7 and 11."""
+    found = []
+    for path in WORKSPACES:
+        ws = workspace.parse_workspace(os.path.join(ROOT, path))
+        found += list(ws.modules.values())
+        found += [mem.module for corpus in ws.corpora.values() for mem in corpus]
+    for seed in (7, 11):
+        found += [mem.module for mem in workspace.random_modules(40, seed, Caps())]
+    groups = []
+    for m in dict.fromkeys(found):
+        square = modules.direct_sum([m, m])[0]
+        groups += [hom_group(m, m), hom_group(square, square)]
+    return [g for g in dict.fromkeys(groups) if g.size() <= CAP]
+
+
+def _all_coords(g):
+    return list(itertools.product(*(range(o) for o in g.orders)))
+
+
+def _orbit_leaders(g):
+    """coords -> the least member, in lexicographic order, of its orbit
+    under the units mod the exponent of the codomain."""
+    e = math.lcm(*g.codomain.moduli)
+    units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
+    return {
+        c: min(tuple(u * x % o for x, o in zip(c, g.orders)) for u in units)
+        for c in _all_coords(g)
+    }
+
+
+def test_iter_homs_equals_from_coords_in_product_order(orbit_groups):
+    for g in orbit_groups:
+        assert list(g.iter_homs()) == [g.from_coords(c) for c in _all_coords(g)]
+
+
+def test_orbit_representatives_are_the_orbit_leaders(orbit_groups):
+    total = reps = 0
+    for g in orbit_groups:
+        leaders = _orbit_leaders(g)
+        homs_at = {c: g.from_coords(c) for c in leaders}
+        coords_of = {h.matrix: c for c, h in homs_at.items()}
+        got = [coords_of[h.matrix] for h in g.iter_orbit_representatives()]
+        assert got == sorted(set(leaders.values()))
+        leader_ker_im = {c: kernel_and_image(homs_at[c]) for c in got}
+        for c, leader in leaders.items():
+            assert kernel_and_image(homs_at[c]) == leader_ker_im[leader], (g, c)
+        total += len(leaders)
+        reps += len(got)
+    assert reps < total
+
+
+def _first_failure(hs, predicate):
+    return next((h for h in hs if not predicate(*kernel_and_image(h))), None)
+
+
+@pytest.mark.parametrize("predicate", [
+    lambda ker, im: im.is_zero() or im.is_full(),
+    lambda ker, im: ker.is_zero() or ker.order() * 2 > ker.ambient.size(),
+], ids=["image-trivial", "kernel-zero-or-large"])
+def test_orbit_sweep_finds_the_first_failure_of_the_full_sweep(orbit_groups, predicate):
+    failures = 0
+    for g in orbit_groups:
+        want = _first_failure(g.iter_homs(), predicate)
+        assert _first_failure(g.iter_orbit_representatives(), predicate) == want, g
+        failures += want is not None
+    assert failures > 10
+
+
+def test_orbit_sweep_over_z2_yields_every_hom():
+    cube = modules.direct_sum([plane(), reg(2)])[0]
+    for m in (reg(2), plane(), cube):
+        g = hom_group(m, m)
+        assert list(g.iter_orbit_representatives()) == list(g.iter_homs())
+        assert len(list(g.iter_homs())) == g.size()

@@ -11,6 +11,7 @@ import pytest
 
 from endolab import homs, lab, modules, rings, workspace
 from endolab.verdicts import Caps, InternalInconsistency, Verdict, assuming, undecided_on_cap
+from support import zero_module
 
 CAPS = Caps()
 
@@ -60,7 +61,7 @@ def test_abelian_endoregular_fixtures():
 def test_unit_endoregular_fixtures():
     assert lab.is_unit_endoregular(plane(), CAPS).value is True
     assert lab.is_unit_endoregular(reg(4), CAPS).value is False
-    zero = modules.zero_module(z(2))
+    zero = zero_module(z(2))
     assert lab.is_unit_endoregular(zero, CAPS).value is True
 
 
@@ -96,7 +97,7 @@ def test_unit_suite():
     assert lab.check_unit_converses(reg(6), CAPS).value is True
     assert lab.im_plus_ker_always_full(plane(), CAPS).value is False
     assert lab.idempotents_commute_with_units(plane(), CAPS).value is False
-    zero = modules.zero_module(z(2))
+    zero = zero_module(z(2))
     assert lab.is_unit_endoregular(zero, CAPS).value is True
     assert lab.check_unit_converses(zero, CAPS).value is True
 
@@ -114,6 +115,17 @@ def test_prime_semiprime_z12():
     assert lab.is_prime_in(sub(6), CAPS).value is False
 
 
+def test_spec_equals_is_prime_in_per_submodule():
+    # spec_of shares one product list across all N; is_prime_in recomputes it.
+    primes = 0
+    for m in _cap_corpus() + _memo_corpus():
+        fi = lab.fully_invariant_submodules(m, CAPS)
+        want = [n for n in fi if not n.is_full() and lab.is_prime_in(n, CAPS).value is True]
+        assert lab.spec_of(m, CAPS) == want, m.name
+        primes += len(want)
+    assert primes > 20
+
+
 def test_prime_errors():
     m = reg(12)
     with pytest.raises(lab.NotFullyInvariant):
@@ -127,7 +139,7 @@ def test_prime_errors():
 def test_zero_prime_in_simple():
     m = reg(3)
     assert lab.is_prime_module(m, CAPS).value is True
-    zero = modules.zero_module(z(2))
+    zero = zero_module(z(2))
     assert lab.is_prime_module(zero, CAPS).value is False
 
 

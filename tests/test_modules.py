@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from endolab import modules, rings
 from endolab.verdicts import CapExceeded
+from support import is_simple, zero_module
 
 CAP = 512
 
@@ -50,7 +51,7 @@ def test_validate_rejects_broken_action():
 
 
 def test_zero_module():
-    zm = modules.zero_module(z(6))
+    zm = zero_module(z(6))
     assert zm.size() == 1
     assert zm.moduli == ()
     ok, _ = modules.validate_module(zm)
@@ -118,10 +119,10 @@ def test_radical_socle_fixtures():
 
 
 def test_simplicity():
-    assert modules.is_simple(reg(2), CAP)
-    assert modules.is_simple(reg(3), CAP)
-    assert not modules.is_simple(reg(4), CAP)
-    assert not modules.is_simple(modules.zero_module(z(2)), CAP)
+    assert is_simple(reg(2), CAP)
+    assert is_simple(reg(3), CAP)
+    assert not is_simple(reg(4), CAP)
+    assert not is_simple(zero_module(z(2)), CAP)
 
 
 def test_essential_fixture():
