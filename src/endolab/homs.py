@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import linalg
 from .linalg import IntVector
@@ -136,6 +136,78 @@ class HomGroup:
             ahead.update(tuple(u * c % o for c, o in zip(coords, self.orders)) for u in units)
             ahead.discard(coords)
             yield self._from_flat(flat)
+
+    def primary_parts(self) -> list["HomGroup"]:
+        """The p-primary subgroups H_p, one per prime p dividing the
+        group's exponent lcm(o_i), or ``[self]`` when there is at most one.
+
+        H_p has the generators (o_i / p^{v_p(o_i)})·g_i of orders
+        p^{v_p(o_i)}, dropping v_p(o_i) = 0.  The orders still form a
+        dividing chain, so H_p is in invariant-factor form and
+        ``iter_orbit_representatives`` applies to it unchanged.
+        """
+        primes = list(linalg.prime_divisors(lcm(*self.orders)))
+        if len(primes) <= 1:
+            return [self]
+        parts = []
+        for p in primes:
+            gens, orders = [], []
+            for g, o in zip(self.gens, self.orders):
+                q = 1
+                while o % (q * p) == 0:
+                    q *= p
+                if q > 1:
+                    gens.append(g.scale(o // q))
+                    orders.append(q)
+            parts.append(HomGroup(self.domain, self.codomain, tuple(gens), tuple(orders)))
+        return parts
+
+    def first_failing(self, pred: Callable[[Submodule, Submodule], bool]) -> Optional[ModuleHom]:
+        """The first unit-scalar orbit representative f, in ``iter_homs``
+        order, with ``pred(Ker f, Im f)`` false, or None.
+
+        ``pred`` must be primary-local: it holds for f exactly when it holds
+        for e_p·f at every prime p.  Here e is the exponent of the codomain
+        and e_p the CRT idempotent integer, e_p ≡ 1 mod p^k and 0 mod e/p^k.
+        Homs preserve primary components, so Ker(e_p·f) = (Ker f)_p ⊕ M_p′
+        and Im(e_p·f) = (Im f)_p, where M_p′ is the sum of the other
+        primary components of the domain M.  A submodule is a summand iff
+        each of its primary components is one, and orders, sums and
+        intersections split by primes as well.  So, for an endomorphism f
+        of M, each of these predicates is primary-local:
+
+        * Ker f and Im f are summands: (Ker f)_p ⊕ M_p′ is a summand iff
+          (Ker f)_p is, and (Im f)_p is one iff it is one of M_p;
+        * |Ker f|·|Im f| = |M| and Ker f ∩ Im f = 0: |Ker(e_p·f)|·|Im(e_p·f)|
+          = |M| iff |(Ker f)_p|·|(Im f)_p| = |M_p|, and
+          Ker(e_p·f) ∩ Im(e_p·f) = (Ker f ∩ Im f)_p;
+        * Ker f + Im f = M: Ker(e_p·f) + Im(e_p·f) = (Ker f + Im f)_p ⊕ M_p′.
+
+        As f runs over H, e_p·f runs over H_p = e_p·H, the parts of
+        ``primary_parts`` (e_p·f = 0 for every f when p does not divide the
+        exponent of H, and the zero hom is in every part).  A "yes" thus
+        takes Σ_p |H_p| homs, not Π_p |H_p|, each part swept one hom per
+        unit-scalar orbit: a unit mod p^k acts on H_p as its CRT lift, a
+        unit mod e.  With a single part, that part is H and its first
+        failure is the answer.  Otherwise a failing part sends the sweep
+        over H itself, so every witness is the one a sweep of H alone gives.
+        """
+        parts = self.primary_parts()
+        for part in parts:
+            failing = next(
+                (f for f in part.iter_orbit_representatives() if not pred(*kernel_and_image(f))),
+                None,
+            )
+            if failing is None:
+                continue
+            if len(parts) == 1:
+                return failing
+            for f in self.iter_orbit_representatives():
+                if not pred(*kernel_and_image(f)):
+                    return f
+            raise InternalInconsistency(
+                "a primary part of a hom group fails the predicate, but no hom does")
+        return None
 
     def enumerate_homs(self, cap: int) -> list[ModuleHom]:
         if self.size() > cap:

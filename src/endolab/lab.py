@@ -66,7 +66,7 @@ class NotFullyInvariant(ValueError):
 def end_homs(m: FiniteModule, cap: int) -> HomGroup:
     """End(m) as a hom group; raises CapExceeded past the cap, before any
     endomorphism is enumerated."""
-    homs = end_ring(m).homs
+    homs = hom_group(m, m)
     if homs.size() > cap:
         raise CapExceeded(homs.size(), cap, "endomorphisms")
     return homs
@@ -118,18 +118,26 @@ def _endoregular_via_ring(m: FiniteModule, caps: Caps) -> Verdict:
     return rings.is_regular(end_ring(m).ring, caps.homs)
 
 
+@memo
 @undecided_on_cap
 def _endoregular_via_summands(m: FiniteModule, caps: Caps) -> Verdict:
-    for phi in end_homs(m, caps.homs).iter_orbit_representatives():
-        if not _ker_im_summands(phi):
-            return Verdict.no(witness=phi, reason="kernel or image not a summand")
+    """Every endomorphism has summand kernel and image.  Memoized because
+    ``check_ker_im_summands_in_powers`` asks it of M ⊕ M, which is also the
+    sum of a family (M, M)."""
+    phi = end_homs(m, caps.homs).first_failing(_both_summands)
+    if phi is not None:
+        return Verdict.no(witness=phi, reason="kernel or image not a summand")
     return Verdict.yes()
 
 
-def _ker_im_summands(f: ModuleHom) -> bool:
-    """Ker f and Im f are both direct summands."""
-    ker, im = kernel_and_image(f)
+def _both_summands(ker: Submodule, im: Submodule) -> bool:
+    """Ker and Im are both direct summands."""
     return summand_test(ker) is not None and summand_test(im) is not None
+
+
+def _ker_im_summands(f: ModuleHom) -> bool:
+    """Ker f and Im f are both direct summands (``azumaya_agreement``)."""
+    return _both_summands(*kernel_and_image(f))
 
 
 def azumaya_agreement(m: FiniteModule, caps: Caps) -> Verdict:
@@ -181,12 +189,15 @@ def abelian_route_end_ring(m: FiniteModule, caps: Caps) -> Verdict:
 
 @undecided_on_cap
 def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
-    size = m.size()
-    for phi in end_homs(m, caps.homs).iter_orbit_representatives():
-        ker, im = kernel_and_image(phi)
-        if ker.order() * im.order() != size or not submodule_intersect(ker, im).is_zero():
-            return Verdict.no(witness=phi, reason="M != Ker ⊕ Im")
+    phi = end_homs(m, caps.homs).first_failing(_ker_im_complementary)
+    if phi is not None:
+        return Verdict.no(witness=phi, reason="M != Ker ⊕ Im")
     return Verdict.yes()
+
+
+def _ker_im_complementary(ker: Submodule, im: Submodule) -> bool:
+    """M = Ker ⊕ Im: the orders multiply to |M| and the two meet in 0."""
+    return ker.order() * im.order() == ker.ambient.size() and submodule_intersect(ker, im).is_zero()
 
 
 @undecided_on_cap
@@ -332,12 +343,15 @@ def five_way_conditions(m: FiniteModule, caps: Caps = Caps()) -> tuple[Verdict, 
 @undecided_on_cap
 def im_plus_ker_always_full(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Im φ + Ker φ = M for every endomorphism φ."""
-    size = m.size()
-    for phi in end_homs(m, caps.homs).iter_orbit_representatives():
-        ker, im = kernel_and_image(phi)
-        if submodule_sum(im, ker).order() != size:
-            return Verdict.no(witness=phi, reason="Im + Ker proper")
+    phi = end_homs(m, caps.homs).first_failing(_ker_im_span)
+    if phi is not None:
+        return Verdict.no(witness=phi, reason="Im + Ker proper")
     return Verdict.yes()
+
+
+def _ker_im_span(ker: Submodule, im: Submodule) -> bool:
+    """Ker + Im = M."""
+    return submodule_sum(im, ker).order() == ker.ambient.size()
 
 
 @undecided_on_cap
@@ -393,19 +407,37 @@ def _require_proper_fully_invariant(n: Submodule) -> None:
         raise NotFullyInvariant("submodule is not fully invariant")
 
 
-def spec_of(m: FiniteModule, caps: Caps = Caps()) -> list[Submodule]:
-    """All prime submodules of m: ``is_prime_in`` for each proper fully
-    invariant N, with every product K_M L computed once for all N."""
+Products = list[tuple[Submodule, Submodule, Submodule]]
+
+
+def product_table(m: FiniteModule, caps: Caps) -> tuple[list[Submodule], Products]:
+    """The fully invariant submodules, largest first, and every (K, L, K_M L)
+    over them in ``itertools.product`` order, each product computed once."""
     fi = fully_invariant_submodules(m, caps)
-    products = [(k, l, product_submodules(k, l)) for k, l in itertools.product(fi, repeat=2)]
-    return [
-        n for n in fi
-        if not n.is_full()
-        and not any(
-            n.contains_sub(kl) and not n.contains_sub(k) and not n.contains_sub(l)
-            for k, l, kl in products
-        )
-    ]
+    return fi, [(k, l, product_submodules(k, l)) for k, l in itertools.product(fi, repeat=2)]
+
+
+def prime_by_table(n: Submodule, products: Products) -> bool:
+    """``is_prime_in(n)`` for a proper fully invariant n, read from the table."""
+    return not any(
+        n.contains_sub(kl) and not n.contains_sub(k) and not n.contains_sub(l)
+        for k, l, kl in products
+    )
+
+
+def semiprime_by_table(n: Submodule, products: Products) -> bool:
+    """``is_semiprime_in(n)`` for a proper fully invariant n, read from the
+    squares K_M K on the table's diagonal."""
+    return not any(
+        n.contains_sub(kl) and not n.contains_sub(k) for k, l, kl in products if k is l
+    )
+
+
+def spec_of(m: FiniteModule, caps: Caps = Caps()) -> list[Submodule]:
+    """All prime submodules of m, each proper fully invariant N tested
+    against one product table."""
+    fi, products = product_table(m, caps)
+    return [n for n in fi if not n.is_full() and prime_by_table(n, products)]
 
 
 def is_prime_module(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
@@ -605,23 +637,19 @@ def check_ker_im_summands_in_powers(m: FiniteModule, caps: Caps) -> Verdict:
     Each f: M^n -> M^l with n, l <= 2, padded with zeros, is a corner of an
     F in End(M ⊕ M): Ker F is Ker f or Ker f ⊕ M, Im F is Im f or Im f ⊕ 0,
     and by the modular law these are summands exactly when Ker f and Im f
-    are.  So only Hom(M^2, M^2) is enumerated, once every
-    |Hom(M^n, M^l)| = |End M|^(n·l) is within the hom cap, and only one F
-    per unit-scalar orbit is factored: Ker(u·F) = Ker F and Im(u·F) = Im F
-    for a unit u, so the first failing F is an orbit's first member
-    (``HomGroup.iter_orbit_representatives``).
+    are.  So the check is the summand route of endoregularity on M ⊕ M,
+    ``_endoregular_via_summands(M ⊕ M)``, run once every
+    |Hom(M^n, M^l)| = |End M|^(n·l) is within the hom cap.  That route is
+    memoized, so the sum of a family (M, M) reuses its answer.
     """
-    end_size = end_ring(m).homs.size()
+    end_size = hom_group(m, m).size()
     for n, l in ((1, 1), (1, 2), (2, 1), (2, 2)):
         if end_size ** (n * l) > caps.homs:
             return Verdict.undecided(
                 f"|Hom(M^{n}, M^{l})| = {end_size ** (n * l)} exceeds hom cap {caps.homs}"
             )
     square, _, _ = direct_sum([m, m])
-    for f in hom_group(square, square).iter_orbit_representatives():
-        if not _ker_im_summands(f):
-            return Verdict.no(witness=f, reason="kernel or image not a summand")
-    return Verdict.yes()
+    return _endoregular_via_summands(square, caps)
 
 
 @undecided_on_cap
@@ -687,15 +715,18 @@ def check_fi_maximal_is_prime(m: FiniteModule, caps: Caps) -> Verdict:
 
 @undecided_on_cap
 def check_prime_quotients(m: FiniteModule, caps: Caps) -> Verdict:
-    """Zero is prime (semiprime) in M/N whenever N is prime (semiprime) in M."""
-    for n in fully_invariant_submodules(m, caps):
+    """Zero is prime (semiprime) in M/N whenever N is prime (semiprime) in M.
+
+    Whether N is prime or semiprime is read from one product table of M."""
+    fi, products = product_table(m, caps)
+    for n in fi:
         if n.is_full():
             continue
-        for test, quotient_test in (
-            (is_prime_in, is_prime_module),
-            (is_semiprime_in, is_semiprime_module),
+        for holds, quotient_test in (
+            (prime_by_table, is_prime_module),
+            (semiprime_by_table, is_semiprime_module),
         ):
-            if not test(n, caps).require():
+            if not holds(n, products):
                 continue
             q, _ = quotient(m, n)
             qv = quotient_test(q, caps)

@@ -596,3 +596,20 @@ def abelian_group_type(m: ModuliVector) -> tuple[int, ...]:
     k = len(m)
     diag = [[m[i] if j == i else 0 for j in range(k)] for i in range(k)]
     return tuple(d for d in snf_diagonal(diag) if d > 1)
+
+
+def prime_divisors(n: int) -> Iterator[int]:
+    """The primes dividing n >= 1, in increasing order, by trial division.
+
+    A generator, so a caller that stops at the first prime factors no
+    further.
+    """
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            yield p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        yield n

@@ -231,13 +231,9 @@ def is_semisimple(ring: FiniteRing) -> bool:
     J(R) = ⊕ J(R_p) with each J(R_p) the last ideal of ``radical_chain``.
     """
     n = lcm(*ring.moduli)
-    p = 2
-    while n > 1:
-        if n % p == 0:
-            n //= p
-            if n % p == 0 or radical_chain(ring, p)[-1]:
-                return False
-        p += 1
+    for p in linalg.prime_divisors(n):
+        if n % (p * p) == 0 or radical_chain(ring, p)[-1]:
+            return False
     return True
 
 

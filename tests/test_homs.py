@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import os
 
 import pytest
@@ -301,3 +302,62 @@ def test_orbit_sweep_over_z2_yields_every_hom():
         g = hom_group(m, m)
         assert list(g.iter_orbit_representatives()) == list(g.iter_homs())
         assert len(list(g.iter_homs())) == g.size()
+
+
+# ---------------------------------------------------------------------------
+# Primary parts, against the CRT idempotents
+# ---------------------------------------------------------------------------
+
+
+def _crt_idempotent(p, e):
+    """e_p: 1 mod the p-part of e, 0 mod the rest of e."""
+    q = 1
+    while e % (q * p) == 0:
+        q *= p
+    rest = e // q
+    return rest * pow(rest, -1, q) % e
+
+
+def _smallest_prime(n):
+    return next(p for p in range(2, n + 1) if n % p == 0)
+
+
+@pytest.fixture(scope="module")
+def primary_groups(orbit_groups):
+    sum_2_3 = modules.direct_sum([
+        modules.extract(modules.submodule_generated(reg(6), [(k,)]))[0] for k in (3, 2)
+    ])[0]
+    extra = []
+    for m in (reg(6), reg(12), reg(30), sum_2_3):
+        square = modules.direct_sum([m, m])[0]
+        extra += [hom_group(m, m), hom_group(square, square)]
+    return list(dict.fromkeys(orbit_groups + extra))
+
+
+def test_primary_parts_are_the_crt_images(primary_groups):
+    multi_prime = 0
+    for g in primary_groups:
+        parts = g.primary_parts()
+        assert math.prod(part.size() for part in parts) == g.size(), g.orders
+        by_prime = {_smallest_prime(math.lcm(*part.orders)): part for part in parts if part.orders}
+        assert len(by_prime) == len(parts) or g.size() == 1
+        e = math.lcm(*g.codomain.moduli)
+        moduli = g.codomain.moduli * g.domain.rank
+        primes = [p for p in range(2, e + 1) if e % p == 0 and _smallest_prime(p) == p]
+        idempotents = {p: _crt_idempotent(p, e) for p in primes}
+        # per prime, one lookup table of v -> e_p * v mod d per coordinate
+        tables = {p: [[e_p * v % d for v in range(d)] for d in moduli]
+                  for p, e_p in idempotents.items()}
+        images = {p: set() for p in idempotents}
+        # the flattened matrices of iter_homs, without building each hom
+        for _, flat in g._odometer():
+            for p, table in tables.items():
+                images[p].add(tuple(map(operator.getitem, table, flat)))
+        for p, want in images.items():
+            part = by_prime.get(p)
+            got = {(0,) * len(moduli)}  # e_p·H = 0 when p does not divide |H|
+            if part:
+                got = {tuple(v for row in h.matrix for v in row) for h in part.iter_homs()}
+            assert got == want, (g.orders, p)
+        multi_prime += len(parts) > 1
+    assert multi_prime >= 8

@@ -126,6 +126,22 @@ def test_spec_equals_is_prime_in_per_submodule():
     assert primes > 20
 
 
+def test_product_table_answers_equal_is_prime_in_and_is_semiprime_in():
+    # check_prime_quotients reads both answers from one table per module.
+    seen = collections.Counter()
+    for m in _cap_corpus() + _memo_corpus():
+        fi, products = lab.product_table(m, CAPS)
+        for n in fi:
+            if n.is_full():
+                continue
+            prime = lab.prime_by_table(n, products)
+            semiprime = lab.semiprime_by_table(n, products)
+            assert prime == lab.is_prime_in(n, CAPS).value, (m.name, n.gens)
+            assert semiprime == lab.is_semiprime_in(n, CAPS).value, (m.name, n.gens)
+            seen[prime, semiprime] += 1
+    assert seen[True, True] and seen[False, True] and seen[False, False], seen
+
+
 def test_prime_errors():
     m = reg(12)
     with pytest.raises(lab.NotFullyInvariant):
@@ -341,6 +357,50 @@ def test_power_check_equals_the_per_power_loop():
     assert messages["|Hom(M^1, M^2)|"] and messages["|Hom(M^2, M^2)|"], messages
 
 
+# ---------------------------------------------------------------------------
+# Ker/Im sweeps on the primary parts, against the plain sweep
+# ---------------------------------------------------------------------------
+
+PRIMARY_LOCAL = (
+    ("summands", lab._both_summands, lab._endoregular_via_summands,
+     "kernel or image not a summand"),
+    ("complementary", lab._ker_im_complementary, lab.abelian_route_ker_im, "M != Ker ⊕ Im"),
+    ("span", lab._ker_im_span, lab.im_plus_ker_always_full, "Im + Ker proper"),
+)
+
+
+def _first_failure(g, predicate):
+    return next((f for f in g.iter_homs() if not predicate(*homs.kernel_and_image(f))), None)
+
+
+def test_first_failing_equals_the_first_failure_of_the_plain_sweep():
+    multi_prime_failures = 0
+    for m in _cap_corpus() + _memo_corpus():
+        square = modules.direct_sum([m, m])[0]
+        for g in dict.fromkeys((homs.hom_group(m, m), homs.hom_group(square, square))):
+            if g.size() > CAPS.homs:
+                continue
+            ker_im = {f.matrix: homs.kernel_and_image(f) for f in g.iter_homs()}
+            for _, predicate, _, _ in PRIMARY_LOCAL:
+                want = next((f for f in g.iter_homs() if not predicate(*ker_im[f.matrix])), None)
+                assert g.first_failing(predicate) == want, (m.name, g.orders, predicate)
+                multi_prime_failures += want is not None and len(g.primary_parts()) > 1
+    assert multi_prime_failures >= 5
+
+
+@pytest.mark.parametrize("caps", (CAPS,) + TIGHT_CAPS, ids=str)
+def test_ker_im_routes_equal_the_plain_sweep(caps):
+    for m in _cap_corpus() + _memo_corpus():
+        for name, predicate, route, reason in PRIMARY_LOCAL:
+
+            @undecided_on_cap
+            def plain(m, caps):
+                f = _first_failure(lab.end_homs(m, caps.homs), predicate)
+                return Verdict.yes() if f is None else Verdict.no(witness=f, reason=reason)
+
+            assert _observable(route(m, caps)) == _observable(plain(m, caps)), (name, m.name)
+
+
 def test_analyze_computes_the_abelian_routes_once(monkeypatch):
     calls = []
     ker_im = lab.abelian_route_ker_im
@@ -401,7 +461,8 @@ def test_memo_answers_equal_fresh_computation_in_either_order():
     module_routes = _memoized(lab)
     ring_routes = _memoized(rings)
     assert {f.__name__ for f in module_routes} == {
-        "is_endoregular", "abelian_endoregular_routes", "is_quasi_duo", "is_subdirect_of_simples"}
+        "is_endoregular", "_endoregular_via_summands", "abelian_endoregular_routes",
+        "is_quasi_duo", "is_subdirect_of_simples"}
     assert {f.__name__ for f in ring_routes} == {"is_regular", "is_abelian_regular"}
     corpus = _memo_corpus()
     for order in (corpus, corpus[::-1]):
