@@ -378,25 +378,53 @@ def fully_invariant_submodules(m: FiniteModule, caps: Caps) -> list[Submodule]:
     return subs
 
 
+class ProductTable:
+    """The fully invariant submodules of a module, largest first, and their
+    products K_M L, each computed the first time a test reads it."""
+
+    def __init__(self, m: FiniteModule, caps: Caps) -> None:
+        self.fi = fully_invariant_submodules(m, caps)
+        self._products: dict[tuple[int, int], Submodule] = {}
+
+    def _first_inside(self, n: Submodule, diagonal: bool) -> Optional[tuple[Submodule, Submodule]]:
+        """The search of both failures, in ``itertools.product`` order over the
+        submodules outside n; the diagonal pairs each K with itself."""
+        outside = [i for i, k in enumerate(self.fi) if not n.contains_sub(k)]
+        pairs = zip(outside, outside) if diagonal else itertools.product(outside, repeat=2)
+        for i, j in pairs:
+            if (i, j) not in self._products:
+                self._products[i, j] = product_submodules(self.fi[i], self.fi[j])
+            if n.contains_sub(self._products[i, j]):
+                return self.fi[i], self.fi[j]
+        return None
+
+    def prime_failure(self, n: Submodule) -> Optional[tuple[Submodule, Submodule]]:
+        """The first (K, L) with K ⊄ n, L ⊄ n and K_M L ⊆ n, or None."""
+        return self._first_inside(n, diagonal=False)
+
+    def semiprime_failure(self, n: Submodule) -> Optional[Submodule]:
+        """The first K with K ⊄ n and K_M K ⊆ n, or None."""
+        pair = self._first_inside(n, diagonal=True)
+        return None if pair is None else pair[0]
+
+
 @undecided_on_cap
 def is_prime_in(n: Submodule, caps: Caps = Caps()) -> Verdict:
     """n proper fully invariant, and K_M L ⊆ n forces K ⊆ n or L ⊆ n for
     fully invariant K, L."""
     _require_proper_fully_invariant(n)
-    fi = fully_invariant_submodules(n.ambient, caps)
-    for k, l in itertools.product(fi, repeat=2):
-        prod_kl = product_submodules(k, l)
-        if n.contains_sub(prod_kl) and not n.contains_sub(k) and not n.contains_sub(l):
-            return Verdict.no(witness=(k, l), reason="product inside, factors outside")
+    pair = ProductTable(n.ambient, caps).prime_failure(n)
+    if pair is not None:
+        return Verdict.no(witness=pair, reason="product inside, factors outside")
     return Verdict.yes()
 
 
 @undecided_on_cap
 def is_semiprime_in(n: Submodule, caps: Caps = Caps()) -> Verdict:
     _require_proper_fully_invariant(n)
-    for k in fully_invariant_submodules(n.ambient, caps):
-        if n.contains_sub(product_submodules(k, k)) and not n.contains_sub(k):
-            return Verdict.no(witness=k, reason="square inside, factor outside")
+    k = ProductTable(n.ambient, caps).semiprime_failure(n)
+    if k is not None:
+        return Verdict.no(witness=k, reason="square inside, factor outside")
     return Verdict.yes()
 
 
@@ -407,37 +435,10 @@ def _require_proper_fully_invariant(n: Submodule) -> None:
         raise NotFullyInvariant("submodule is not fully invariant")
 
 
-Products = list[tuple[Submodule, Submodule, Submodule]]
-
-
-def product_table(m: FiniteModule, caps: Caps) -> tuple[list[Submodule], Products]:
-    """The fully invariant submodules, largest first, and every (K, L, K_M L)
-    over them in ``itertools.product`` order, each product computed once."""
-    fi = fully_invariant_submodules(m, caps)
-    return fi, [(k, l, product_submodules(k, l)) for k, l in itertools.product(fi, repeat=2)]
-
-
-def prime_by_table(n: Submodule, products: Products) -> bool:
-    """``is_prime_in(n)`` for a proper fully invariant n, read from the table."""
-    return not any(
-        n.contains_sub(kl) and not n.contains_sub(k) and not n.contains_sub(l)
-        for k, l, kl in products
-    )
-
-
-def semiprime_by_table(n: Submodule, products: Products) -> bool:
-    """``is_semiprime_in(n)`` for a proper fully invariant n, read from the
-    squares K_M K on the table's diagonal."""
-    return not any(
-        n.contains_sub(kl) and not n.contains_sub(k) for k, l, kl in products if k is l
-    )
-
-
 def spec_of(m: FiniteModule, caps: Caps = Caps()) -> list[Submodule]:
-    """All prime submodules of m, each proper fully invariant N tested
-    against one product table."""
-    fi, products = product_table(m, caps)
-    return [n for n in fi if not n.is_full() and prime_by_table(n, products)]
+    """All prime submodules of m, read from one product table."""
+    table = ProductTable(m, caps)
+    return [n for n in table.fi if not n.is_full() and table.prime_failure(n) is None]
 
 
 def is_prime_module(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
@@ -699,17 +700,16 @@ def check_prime_iff_maximal(m: FiniteModule, caps: Caps) -> Verdict:
 def check_fi_maximal_is_prime(m: FiniteModule, caps: Caps) -> Verdict:
     """On projective members, a submodule maximal in the lattice of fully
     invariant submodules is prime."""
-    fi = fully_invariant_submodules(m, caps)
-    proper = [n for n in fi if not n.is_full()]
-    for n in proper:
-        maximal_fi = not any(
-            k.contains_sub(n) and not n.contains_sub(k) and not k.is_full() for k in fi
+    table = ProductTable(m, caps)
+    for n in table.fi:
+        maximal_fi = not n.is_full() and not any(
+            k.contains_sub(n) and not n.contains_sub(k) and not k.is_full() for k in table.fi
         )
         if not maximal_fi:
             continue
-        v = is_prime_in(n, caps)
-        if not v.require():
-            return Verdict.no(witness=(n, v.witness), reason="maximal fully invariant, not prime")
+        pair = table.prime_failure(n)
+        if pair is not None:
+            return Verdict.no(witness=(n, pair), reason="maximal fully invariant, not prime")
     return Verdict.yes()
 
 
@@ -717,21 +717,21 @@ def check_fi_maximal_is_prime(m: FiniteModule, caps: Caps) -> Verdict:
 def check_prime_quotients(m: FiniteModule, caps: Caps) -> Verdict:
     """Zero is prime (semiprime) in M/N whenever N is prime (semiprime) in M.
 
-    Whether N is prime or semiprime is read from one product table of M."""
-    fi, products = product_table(m, caps)
-    for n in fi:
+    M and each quotient M/N read one product table each (M/0 = M reads M's)."""
+    table = ProductTable(m, caps)
+    tests = (ProductTable.prime_failure, ProductTable.semiprime_failure)
+    for n in table.fi:
         if n.is_full():
             continue
-        for holds, quotient_test in (
-            (prime_by_table, is_prime_module),
-            (semiprime_by_table, is_semiprime_module),
-        ):
-            if not holds(n, products):
-                continue
-            q, _ = quotient(m, n)
-            qv = quotient_test(q, caps)
-            if not qv.require():
-                return Verdict.no(witness=(n, qv.witness), reason="quotient loses primeness")
+        holding = [test for test in tests if test(table, n) is None]
+        if not holding:
+            continue
+        q, _ = quotient(m, n)
+        q_table, zero = table if q == m else ProductTable(q, caps), zero_submodule(q)
+        for test in holding:
+            witness = test(q_table, zero)
+            if witness is not None:
+                return Verdict.no(witness=(n, witness), reason="quotient loses primeness")
     return Verdict.yes()
 
 

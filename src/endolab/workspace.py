@@ -31,6 +31,8 @@ from .rings import FiniteRing, RingElement, validate_ring
 from .verdicts import CapExceeded, Caps
 
 RANDOM_MODULE_SIZE_LIMIT = 64
+# Largest direct sum that same_ring_families pairs or triples members into.
+FAMILY_SIZE_LIMIT = 64
 
 
 class WorkspaceError(ValueError):
@@ -111,6 +113,8 @@ def parse_module(
         _require(type(data.get(flag, False)) is bool,
                  f"module {name}: {flag} must be true or false, got {data.get(flag)!r}")
     if data.get("regular"):
+        _require("moduli" not in data and "action" not in data,
+                 f"module {name}: a regular module takes no moduli or action")
         return regular_module(ring, name=name)
     _require("moduli" in data and "action" in data,
              f"module {name}: needs moduli and action")
@@ -215,6 +219,7 @@ def generate(ws: Workspace, kind: str, arg: str) -> list[CorpusMember]:
             top = int(arg)
         except ValueError:
             raise WorkspaceError(f"zn generator: bad bound {arg!r}") from None
+        _require(top >= 2, f"zn generator: bound must be at least 2, got {top}")
         return [
             CorpusMember(f"zn-{n}", regular_module(rings.zmod_ring(n), name=f"Z/{n}"),
                          projective=True)
@@ -331,9 +336,7 @@ def random_modules(count: int, seed: int, caps: Caps) -> list[CorpusMember]:
     return out
 
 
-def same_ring_families(
-    members: Sequence[CorpusMember], size_limit: int = 64
-) -> list[tuple[CorpusMember, ...]]:
+def same_ring_families(members: Sequence[CorpusMember]) -> list[tuple[CorpusMember, ...]]:
     """Pairs and triples of same-ring members whose direct sum stays small."""
     fams: list[tuple[CorpusMember, ...]] = []
     for i, a in enumerate(members):
@@ -341,14 +344,14 @@ def same_ring_families(
             b = members[j]
             if a.module.ring != b.module.ring:
                 continue
-            if a.module.size() * b.module.size() > size_limit:
+            if a.module.size() * b.module.size() > FAMILY_SIZE_LIMIT:
                 continue
             fams.append((a, b))
             for k in range(j, len(members)):
                 c = members[k]
                 if c.module.ring != a.module.ring:
                     continue
-                if a.module.size() * b.module.size() * c.module.size() > size_limit:
+                if a.module.size() * b.module.size() * c.module.size() > FAMILY_SIZE_LIMIT:
                     continue
                 fams.append((a, b, c))
     return fams

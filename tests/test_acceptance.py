@@ -205,7 +205,7 @@ def test_acceptance_6_consequence_suites(corpus):
                 skips += 1
     # direct-sum characterization over families of <= 3 small members
     small = [m for m in corpus if m.module.size() <= 8 and "+" not in m.id]
-    families = workspace.same_ring_families(small, size_limit=64)
+    families = workspace.same_ring_families(small)
     for fam in families:
         v = lab.check_direct_sum_family(fam, CAPS)
         if v.value is False:

@@ -225,6 +225,14 @@ def _validate(tmp_path, capsys, ws):
      "random generator: count must be a positive integer, got -1"),
     ({"corpora": {"c": ["random:count=0"]}},
      "random generator: count must be a positive integer, got 0"),
+    ({"rings": {"z4": {"moduli": [4], "mul": [[[1]]], "one": [1]}},
+      "modules": {"m": {"ring": "z4", "regular": True, "moduli": [2], "action": [[[1]]]}}},
+     "module m: a regular module takes no moduli or action"),
+    ({"rings": {"z4": {"moduli": [4], "mul": [[[1]]], "one": [1]}},
+      "modules": {"m": {"ring": "z4", "regular": True, "action": [[[1]]]}}},
+     "module m: a regular module takes no moduli or action"),
+    ({"corpora": {"c": ["zn:1"]}},
+     "zn generator: bound must be at least 2, got 1"),
 ])
 def test_malformed_workspace_shapes_are_input_errors(tmp_path, capsys, ws, message):
     code, _, err = _validate(tmp_path, capsys, ws)

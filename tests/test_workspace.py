@@ -130,7 +130,7 @@ def test_mx_generator(tmp_path):
 
 def test_same_ring_families_respects_rings_and_sizes():
     members = workspace.random_modules(10, 3, Caps())
-    fams = workspace.same_ring_families(members, size_limit=64)
+    fams = workspace.same_ring_families(members)
     for fam in fams:
         ring = fam[0].module.ring
         assert all(m.module.ring == ring for m in fam)
