@@ -135,21 +135,21 @@ def _both_summands(ker: Submodule, im: Submodule) -> bool:
     return summand_test(ker) is not None and summand_test(im) is not None
 
 
-def _ker_im_summands(f: ModuleHom) -> bool:
-    """Ker f and Im f are both direct summands (``azumaya_agreement``)."""
-    return _both_summands(*kernel_and_image(f))
-
-
 def azumaya_agreement(m: FiniteModule, caps: Caps) -> Verdict:
     """Per-endomorphism equivalence: quasi-inverse exists iff Ker and Im are
-    direct summands.  True means zero disagreements over all of End(m)."""
+    direct summands.  True means zero disagreements over all of End(m).
+
+    Both sides are constant on each unit-scalar orbit: if x·y·x = x, then
+    (u·x)(u⁻¹·y)(u·x) = u·x, and Ker and Im do not change under u·φ.  So the
+    first disagreement in coordinate order is the first member of its orbit,
+    and the sweep takes one endomorphism per orbit.
+    """
     bundle = end_ring(m)
     if bundle.homs.size() > caps.homs:
         return Verdict.undecided(f"|End| = {bundle.homs.size()} exceeds hom cap {caps.homs}")
-    for coords in itertools.product(*(range(o) for o in bundle.homs.orders)):
-        phi = bundle.homs.from_coords(coords)
-        witness = rings.regularity_witness(bundle.ring.element(coords)) is not None
-        summands = _ker_im_summands(phi)
+    for phi in bundle.homs.iter_orbit_representatives():
+        witness = rings.regularity_witness(bundle.from_hom(phi)) is not None
+        summands = _both_summands(*kernel_and_image(phi))
         if witness != summands:
             return Verdict.no(
                 witness=phi,
@@ -352,18 +352,6 @@ def im_plus_ker_always_full(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
 def _ker_im_span(ker: Submodule, im: Submodule) -> bool:
     """Ker + Im = M."""
     return submodule_sum(im, ker).order() == ker.ambient.size()
-
-
-@undecided_on_cap
-def idempotents_commute_with_units(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
-    """Every idempotent of End(M) commutes with every unit."""
-    ring = end_ring(m).ring
-    units = rings.units(ring, caps.homs)
-    for e in rings.idempotents(ring, caps.homs):
-        for u in units:
-            if (e * u).coords != (u * e).coords:
-                return Verdict.no(witness=(e, u), reason="idempotent/unit do not commute")
-    return Verdict.yes()
 
 
 # ---------------------------------------------------------------------------
@@ -781,10 +769,18 @@ def check_five_way(m: FiniteModule, caps: Caps) -> Verdict:
 @undecided_on_cap
 def check_unit_converses(m: FiniteModule, caps: Caps) -> Verdict:
     """On a unit endoregular module, each converse hypothesis that holds
-    forces abelian endoregularity; vacuous when neither holds."""
+    forces abelian endoregularity; vacuous when neither holds.
+
+    The paper's second hypothesis, that idempotents of End(M) commute with
+    units, is read as ``idempotents_central_in_end``.  In any ring,
+    e·x·(1−e) and (1−e)·x·e square to 0, so 1 + e·x·(1−e) and
+    1 + (1−e)·x·e are units.  An idempotent e that commutes with both has
+    e·x·(1−e) = 0 = (1−e)·x·e, so e·x = e·x·e = x·e.  Both readings
+    enumerate End(M) first, so they meet the same cap.
+    """
 
     def conclusion() -> Verdict:
-        hyps = (im_plus_ker_always_full(m, caps), idempotents_commute_with_units(m, caps))
+        hyps = (im_plus_ker_always_full(m, caps), idempotents_central_in_end(m, caps))
         if not any(h.value for h in hyps):
             for h in hyps:
                 h.require()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import lcm, prod
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg
 from .linalg import IntMatrix, IntVector, ModuliVector
@@ -155,11 +155,6 @@ def validate_ring(ring: FiniteRing) -> tuple[bool, str]:
     return True, ""
 
 
-def iter_elements(ring: FiniteRing) -> Iterator[RingElement]:
-    for coords in itertools.product(*(range(m) for m in ring.moduli)):
-        yield RingElement(coords, ring)
-
-
 def _require_within_cap(ring: FiniteRing, cap: int) -> None:
     total = ring.size()
     if total > cap:
@@ -169,21 +164,23 @@ def _require_within_cap(ring: FiniteRing, cap: int) -> None:
 def enumerate_elements(ring: FiniteRing, cap: int) -> list[RingElement]:
     """All elements of the ring; raises CapExceeded when |R| > cap."""
     _require_within_cap(ring, cap)
-    return list(iter_elements(ring))
+    return [
+        RingElement(coords, ring)
+        for coords in itertools.product(*(range(m) for m in ring.moduli))
+    ]
 
 
 def _quasi_inverses(x: RingElement) -> Optional[tuple[IntVector, IntMatrix]]:
     """The coset of all y with x*y*x = x as (particular, homogeneous), or None.
 
     y -> xyx is additive, so the coset is one congruence solve over the
-    images x*b_j*x of the basis elements.
+    images x*b_j*x of the basis elements, the rows of L_x·R_x.
     """
     ring = x.ring
-    k = ring.basis_count
-    rows = []
-    for j in range(k):
-        basis = tuple(1 if t == j else 0 for t in range(k))
-        rows.append(ring.mul_coords(ring.mul_coords(x.coords, basis), x.coords))
+    rows = linalg.mat_mod(
+        linalg.mat_mul(ring.left_mul_matrix(x.coords), ring.right_mul_matrix(x.coords)),
+        ring.moduli,
+    )
     return linalg.solve_congruence_system(rows, x.coords, ring.moduli, ring.moduli)
 
 
@@ -374,11 +371,6 @@ def is_abelian_regular(ring: FiniteRing, cap: int) -> Verdict:
             f"idempotents {route_idem.describe()} vs nilpotents {route_nil.describe()}"
         )
     return route_idem
-
-
-def units(ring: FiniteRing, cap: int) -> list[RingElement]:
-    """All two-sided units, each found by one linear solve per candidate."""
-    return [u for u in enumerate_elements(ring, cap) if is_unit(u)]
 
 
 def is_unit(x: RingElement) -> bool:

@@ -1,0 +1,125 @@
+"""Standing mutation checks: each case breaks one fast route on purpose and
+asserts that something notices.
+
+A case monkeypatches one route, first confirms that the detector is quiet
+on the unbroken code, and then asserts one of two outcomes under the break:
+a named test-local reference disagrees with the library, or
+``theorem_suites`` records a fail raised as ``InternalInconsistency``.  If a
+later change weakens a cross-check so that a break goes unnoticed, its case
+fails.  A fast path added, or a route removed, adds its case here.
+"""
+
+import math
+
+import pytest
+
+from endolab import homs, lab, modules, rings
+from endolab.verdicts import Caps, Verdict, undecided_on_cap
+from test_lab import _azumaya_per_element, _memoized, _observable, _unit_orbit, plane, reg
+
+CAPS = Caps()
+
+
+@pytest.fixture
+def unmemoized(monkeypatch):
+    """Every memoized route of ``lab`` and ``rings`` computes afresh, so no
+    answer from another test hides a break, and no broken answer is kept."""
+    for namespace in (lab, rings):
+        for f in _memoized(namespace):
+            monkeypatch.setattr(namespace, f.__name__, f.__wrapped__)
+    return monkeypatch
+
+
+def _inconsistencies(m):
+    """The fails ``theorem_suites`` records for an ``InternalInconsistency``
+    on m; a check's own false verdict is rendered as "false ..."."""
+    report = lab.theorem_suites([lab.CorpusMember("probe", m)], CAPS)
+    return [r for r in report.records if r.status == "fail" and not r.detail.startswith("false")]
+
+
+def test_a_non_unit_in_the_orbit_unit_list(unmemoized):
+    """With 2 counted as a unit, the sweeps of End(Z/4) skip the hom 2,
+    whose kernel is no summand, and the summand route says yes."""
+    m = reg(4)
+    assert _inconsistencies(m) == []
+    unmemoized.setattr(homs, "gcd", lambda a, b: 1 if a == 2 else math.gcd(a, b))
+    assert _inconsistencies(m)
+
+
+@undecided_on_cap
+def _central_idempotents_by_elements(m, caps):
+    """Reference: each idempotent of End(M) against every element."""
+    ring = homs.end_ring(m).ring
+    elements = rings.enumerate_elements(ring, caps.homs)
+    for e in rings.idempotents(ring, caps.homs):
+        if any((e * x).coords != (x * e).coords for x in elements):
+            return Verdict.no(witness=e, reason="non-central idempotent in End")
+    return Verdict.yes()
+
+
+def test_is_central_on_the_first_basis_element_only(unmemoized):
+    """On End(Z/2 ⊕ Z/2) = M2(F2) the first non-central idempotent commutes
+    with the first basis element, so the witness moves."""
+    m = plane()
+
+    def first_basis_only(x):
+        ring = x.ring
+        b0 = tuple(1 if t == 0 else 0 for t in range(ring.basis_count))
+        return ring.mul_coords(x.coords, b0) == ring.mul_coords(b0, x.coords)
+
+    want = _observable(_central_idempotents_by_elements(m, CAPS))
+    assert _observable(lab.idempotents_central_in_end(m, CAPS)) == want
+    unmemoized.setattr(rings, "is_central", first_basis_only)
+    assert _observable(lab.idempotents_central_in_end(m, CAPS)) != want
+
+
+def _odometer_without_wrap_around(self):
+    """``HomGroup._odometer`` with no add when a coordinate wraps to 0, so
+    the matrices stop matching the coordinates they are yielded with."""
+    moduli = self.codomain.moduli * self.domain.rank
+    flat_gens = [[v for row in g.matrix for v in row] for g in self.gens]
+    coords = [0] * len(self.orders)
+    flat = [0] * len(moduli)
+    while True:
+        yield tuple(coords), flat
+        i = len(self.orders) - 1
+        while i >= 0:
+            coords[i] += 1
+            if coords[i] < self.orders[i]:
+                flat = [(a + b) % d for a, b, d in zip(flat, flat_gens[i], moduli)]
+                break
+            coords[i] = 0
+            i -= 1
+        if i < 0:
+            return
+
+
+def test_the_odometer_wrap_around_dropped(unmemoized):
+    """End(Z/2 ⊕ Z/4) over Z/4 has orders (2, 2, 2, 4).  With the orbit of
+    its last nonzero idempotent made irregular, the orbit sweep must report
+    the orbit's first member, as the per-element loop does."""
+    z4 = reg(4)
+    z2, _ = modules.quotient(z4, modules.submodule_generated(z4, [(2,)]))
+    m, _, _ = modules.direct_sum([z2, z4])
+    ring = homs.end_ring(m).ring
+    e = [e for e in rings.idempotents(ring, CAPS.homs) if not e.is_zero()][-1]
+    orbit = _unit_orbit(ring, e.coords)
+    witness = rings.regularity_witness
+    unmemoized.setattr(
+        rings, "regularity_witness", lambda x: None if x.coords in orbit else witness(x))
+    want = _observable(_azumaya_per_element(m, CAPS))
+    assert want[0] is False
+    assert _observable(lab.azumaya_agreement(m, CAPS)) == want
+    unmemoized.setattr(homs.HomGroup, "_odometer", _odometer_without_wrap_around)
+    assert _observable(lab.azumaya_agreement(m, CAPS)) != want
+
+
+def test_radical_chain_stopped_after_level_zero(unmemoized):
+    """The trace form of M2(F2) vanishes, so I_0 is the whole ring while
+    J = 0: the radical route calls End(Z/2 ⊕ Z/2) non-regular, and the
+    element search finds no element without a quasi-inverse."""
+    m = plane()
+    assert _inconsistencies(m) == []
+    chain = rings.radical_chain
+    unmemoized.setattr(rings, "radical_chain", lambda ring, p: chain(ring, p)[:1])
+    assert _inconsistencies(m)

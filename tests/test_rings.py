@@ -105,7 +105,8 @@ def test_idempotents_of_z6():
 
 def test_units_of_z6():
     ring = rings.zmod_ring(6)
-    vals = sorted(u.coords[0] for u in rings.units(ring, CAP))
+    elems = rings.enumerate_elements(ring, CAP)
+    vals = sorted(u.coords[0] for u in elems if rings.is_unit(u))
     assert vals == [1, 5]
 
 
