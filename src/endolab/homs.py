@@ -5,7 +5,7 @@ iff it commutes with every action matrix and is well-defined modulo the
 codomain moduli.  Both conditions are linear congruences in the entries of
 F, so the full hom group falls out of one congruence-system solve as a
 subgroup of ⊕ Z/d^N in invariant-factor form.  Nothing here needs an
-enumeration cap except the explicit hom-enumeration helpers.
+enumeration cap except ``find_embedding``, which sweeps a hom group.
 """
 
 from __future__ import annotations
@@ -208,11 +208,6 @@ class HomGroup:
             raise InternalInconsistency(
                 "a primary part of a hom group fails the predicate, but no hom does")
         return None
-
-    def enumerate_homs(self, cap: int) -> list[ModuleHom]:
-        if self.size() > cap:
-            raise CapExceeded(self.size(), cap, "homomorphisms")
-        return list(self.iter_homs())
 
 
 def _hom_system(dom: FiniteModule, cod: FiniteModule) -> tuple[list[list[int]], tuple[int, ...], tuple[int, ...]]:
@@ -435,11 +430,13 @@ def find_isomorphism(a: FiniteModule, b: FiniteModule, cap: int) -> Optional[Mod
 
 
 def find_embedding(a: FiniteModule, b: FiniteModule, cap: int) -> Optional[ModuleHom]:
-    """An injective R-hom a -> b, or None; raises CapExceeded past the cap."""
+    """The first injective R-hom a -> b in ``iter_homs`` order, or None;
+    raises CapExceeded past the cap.  Ker(u*f) = Ker f for a unit scalar u,
+    so that hom leads its orbit, and only the orbit representatives are read.
+    """
     if a.size() > b.size() or b.size() % a.size():
         return None
     homs = hom_group(a, b)
-    for h in homs.enumerate_homs(cap):
-        if kernel(h).order() == 1:
-            return h
-    return None
+    if homs.size() > cap:
+        raise CapExceeded(homs.size(), cap, "homomorphisms")
+    return next((h for h in homs.iter_orbit_representatives() if kernel(h).order() == 1), None)

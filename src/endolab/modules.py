@@ -253,19 +253,13 @@ def full_submodule(m: FiniteModule) -> Submodule:
 def submodule_generated(m: FiniteModule, elems: Sequence[Sequence[int]]) -> Submodule:
     """Smallest action-closed subgroup containing ``elems``.
 
-    Closure: push the current generators through every basis action matrix
-    and re-canonicalize until the canonical form stops changing.
+    xR is the additive span of the x * b_t over the ring basis, and x itself
+    lies in that span because 1 is an integer combination of the b_t.  So
+    one canonical form of the rows x @ rho(b_t), over every x and t, is the
+    submodule.
     """
-    canon = linalg.subgroup_canonical_form([m.reduce(x) for x in elems], m.moduli)
-    while True:
-        rows = list(canon)
-        for g in canon:
-            for t in range(m.ring.basis_count):
-                rows.append(linalg.vec_mod(linalg.vec_mat(g, m.action[t]), m.moduli))
-        nxt = linalg.subgroup_canonical_form(rows, m.moduli)
-        if nxt == canon:
-            return Submodule(m, canon)
-        canon = nxt
+    rows = [linalg.vec_mat(x, mat) for x in elems for mat in m.action]
+    return Submodule(m, linalg.subgroup_canonical_form(rows, m.moduli))
 
 
 def submodule_sum(a: Submodule, b: Submodule) -> Submodule:
@@ -336,16 +330,15 @@ def radical(m: FiniteModule, cap: int) -> Submodule:
 
 
 def socle(m: FiniteModule, cap: int) -> Submodule:
+    """Sum of the minimal submodules: one canonical form of their generators."""
     subs = enumerate_submodules(m, cap)
     nonzero = [s for s in subs if not s.is_zero()]
     minimal = [
         s for s in nonzero
         if not any(t is not s and not t.is_zero() and t.order() < s.order() and s.contains_sub(t) for t in nonzero)
     ]
-    acc = zero_submodule(m)
-    for s in minimal:
-        acc = submodule_sum(acc, s)
-    return acc
+    rows = [g for s in minimal for g in s.gens]
+    return Submodule(m, linalg.subgroup_canonical_form(rows, m.moduli))
 
 
 def is_essential(n: Submodule, cap: int) -> bool:

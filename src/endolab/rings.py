@@ -144,8 +144,8 @@ def validate_ring(ring: FiniteRing) -> tuple[bool, str]:
     for i in range(k):
         for j in range(k):
             for l in range(k):
-                lhs = ring.mul_coords(ring.mul_coords(basis[i], basis[j]), basis[l])
-                rhs = ring.mul_coords(basis[i], ring.mul_coords(basis[j], basis[l]))
+                lhs = ring.mul_coords(ring.mul[i][j], basis[l])
+                rhs = ring.mul_coords(basis[i], ring.mul[j][l])
                 if lhs != rhs:
                     return False, f"associativity: (b_{i} b_{j}) b_{l} != b_{i} (b_{j} b_{l})"
     one = linalg.vec_mod(ring.one, m)

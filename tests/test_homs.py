@@ -1,5 +1,6 @@
 """Hom groups, endomorphism rings, traces, products, summand testing."""
 
+import collections
 import itertools
 import math
 import operator
@@ -22,7 +23,7 @@ from endolab.homs import (
     summand_test,
     trace,
 )
-from endolab.verdicts import Caps
+from endolab.verdicts import CapExceeded, Caps
 
 CAP = 4096
 
@@ -63,19 +64,19 @@ def test_hom_group_sizes():
 def test_all_homs_are_module_homs():
     for m in (reg(6), plane(), e1R()):
         hg = hom_group(m, m)
-        for h in hg.enumerate_homs(CAP):
+        for h in hg.iter_homs():
             assert modules.is_module_hom(h)
 
 
 def test_hom_coords_roundtrip():
     hg = hom_group(reg(12), reg(12))
-    for h in hg.enumerate_homs(CAP):
+    for h in hg.iter_homs():
         assert hg.from_coords(hg.coords_of(h)).matrix == h.matrix
 
 
 def test_kernel_image_orders_multiply():
     for m in (reg(6), reg(12), plane(), e1R()):
-        for h in hom_group(m, m).enumerate_homs(CAP):
+        for h in hom_group(m, m).iter_homs():
             assert kernel(h).order() * image(h).order() == m.size()
 
 
@@ -204,6 +205,41 @@ def test_find_isomorphism_and_embedding():
     emb = find_embedding(s2a, m6, CAP)
     assert emb is not None
     assert kernel(emb).is_zero()
+
+
+def _first_injective_of_iter_homs(a, b, cap):
+    """Reference: list every hom under the cap and take the first injective
+    one in ``iter_homs`` order."""
+    if a.size() > b.size() or b.size() % a.size():
+        return None
+    g = hom_group(a, b)
+    if g.size() > cap:
+        raise CapExceeded(g.size(), cap, "homomorphisms")
+    return next((h for h in list(g.iter_homs()) if kernel(h).order() == 1), None)
+
+
+def _embedding_outcome(find, a, b, cap):
+    try:
+        h = find(a, b, cap)
+    except CapExceeded as exc:
+        return "cap", exc.total, exc.cap, exc.what
+    return None if h is None else h.matrix
+
+
+def test_find_embedding_equals_the_first_injective_hom_of_iter_homs():
+    z4 = reg(4)
+    z2_over_z4, _ = modules.quotient(z4, modules.submodule_generated(z4, [(2,)]))
+    pool = [reg(2), z4, z2_over_z4, modules.direct_sum([z2_over_z4, z4])[0],
+            reg(6), reg(12), plane(), e1R()]
+    pool += [mem.module for mem in workspace.random_modules(40, 7, Caps())]
+    kinds = collections.Counter()
+    for (a, b), cap in itertools.product(itertools.product(pool, repeat=2), (16, CAP)):
+        if a.ring != b.ring:
+            continue
+        want = _embedding_outcome(_first_injective_of_iter_homs, a, b, cap)
+        assert _embedding_outcome(find_embedding, a, b, cap) == want, (a.name, b.name, cap)
+        kinds["none" if want is None else "cap" if want[:1] == ("cap",) else "found"] += 1
+    assert kinds["none"] and kinds["cap"] and kinds["found"], kinds
 
 
 def test_fully_invariant_fixtures():

@@ -1,10 +1,12 @@
 """Preorders, incidence algebras, the tuple module, endomorphism comparison."""
 
+import itertools
+
 import pytest
 
-from endolab import incidence, lab, modules, rings
+from endolab import homs, incidence, lab, modules, rings
 from endolab.rings import validate_ring
-from endolab.verdicts import Caps
+from endolab.verdicts import CapExceeded, Caps
 
 CAPS = Caps()
 
@@ -106,10 +108,66 @@ def test_diagonal_pair_acts_as_idempotent_projection():
         assert img == [w]
 
 
+def _incend_check_per_hom(m, bundle, caps=CAPS):
+    """Reference: lift every endomorphism of M, collect the images, and
+    compare the lift of every composite with the composite of the lifts."""
+    if bundle.preorder.bottom() is None:
+        raise incidence.NoBottomElement("the preorder has no element below all others")
+    if not incidence.is_cyclic(m, caps.elements):
+        raise incidence.NotCyclic("the coefficient module is not cyclic")
+    mx = incidence.build_mx(m, bundle)
+    left, right = homs.end_ring(m).homs, homs.end_ring(mx).homs
+    if left.size() > caps.homs or right.size() > caps.homs:
+        raise CapExceeded(max(left.size(), right.size()), caps.homs, "endomorphisms")
+    nx, rank = len(bundle.preorder.elements), m.rank
+
+    def lift(phi):
+        mat = [[0] * (nx * rank) for _ in range(nx * rank)]
+        for b, r, c in itertools.product(range(nx), range(rank), range(rank)):
+            mat[b * rank + r][b * rank + c] = phi.matrix[r][c]
+        return modules.ModuleHom(mx, mx, tuple(tuple(row) for row in mat))
+
+    def report(isomorphic, detail=""):
+        return incidence.IsoReport(left.size(), right.size(), isomorphic, detail)
+
+    lifted = [(phi, lift(phi)) for phi in left.iter_homs()]
+    if not all(modules.is_module_hom(big) for _, big in lifted):
+        return report(False, "lift is not an R-module homomorphism")
+    images = {right.coords_of(big) for _, big in lifted}
+    if len(images) != left.size():
+        return report(False, "lift not injective")
+    if len(images) != right.size():
+        return report(False, "lift not surjective")
+    ident = lift(modules.identity_hom(m))
+    if right.coords_of(ident) != right.coords_of(modules.identity_hom(mx)):
+        return report(False, "lift not unital")
+    for (phi, big_phi), (psi, big_psi) in itertools.product(lifted, repeat=2):
+        if lift(psi.then(phi)).matrix != big_psi.then(big_phi).matrix:
+            return report(False, "lift not multiplicative")
+    return report(True)
+
+
+def _incend(m, bundle, caps=CAPS):
+    """``incend_check``, asserted equal to the per-hom reference, raised
+    exceptions included."""
+    outcomes = []
+    for check in (incidence.incend_check, _incend_check_per_hom):
+        try:
+            outcomes.append(check(m, bundle, caps))
+        except (ValueError, CapExceeded) as exc:
+            outcomes.append(exc)
+    got, want = outcomes
+    observe = lambda o: (type(o), str(o)) if isinstance(o, Exception) else o
+    assert observe(got) == observe(want)
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
 def test_incend_diamond_z2():
     z2 = rings.zmod_ring(2)
     bundle = incidence.build_incidence_algebra(diamond(), z2)
-    report = incidence.incend_check(modules.regular_module(z2), bundle)
+    report = _incend(modules.regular_module(z2), bundle)
     assert report.isomorphic
     assert report.left_size == report.right_size == 2
 
@@ -117,7 +175,7 @@ def test_incend_diamond_z2():
 def test_incend_chain_z4():
     z4 = rings.zmod_ring(4)
     bundle = incidence.build_incidence_algebra(chain2(), z4)
-    report = incidence.incend_check(modules.regular_module(z4), bundle)
+    report = _incend(modules.regular_module(z4), bundle)
     assert report.isomorphic
     assert report.left_size == report.right_size == 4
 
@@ -126,7 +184,7 @@ def test_incend_single_point():
     z6 = rings.zmod_ring(6)
     bundle = incidence.build_incidence_algebra(
         incidence.preorder_from_pairs(["x"], []), z6)
-    report = incidence.incend_check(modules.regular_module(z6), bundle)
+    report = _incend(modules.regular_module(z6), bundle)
     assert report.isomorphic
     assert report.left_size == 6
 
@@ -136,11 +194,11 @@ def test_incend_requires_bottom_and_cyclic():
     nobot = incidence.preorder_from_pairs(["1", "2"], [])
     bundle = incidence.build_incidence_algebra(nobot, z2)
     with pytest.raises(incidence.NoBottomElement):
-        incidence.incend_check(modules.regular_module(z2), bundle)
+        _incend(modules.regular_module(z2), bundle)
     d = incidence.build_incidence_algebra(diamond(), z2)
     v4, _, _ = modules.direct_sum([modules.regular_module(z2)] * 2)
     with pytest.raises(incidence.NotCyclic):
-        incidence.incend_check(v4, d)
+        _incend(v4, d)
 
 
 def test_abelian_endoregular_transfer():
@@ -153,9 +211,26 @@ def test_abelian_endoregular_transfer():
     for base, poset in cases:
         bundle = incidence.build_incidence_algebra(poset, base)
         m = modules.regular_module(base)
-        assert incidence.incend_check(m, bundle).isomorphic
+        assert _incend(m, bundle).isomorphic
         mx = incidence.build_mx(m, bundle)
         left = lab.is_abelian_endoregular(m, CAPS)
         right = lab.is_abelian_endoregular(mx, CAPS)
         assert left.decided and right.decided
         assert left.value == right.value
+
+
+def test_incend_with_its_guards_waived(monkeypatch):
+    """Past the bottom-element and cyclicity guards both routes still agree:
+    over an antichain End(M(X)) outgrows End(M), while Z/2 ⊕ Z/2 over a
+    chain lifts isomorphically.  Past the hom cap both raise."""
+    z2 = rings.zmod_ring(2)
+    antichain = incidence.build_incidence_algebra(
+        incidence.preorder_from_pairs(["1", "2"], []), z2)
+    monkeypatch.setattr(incidence.Preorder, "bottom", lambda self: 0)
+    assert _incend(modules.regular_module(z2), antichain) == incidence.IsoReport(
+        2, 4, False, "lift not surjective")
+    monkeypatch.setattr(incidence, "is_cyclic", lambda m, cap: True)
+    v4, _, _ = modules.direct_sum([modules.regular_module(z2)] * 2)
+    assert _incend(v4, incidence.build_incidence_algebra(chain2(), z2)).isomorphic
+    with pytest.raises(CapExceeded):
+        _incend(v4, incidence.build_incidence_algebra(diamond(), z2), Caps(homs=8))

@@ -1,12 +1,15 @@
 """Finite modules: validation, submodule lattices, quotients, extraction."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endolab import modules, rings
+from endolab import linalg, modules, rings
 from endolab.verdicts import CapExceeded
 from support import is_simple, zero_module
+from test_lab import _memo_corpus
 
 CAP = 512
 
@@ -153,6 +156,50 @@ def test_action_closure_of_generated_submodule():
         for t in range(3):
             coords = tuple(1 if i == t else 0 for i in range(3))
             assert sub.contains(r.act(x, coords))
+
+
+def _generated_by_closure(m, elems):
+    """Reference: push the generators through every basis action matrix and
+    re-canonicalize until the canonical form stops changing."""
+    canon = linalg.subgroup_canonical_form([m.reduce(x) for x in elems], m.moduli)
+    while True:
+        rows = list(canon)
+        for g in canon:
+            for t in range(m.ring.basis_count):
+                rows.append(linalg.vec_mod(linalg.vec_mat(g, m.action[t]), m.moduli))
+        nxt = linalg.subgroup_canonical_form(rows, m.moduli)
+        if nxt == canon:
+            return modules.Submodule(m, canon)
+        canon = nxt
+
+
+def _generator_lists(m):
+    """The empty list, every element, every pair and the whole module."""
+    elements = list(m.elements())
+    pairs = [list(p) for p in itertools.product(elements, repeat=2)]
+    return [[]] + [[x] for x in elements] + pairs + [elements]
+
+
+def _closure_corpus():
+    return _memo_corpus() + [modules.regular_module(ut2z2()), e1R(), zero_module(z(6))]
+
+
+def test_submodule_generated_equals_the_fixpoint_closure():
+    for m in _closure_corpus():
+        for elems in _generator_lists(m):
+            want = _generated_by_closure(m, elems)
+            assert modules.submodule_generated(m, elems) == want, (m.name, elems)
+
+
+def test_socle_equals_the_sum_of_the_minimal_submodules_folded():
+    for m in _closure_corpus():
+        subs = modules.enumerate_submodules(m, CAP)
+        acc = modules.zero_submodule(m)
+        for s in subs:
+            proper = [t for t in subs if not t.is_zero() and t != s]
+            if not s.is_zero() and not any(s.contains_sub(t) for t in proper):
+                acc = modules.submodule_sum(acc, s)
+        assert modules.socle(m, CAP) == acc, m.name
 
 
 def test_enumerate_submodules_cap():

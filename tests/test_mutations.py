@@ -13,9 +13,11 @@ import math
 
 import pytest
 
-from endolab import homs, lab, modules, rings
+from endolab import homs, lab, linalg, modules, rings
 from endolab.verdicts import Caps, Verdict, undecided_on_cap
-from test_lab import _azumaya_per_element, _memoized, _observable, _unit_orbit, plane, reg
+from test_lab import (
+    _azumaya_per_element, _k_nonsingular_per_hom, _memoized, _observable, _unit_orbit, plane, reg)
+from test_modules import _generated_by_closure, _generator_lists
 
 CAPS = Caps()
 
@@ -123,3 +125,41 @@ def test_radical_chain_stopped_after_level_zero(unmemoized):
     chain = rings.radical_chain
     unmemoized.setattr(rings, "radical_chain", lambda ring, p: chain(ring, p)[:1])
     assert _inconsistencies(m)
+
+
+def _closure_disagreements(m):
+    return [elems for elems in _generator_lists(m)
+            if modules.submodule_generated(m, elems) != _generated_by_closure(m, elems)]
+
+
+def test_submodule_generated_through_the_first_action_only(monkeypatch):
+    """The first basis element of M2(F2) is the matrix unit E_11, so x·E_11
+    misses most of xR, and often x itself."""
+    m = modules.regular_module(rings.matrix_ring_presentation(2, 2))
+    assert _closure_disagreements(m) == []
+
+    def first_action_only(m, elems):
+        rows = [linalg.vec_mat(x, m.action[0]) for x in elems]
+        return modules.Submodule(m, linalg.subgroup_canonical_form(rows, m.moduli))
+
+    monkeypatch.setattr(modules, "submodule_generated", first_action_only)
+    assert _closure_disagreements(m)
+
+
+def test_socle_keeps_its_first_minimal_submodule_only(unmemoized):
+    """The socle of Z/2 ⊕ Z/2 is the whole plane.  Cut to its first line, a
+    nonzero endomorphism that kills that line looks like one with an
+    essential kernel, so the plane no longer looks K-nonsingular."""
+    m = plane()
+    want = _observable(_k_nonsingular_per_hom(m, CAPS))
+    assert want[0] is True
+    assert _observable(lab.is_k_nonsingular(m, CAPS)) == want
+
+    def first_minimal_only(m, cap):
+        nonzero = [s for s in modules.enumerate_submodules(m, cap) if not s.is_zero()]
+        minimal = (s for s in nonzero if not any(t != s and s.contains_sub(t) for t in nonzero))
+        return next(minimal, modules.zero_submodule(m))
+
+    for namespace in (modules, lab):
+        unmemoized.setattr(namespace, "socle", first_minimal_only)
+    assert _observable(lab.is_k_nonsingular(m, CAPS)) != want

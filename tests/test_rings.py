@@ -40,8 +40,17 @@ def test_validate_rejects_broken_identity():
 def test_validate_rejects_nonassociative():
     # x*y = x+y is not associative with this "one"
     ring = rings.FiniteRing(moduli=(3,), mul=(((2,),),), one=(1,))
-    ok, _ = rings.validate_ring(ring)
+    ok, msg = rings.validate_ring(ring)
     assert not ok
+    assert msg == "identity law: one * b_0 or b_0 * one != b_0"
+    # unreduced structure constants, first failing triple (0, 0, 1)
+    ring = rings.FiniteRing(moduli=(2, 2), mul=(((0, 3), (0, 1)), ((0, 1), (1, 1))), one=(1, 0))
+    assert rings.validate_ring(ring) == (False, "associativity: (b_0 b_0) b_1 != b_0 (b_0 b_1)")
+
+
+def test_validate_reads_unreduced_structure_constants():
+    # Z/4 with b_0 * b_0 = 5 b_0 = b_0
+    assert rings.validate_ring(rings.FiniteRing(moduli=(4,), mul=(((5,),),), one=(1,))) == (True, "")
 
 
 def squarefree(n):
