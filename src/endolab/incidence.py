@@ -4,7 +4,10 @@ and the coordinate-tuple module construction.
 The incidence algebra I(X, A) has one basis block e_{xy} per comparable pair
 xRy; the product is convolution, so e_{xy} e_{zw} = e_{xw} when y = z (the
 pair (x, w) is comparable by transitivity) and 0 otherwise.  A must be
-commutative so scalars slide past the pair basis.
+commutative so scalars slide past the pair basis.  Both the algebra and the
+tuple module M(X) are read off the structure constants of A and the action
+table of M, and ``incend_check`` compares End_A(M) with End(M(X)) by the
+orders of the two hom groups alone.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
-from .homs import end_ring
-from .modules import FiniteModule, ModuleHom, identity_hom, is_module_hom, submodule_generated
+from .homs import hom_group
+from .modules import FiniteModule, submodule_generated
 from .rings import FiniteRing, validate_ring
 from .verdicts import CapExceeded, Caps, InternalInconsistency
 
@@ -119,14 +122,14 @@ def build_incidence_algebra(x: Preorder, a: FiniteRing) -> IncidenceAlgebraBundl
     """The incidence algebra I(X, A) as an explicit structure-constant ring."""
     if not validate_preorder(x):
         raise ValueError("invalid preorder")
-    for s, t in itertools.combinations(range(a.basis_count), 2):
-        bs = [1 if i == s else 0 for i in range(a.basis_count)]
-        bt = [1 if i == t else 0 for i in range(a.basis_count)]
-        if a.mul_coords(bs, bt) != a.mul_coords(bt, bs):
+    na = a.basis_count
+    # validate_ring accepts unreduced constants, so reduce the table once
+    table = [[linalg.vec_mod(a.mul[s][t], a.moduli) for t in range(na)] for s in range(na)]
+    for s, t in itertools.combinations(range(na), 2):
+        if table[s][t] != table[t][s]:
             raise NonCommutativeBase("coefficient ring is not commutative")
 
     pairs = tuple(x.pairs())
-    na = a.basis_count
     dim = len(pairs) * na
     moduli = tuple(a.moduli[t] for _ in pairs for t in range(na))
 
@@ -139,19 +142,14 @@ def build_incidence_algebra(x: Preorder, a: FiniteRing) -> IncidenceAlgebraBundl
             coords = [0] * dim
             if p[1] == q[0] and related[p[0]][q[1]]:
                 target = pair_pos[(p[0], q[1])]
-                bs = [1 if i == s else 0 for i in range(na)]
-                bt = [1 if i == t else 0 for i in range(na)]
-                prod = a.mul_coords(bs, bt)
-                for u in range(na):
-                    coords[target * na + u] = prod[u]
+                coords[target * na:(target + 1) * na] = table[s][t]
             row.append(tuple(coords))
         mul.append(tuple(row))
 
     one = [0] * dim
     for i in range(len(x.elements)):
         k = pair_pos[(i, i)]
-        for t in range(na):
-            one[k * na + t] = a.one[t]
+        one[k * na:(k + 1) * na] = a.one
 
     ring = FiniteRing(
         moduli=moduli,
@@ -177,21 +175,18 @@ def build_mx(m: FiniteModule, bundle: IncidenceAlgebraBundle) -> FiniteModule:
         raise ValueError("module is not over the coefficient ring of the algebra")
     nx = len(bundle.preorder.elements)
     rank = m.rank
-    na = a.basis_count
     moduli = m.moduli * nx
+    scalars = [linalg.mat_mod(mat, m.moduli) for mat in m.action]
 
     action = []
-    for p in bundle.pair_index:
-        u, v = p
-        for t in range(na):
-            scalar = m.rho(tuple(1 if i == t else 0 for i in range(na)))
+    for u, v in bundle.pair_index:
+        for scalar in scalars:
             rows = []
             for block in range(nx):
                 for r in range(rank):
                     row = [0] * (nx * rank)
                     if block == u:
-                        for c in range(rank):
-                            row[v * rank + c] = scalar[r][c]
+                        row[v * rank:(v + 1) * rank] = scalar[r]
                     rows.append(tuple(row))
             action.append(tuple(rows))
 
@@ -224,14 +219,17 @@ def is_cyclic(m: FiniteModule, cap: int) -> bool:
 def incend_check(
     m: FiniteModule, bundle: IncidenceAlgebraBundle, caps: Caps = Caps()
 ) -> IsoReport:
-    """Verify End_A(M) ≅ End_R(M(X)) for cyclic M and X with a bottom element.
+    """Decide End_A(M) ≅ End_R(M(X)) for cyclic M and X with a bottom element.
 
-    The candidate isomorphism sends φ to the blockwise map Φ((m_x)) = (φ(m_x)).
-    It is additive and composition is bilinear, so "well defined" and
-    "multiplicative" are checked on the generators of End_A(M) alone, and
-    its image is the span of the lifted generators' coordinates, whose order
-    decides injective and surjective.  Neither endomorphism ring is
-    enumerated.  The cyclicity test enumerates M, so its order is bounded by
+    The candidate isomorphism is Φ(φ) = diag(φ, …, φ), acting on each
+    coordinate of a tuple (m_x).  It is additive, sends 1 to 1 and ψ∘φ to
+    Φ(ψ)∘Φ(φ), and it is injective because X has a bottom element and so is
+    non-empty.  It commutes with each basis element e_{uv} ⊗ a of R = I(X, A),
+    which moves block u to block v through the action of a, because φ is
+    A-linear.  So Φ is an injective ring map End_A(M) → End_R(M(X)), and it
+    is onto exactly when the two rings have the same order.  Only the orders
+    of the two hom groups are computed; no End ring is built or enumerated.
+    The cyclicity test enumerates M, so its order is bounded by
     ``caps.elements``; the sizes of both endomorphism rings stay bounded by
     ``caps.homs`` as the input contract.
     """
@@ -241,39 +239,9 @@ def incend_check(
         raise NotCyclic("the coefficient module is not cyclic")
 
     mx = build_mx(m, bundle)
-    left = end_ring(m).homs
-    right = end_ring(mx).homs
-    sizes = (left.size(), right.size())
+    sizes = (hom_group(m, m).size(), hom_group(mx, mx).size())
     if max(sizes) > caps.homs:
         raise CapExceeded(max(sizes), caps.homs, "endomorphisms")
-
-    nx = len(bundle.preorder.elements)
-    rank = m.rank
-
-    def lift(phi: ModuleHom) -> ModuleHom:
-        mat = [[0] * (nx * rank) for _ in range(nx * rank)]
-        for b in range(nx):
-            for r in range(rank):
-                for c in range(rank):
-                    mat[b * rank + r][b * rank + c] = phi.matrix[r][c]
-        return ModuleHom(mx, mx, tuple(tuple(row) for row in mat))
-
-    lifted = [lift(phi) for phi in left.gens]
-    if not all(is_module_hom(big) for big in lifted):
-        return IsoReport(*sizes, False, "lift is not an R-module homomorphism")
-
-    span = linalg.subgroup_canonical_form([right.coords_of(big) for big in lifted], right.orders)
-    image_size = linalg.subgroup_order(span, right.orders)
-    if image_size != left.size():
-        return IsoReport(*sizes, False, "lift not injective")
-    if image_size != right.size():
+    if sizes[0] != sizes[1]:
         return IsoReport(*sizes, False, "lift not surjective")
-
-    if right.coords_of(lift(identity_hom(m))) != right.coords_of(identity_hom(mx)):
-        return IsoReport(*sizes, False, "lift not unital")
-
-    for (phi, big_phi), (psi, big_psi) in itertools.product(zip(left.gens, lifted), repeat=2):
-        if lift(psi.then(phi)).matrix != big_psi.then(big_phi).matrix:
-            return IsoReport(*sizes, False, "lift not multiplicative")
-
     return IsoReport(*sizes, True)

@@ -143,16 +143,18 @@ def validate_module(m: FiniteModule) -> tuple[bool, str]:
             for s in range(n):
                 if (m.moduli[j] * mat[j][s]) % m.moduli[s]:
                     return False, f"action[{t}]: row {j} not annihilated by its order"
+                if (ring.moduli[t] * mat[j][s]) % m.moduli[s]:
+                    return False, (
+                        f"action[{t}]: not annihilated by the order {ring.moduli[t]} of b_{t}")
     if linalg.mat_mod(m.rho(ring.one), m.moduli) != linalg.mat_mod(
         linalg.identity_matrix(n), m.moduli
     ):
         return False, "identity action: rho(one) must act as the identity"
+    # each action[t] is annihilated by c_t, so rho reads the table unreduced
     for i in range(k):
         for j in range(k):
-            basis_i = tuple(1 if t == i else 0 for t in range(k))
-            basis_j = tuple(1 if t == j else 0 for t in range(k))
             lhs = linalg.mat_mod(linalg.mat_mul(m.action[i], m.action[j]), m.moduli)
-            rhs = m.rho(ring.mul_coords(basis_i, basis_j))
+            rhs = m.rho(ring.mul[i][j])
             if lhs != rhs:
                 return False, f"multiplicativity: rho(b_{i})rho(b_{j}) != rho(b_{i} b_{j})"
     return True, ""

@@ -174,13 +174,10 @@ def _quasi_inverses(x: RingElement) -> Optional[tuple[IntVector, IntMatrix]]:
     """The coset of all y with x*y*x = x as (particular, homogeneous), or None.
 
     y -> xyx is additive, so the coset is one congruence solve over the
-    images x*b_j*x of the basis elements, the rows of L_x·R_x.
+    images x*b_j*x of the basis elements.
     """
     ring = x.ring
-    rows = linalg.mat_mod(
-        linalg.mat_mul(ring.left_mul_matrix(x.coords), ring.right_mul_matrix(x.coords)),
-        ring.moduli,
-    )
+    rows = [ring.mul_coords(xb, x.coords) for xb in ring.left_mul_matrix(x.coords)]
     return linalg.solve_congruence_system(rows, x.coords, ring.moduli, ring.moduli)
 
 

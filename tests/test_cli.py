@@ -233,6 +233,9 @@ def _validate(tmp_path, capsys, ws):
      "module m: a regular module takes no moduli or action"),
     ({"corpora": {"c": ["zn:1"]}},
      "zn generator: bound must be at least 2, got 1"),
+    ({"rings": {"z2": {"moduli": [2], "mul": [[[1]]], "one": [1]}},
+      "modules": {"m": {"ring": "z2", "moduli": [4], "action": [[[1]]]}}},
+     "module m: action[0]: not annihilated by the order 2 of b_0"),
 ])
 def test_malformed_workspace_shapes_are_input_errors(tmp_path, capsys, ws, message):
     code, _, err = _validate(tmp_path, capsys, ws)

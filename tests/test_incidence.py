@@ -88,6 +88,20 @@ def test_mx_construction():
     assert ok, msg
 
 
+def test_unreduced_tables_give_the_reduced_algebra_and_module():
+    # validate_ring and validate_module accept constants that are not reduced
+    z4 = rings.zmod_ring(4)
+    loose_z4 = rings.FiniteRing(moduli=(4,), mul=(((5,),),), one=(1,))
+    assert validate_ring(loose_z4)[0]
+    tight = incidence.build_incidence_algebra(diamond(), z4)
+    loose = incidence.build_incidence_algebra(diamond(), loose_z4)
+    assert loose.ring == tight.ring
+    m = modules.FiniteModule(ring=z4, moduli=(2,), action=(((1,),),))
+    loose_m = modules.FiniteModule(ring=loose_z4, moduli=(2,), action=(((3,),),))
+    assert modules.validate_module(loose_m)[0]
+    assert incidence.build_mx(loose_m, loose).action == incidence.build_mx(m, tight).action
+
+
 def test_diagonal_pair_acts_as_idempotent_projection():
     z2 = rings.zmod_ring(2)
     bundle = incidence.build_incidence_algebra(diamond(), z2)

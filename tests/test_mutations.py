@@ -13,8 +13,9 @@ import math
 
 import pytest
 
-from endolab import homs, lab, linalg, modules, rings
+from endolab import homs, incidence, lab, linalg, modules, rings
 from endolab.verdicts import Caps, Verdict, undecided_on_cap
+from test_incidence import _incend
 from test_lab import (
     _azumaya_per_element, _k_nonsingular_per_hom, _memoized, _observable, _unit_orbit, plane, reg)
 from test_modules import _generated_by_closure, _generator_lists
@@ -163,3 +164,51 @@ def test_socle_keeps_its_first_minimal_submodule_only(unmemoized):
     for namespace in (modules, lab):
         unmemoized.setattr(namespace, "socle", first_minimal_only)
     assert _observable(lab.is_k_nonsingular(m, CAPS)) != want
+
+
+def test_incend_check_without_its_order_comparison(monkeypatch):
+    """Over an antichain, with its bottom-element guard waived, End(M(X)) has
+    order 4 and End(M) order 2.  Told that every lift is onto, the check
+    calls them isomorphic, and the per-hom reference does not."""
+    z2 = rings.zmod_ring(2)
+    antichain = incidence.build_incidence_algebra(
+        incidence.preorder_from_pairs(["1", "2"], []), z2)
+    monkeypatch.setattr(incidence.Preorder, "bottom", lambda self: 0)
+    m = modules.regular_module(z2)
+    assert not _incend(m, antichain).isomorphic
+    check = incidence.incend_check
+
+    def always_isomorphic(m, bundle, caps=CAPS):
+        report = check(m, bundle, caps)
+        return incidence.IsoReport(report.left_size, report.right_size, True)
+
+    monkeypatch.setattr(incidence, "incend_check", always_isomorphic)
+    with pytest.raises(AssertionError):
+        _incend(m, antichain)
+
+
+def _flipped(v):
+    return Verdict.no(reason="flipped") if v.value else Verdict.yes()
+
+
+def test_the_summand_route_flipped_on_one_module(unmemoized):
+    """Z/6 is endoregular; told otherwise by the summand route alone, the
+    ring route and ``is_endoregular`` disagree."""
+    m = reg(6)
+    assert _inconsistencies(m) == []
+    route = lab._endoregular_via_summands
+    unmemoized.setattr(lab, "_endoregular_via_summands",
+                       lambda n, caps: _flipped(route(n, caps)) if n == m else route(n, caps))
+    assert _inconsistencies(m)
+
+
+def test_is_semisimple_flipped_on_one_module(unmemoized):
+    """End(Z/4) = Z/4 has radical 2Z/4.  Called semisimple, it is regular by
+    the ring route while 2 has a kernel that is no summand."""
+    m = reg(4)
+    assert _inconsistencies(m) == []
+    end = homs.end_ring(m).ring
+    semisimple = rings.is_semisimple
+    unmemoized.setattr(rings, "is_semisimple",
+                       lambda ring: not semisimple(ring) if ring == end else semisimple(ring))
+    assert _inconsistencies(m)

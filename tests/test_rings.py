@@ -2,6 +2,7 @@
 
 import functools
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,28 @@ def test_semisimplicity_equals_regularity_by_enumeration(ring_pool):
                   if structural[ring] != _regular_by_enumeration(ring)]
     assert mismatches == []
     assert len(ring_pool) > 100 and 20 < sum(structural.values()) < len(ring_pool) - 20
+
+
+def _quasi_inverses_by_matrices(x):
+    """The reference: the rows x*b_j*x read off L_x·R_x."""
+    ring = x.ring
+    rows = linalg.mat_mod(
+        linalg.mat_mul(ring.left_mul_matrix(x.coords), ring.right_mul_matrix(x.coords)),
+        ring.moduli,
+    )
+    return linalg.solve_congruence_system(rows, x.coords, ring.moduli, ring.moduli)
+
+
+def test_quasi_inverses_equal_the_matrix_product_rows(ring_pool):
+    # 32 elements of each ring, drawn with a fixed seed, keep this to seconds
+    draw = random.Random(0)
+    mismatches = []
+    for ring in ring_pool:
+        elements = rings.enumerate_elements(ring, CAP)
+        for x in draw.sample(elements, min(32, len(elements))):
+            if rings._quasi_inverses(x) != _quasi_inverses_by_matrices(x):
+                mismatches.append((ring.name, x.coords))
+    assert mismatches == []
 
 
 def test_regular_ring_over_the_cap_stays_undecided():
