@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import prod
 from typing import Iterator, Sequence
 
-from . import linalg
+from . import linalg, rings
 from .linalg import IntMatrix, IntVector, ModuliVector
 from .rings import FiniteRing
 from .verdicts import CapExceeded, InternalInconsistency
@@ -278,21 +278,54 @@ def submodule_intersect(a: Submodule, b: Submodule) -> Submodule:
     return Submodule(a.ambient, canon)
 
 
+def central_pieces(m: FiniteModule, cap: int) -> list[Submodule]:
+    """The nonzero pieces M·e_i over the primitive central idempotents e_i
+    of the ring; just M when its centre exceeds ``cap``.
+
+    M·e_i is the span of the rows of rho(e_i), and a submodule because
+    (x·e_i)·r = (x·r)·e_i.
+    """
+    pieces = (
+        Submodule(m, linalg.subgroup_canonical_form(m.rho(e), m.moduli))
+        for e in rings.primitive_central_idempotents(m.ring, cap)
+    )
+    return [piece for piece in pieces if not piece.is_zero()]
+
+
 @lru_cache(maxsize=None)
 def enumerate_submodules(m: FiniteModule, cap: int) -> tuple[Submodule, ...]:
-    """Every submodule, canonical and duplicate-free.
+    """Every submodule, canonical and duplicate-free, sorted by order and
+    generators.
 
-    Seeds with the cyclic submodules and closes the set under pairwise sums;
-    correct because every submodule is a sum of cyclic ones.
+    Let e be a central idempotent of R and N a submodule.  N is closed under
+    the action, so Ne ⊆ N, and likewise N(1-e) ⊆ N; every x in N is
+    xe + x(1-e), so N = Ne ⊕ N(1-e), with Ne ⊆ Me and N(1-e) ⊆ M(1-e)
+    (an x in Me ∩ M(1-e) is x = xe = x(1-e)e = 0).  Over the primitive
+    central idempotents e_1..e_r, N is thus the direct sum of the
+    submodules N·e_i of the pieces M·e_i (``central_pieces``), and any
+    choice of one submodule N_i per piece gives a distinct submodule
+    N_1 + ... + N_r, since (N_1 + ... + N_r)·e_i = N_i.  Each piece's
+    submodules are its cyclic ones closed under pairwise sums, correct
+    because every submodule is a sum of cyclic ones.
     """
     total = m.size()
     if total > cap:
         raise CapExceeded(total, cap, "module elements")
+    lattices = [_sum_closure(m, piece) for piece in central_pieces(m, cap)]
+    subs = lattices[0] if lattices else [zero_submodule(m)]
+    for lattice in lattices[1:]:
+        subs = [submodule_sum(a, b) for a in subs for b in lattice]
+    return tuple(sorted(subs, key=lambda s: (s.order(), s.gens)))
+
+
+def _sum_closure(m: FiniteModule, piece: Submodule) -> list[Submodule]:
+    """The cyclic submodules xR of the piece's elements, closed under sums."""
     seen: dict[IntMatrix, Submodule] = {}
     zero = zero_submodule(m)
     seen[zero.gens] = zero
     cyclic = []
-    for x in m.elements():
+    # M itself is walked by coordinates, with no Smith form of its generators
+    for x in m.elements() if piece.is_full() else piece.elements():
         sub = submodule_generated(m, [x])
         if sub.gens not in seen:
             seen[sub.gens] = sub
@@ -307,7 +340,7 @@ def enumerate_submodules(m: FiniteModule, cap: int) -> tuple[Submodule, ...]:
                     seen[s.gens] = s
                     fresh.append(s)
         frontier = fresh
-    return tuple(sorted(seen.values(), key=lambda s: (s.order(), s.gens)))
+    return list(seen.values())
 
 
 def maximal_submodules(m: FiniteModule, cap: int) -> list[Submodule]:

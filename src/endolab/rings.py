@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm, prod
 from typing import Optional, Sequence
 
@@ -91,6 +92,39 @@ class FiniteRing:
             basis = tuple(1 if t == i else 0 for t in range(k))
             rows.append(self.mul_coords(y, basis))
         return tuple(rows)
+
+    @cached_property
+    def centre(self) -> IntMatrix:
+        """Canonical generators of the centre Z(R), solved once per ring.
+
+        x is central iff x·b_j = b_j·x for every basis element b_j, so Z(R)
+        is one kernel of the additive map x -> (x·b_j - b_j·x)_j, whose row
+        i holds the coordinates of b_i·b_j - b_j·b_i.
+        """
+        k = self.basis_count
+        rows = [
+            [self.mul[i][j][s] - self.mul[j][i][s] for j in range(k) for s in range(k)]
+            for i in range(k)
+        ]
+        return linalg.kernel_subgroup(rows, self.moduli * k, self.moduli)
+
+    @cached_property
+    def _central_atoms(self) -> tuple[IntVector, ...]:
+        """The primitive central idempotents, from one walk over Z(R) per
+        ring: each block e, starting from 1, splits into e·f and e - e·f at
+        every central idempotent f.  ``primitive_central_idempotents``
+        bounds the walk by a cap."""
+        blocks = [linalg.vec_mod(self.one, self.moduli)]
+        for f in linalg.enumerate_subgroup(self.centre, self.moduli):
+            if self.mul_coords(f, f) != f:
+                continue
+            split = []
+            for e in blocks:
+                ef = self.mul_coords(e, f)
+                rest = linalg.vec_mod([a - b for a, b in zip(e, ef)], self.moduli)
+                split.extend(x for x in (ef, rest) if any(x))
+            blocks = split
+        return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -338,6 +372,19 @@ def is_central(x: RingElement) -> bool:
         if ring.mul_coords(x.coords, basis) != ring.mul_coords(basis, x.coords):
             return False
     return True
+
+
+def primitive_central_idempotents(ring: FiniteRing, cap: int) -> tuple[IntVector, ...]:
+    """The primitive central idempotents e_1..e_r of R, or (1,) when
+    |Z(R)| > cap.
+
+    The central idempotents form a Boolean algebra, and e_1..e_r are its
+    atoms: pairwise orthogonal, summing to 1, each split by no other
+    central idempotent.
+    """
+    if linalg.subgroup_order(ring.centre, ring.moduli) > cap:
+        return (linalg.vec_mod(ring.one, ring.moduli),)
+    return ring._central_atoms
 
 
 @memo

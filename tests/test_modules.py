@@ -1,13 +1,15 @@
 """Finite modules: validation, submodule lattices, quotients, extraction."""
 
 import itertools
+import math
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endolab import linalg, modules, rings
-from endolab.verdicts import CapExceeded
+from endolab import linalg, modules, rings, workspace
+from endolab.verdicts import CapExceeded, Caps
 from support import is_simple, zero_module
 from test_lab import _memo_corpus
 
@@ -200,6 +202,98 @@ def test_socle_equals_the_sum_of_the_minimal_submodules_folded():
             if not s.is_zero() and not any(s.contains_sub(t) for t in proper):
                 acc = modules.submodule_sum(acc, s)
         assert modules.socle(m, CAP) == acc, m.name
+
+
+# ---------------------------------------------------------------------------
+# Submodules piece by piece over the central idempotents, against the sum
+# closure over all of M and, on small modules, against element subsets
+# ---------------------------------------------------------------------------
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+WORKSPACES = ("workspaces/demo.json", "workspaces/held-out-zn12.json",
+              "perfbench/workspaces/families.json", "perfbench/workspaces/search.json",
+              "perfbench/workspaces/end-rings.json")
+
+
+def _submodules_by_sum_closure(m, cap):
+    """Reference: the cyclic submodules of all of M, closed under pairwise
+    sums, with no split over the centre."""
+    if m.size() > cap:
+        raise CapExceeded(m.size(), cap, "module elements")
+    seen = {(): modules.zero_submodule(m)}
+    cyclic = []
+    for x in m.elements():
+        sub = modules.submodule_generated(m, [x])
+        if sub.gens not in seen:
+            seen[sub.gens] = sub
+            cyclic.append(sub)
+    frontier = list(cyclic)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in cyclic:
+                s = modules.submodule_sum(a, b)
+                if s.gens not in seen:
+                    seen[s.gens] = s
+                    fresh.append(s)
+        frontier = fresh
+    return tuple(sorted(seen.values(), key=lambda s: (s.order(), s.gens)))
+
+
+def _submodules_by_subsets(m):
+    """Oracle: every set of elements that holds 0 and is closed under + and
+    under the action of each basis element."""
+    zero = m.zero()
+    rest = [x for x in m.elements() if x != zero]
+    found = set()
+    for keep in itertools.product((False, True), repeat=len(rest)):
+        s = {zero, *itertools.compress(rest, keep)}
+        if all(m.reduce([u + v for u, v in zip(a, b)]) in s for a in s for b in s) and all(
+                m.reduce(linalg.vec_mat(x, mat)) in s for x in s for mat in m.action):
+            found.add(frozenset(s))
+    return found
+
+
+def _lattice_corpus():
+    """Every module and corpus member of the workspaces, the random modules
+    of seed 11 and the base modules they are cut from."""
+    found = []
+    for path in WORKSPACES:
+        ws = workspace.parse_workspace(os.path.join(ROOT, path))
+        found += list(ws.modules.values())
+        found += [mem.module for corpus in ws.corpora.values() for mem in corpus]
+    found += [mem.module for mem in workspace.random_modules(300, 11, Caps())]
+    for ring in workspace.RANDOM_RING_POOL:
+        r = modules.regular_module(ring)
+        found += [r, modules.direct_sum([r, r])[0]]
+    return list(dict.fromkeys(found + _closure_corpus()))
+
+
+def _submodules_or_cap(enumerate_, m):
+    try:
+        return enumerate_(m, CAP)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def test_submodules_piece_by_piece_equal_the_sum_closure():
+    split = 0
+    for m in _lattice_corpus():
+        got = _submodules_or_cap(modules.enumerate_submodules.__wrapped__, m)
+        assert got == _submodules_or_cap(_submodules_by_sum_closure, m), m.name
+        if m.size() <= CAP:
+            pieces = modules.central_pieces(m, CAP)
+            assert math.prod(piece.order() for piece in pieces) == m.size(), m.name
+            split += len(pieces) > 1
+    assert split >= 40
+
+
+def test_submodules_of_small_modules_equal_the_closed_element_subsets():
+    small = [m for m in _lattice_corpus() if m.size() <= 8]
+    assert len(small) > 20
+    for m in small:
+        got = {frozenset(s.elements()) for s in modules.enumerate_submodules(m, CAP)}
+        assert got == _submodules_by_subsets(m), m.name
 
 
 def test_enumerate_submodules_cap():

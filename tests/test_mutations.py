@@ -9,6 +9,7 @@ later change weakens a cross-check so that a break goes unnoticed, its case
 fails.  A fast path added, or a route removed, adds its case here.
 """
 
+import itertools
 import math
 
 import pytest
@@ -17,8 +18,9 @@ from endolab import homs, incidence, lab, linalg, modules, rings
 from endolab.verdicts import Caps, Verdict, undecided_on_cap
 from test_incidence import _incend
 from test_lab import (
-    _azumaya_per_element, _k_nonsingular_per_hom, _memoized, _observable, _unit_orbit, plane, reg)
-from test_modules import _generated_by_closure, _generator_lists
+    _azumaya_per_element, _first_failure, _k_nonsingular_per_hom, _memoized, _observable,
+    _prime_in_eager, _unit_orbit, plane, reg)
+from test_modules import _generated_by_closure, _generator_lists, _submodules_by_sum_closure
 
 CAPS = Caps()
 
@@ -212,3 +214,96 @@ def test_is_semisimple_flipped_on_one_module(unmemoized):
     unmemoized.setattr(rings, "is_semisimple",
                        lambda ring: not semisimple(ring) if ring == end else semisimple(ring))
     assert _inconsistencies(m)
+
+
+def _lattice_disagrees(m):
+    """The library's submodules of m, computed afresh, differ from the sum
+    closure over all of m."""
+    got = modules.enumerate_submodules.__wrapped__(m, CAPS.submodules)
+    return got != _submodules_by_sum_closure(m, CAPS.submodules)
+
+
+def test_a_non_central_idempotent_accepted_as_central(monkeypatch):
+    """E_11 of M2(F2) is idempotent but not central.  M·E_11 is then a left
+    ideal, not a submodule, and the sum closures of M·E_11 and M·E_22 each
+    reach all of M, so their sums repeat submodules."""
+    ring = rings.matrix_ring_presentation(2, 2)
+    m = modules.regular_module(ring)
+    assert not _lattice_disagrees(m)
+    primitive = rings.primitive_central_idempotents
+    e11, e22 = (1, 0, 0, 0), (0, 0, 0, 1)
+    monkeypatch.setattr(rings, "primitive_central_idempotents",
+                        lambda r, cap: (e11, e22) if r == ring else primitive(r, cap))
+    assert _lattice_disagrees(m)
+
+
+def test_the_last_central_piece_dropped(monkeypatch):
+    """Z/6 splits into the pieces 3Z/6 and 2Z/6; without the last one, only
+    the submodules of the first are found."""
+    m = reg(6)
+    assert not _lattice_disagrees(m)
+    pieces = modules.central_pieces
+    monkeypatch.setattr(modules, "central_pieces", lambda m, cap: pieces(m, cap)[:-1])
+    assert _lattice_disagrees(m)
+
+
+def _first_failing_disagrees(g):
+    return g.first_failing(lab._both_summands) != _first_failure(g, lab._both_summands)
+
+
+def test_a_primary_part_dropped(monkeypatch):
+    """End(Z/18) = Z/2 × Z/9 fails only on its 3-part: the hom 3 has a
+    kernel that is no summand.  Without that part the sweep finds nothing."""
+    g = homs.hom_group(reg(18), reg(18))
+    assert not _first_failing_disagrees(g)
+    parts = homs.HomGroup.primary_parts
+    monkeypatch.setattr(homs.HomGroup, "primary_parts",
+                        lambda self: parts(self)[:-1] if len(parts(self)) > 1 else parts(self))
+    assert _first_failing_disagrees(g)
+
+
+def _first_failing_without_the_fallback(self, pred):
+    """``HomGroup.first_failing`` returning the failing part's own hom, with
+    no sweep of the whole group."""
+    for part in self.primary_parts():
+        for f in part.iter_orbit_representatives():
+            if not pred(*homs.kernel_and_image(f)):
+                return f
+    return None
+
+
+def test_the_fallback_sweep_returns_the_part_hom(monkeypatch):
+    """In End(Z/12) the first failing hom is 2, but the first failing orbit
+    representative of the 2-part, whose homs are 0, 3, 6 and 9, is 6."""
+    g = homs.hom_group(reg(12), reg(12))
+    assert not _first_failing_disagrees(g)
+    monkeypatch.setattr(homs.HomGroup, "first_failing", _first_failing_without_the_fallback)
+    assert _first_failing_disagrees(g)
+
+
+def _first_inside_keyed_by_one_index(self, n, diagonal):
+    """``ProductTable._first_inside`` with its products kept under the first
+    index only, so K_M L is read back for every later L."""
+    outside = [i for i, k in enumerate(self.fi) if not n.contains_sub(k)]
+    pairs = zip(outside, outside) if diagonal else itertools.product(outside, repeat=2)
+    for i, j in pairs:
+        if i not in self._products:
+            self._products[i] = lab.product_submodules(self.fi[i], self.fi[j])
+        if n.contains_sub(self._products[i]):
+            return self.fi[i], self.fi[j]
+    return None
+
+
+def _prime_disagreements(m):
+    return [n for n in lab.fully_invariant_submodules(m, CAPS) if not n.is_full()
+            and _observable(lab.is_prime_in(n, CAPS)) != _observable(_prime_in_eager(n, CAPS))]
+
+
+def test_the_product_table_keyed_by_one_index(monkeypatch):
+    """In Z/4 the zero submodule is not prime: (2Z/4)_M (2Z/4) = 0.  Keyed by
+    its first index, that pair reads back (2Z/4)_M Z/4 = 2Z/4, and zero
+    looks prime."""
+    m = reg(4)
+    assert _prime_disagreements(m) == []
+    monkeypatch.setattr(lab.ProductTable, "_first_inside", _first_inside_keyed_by_one_index)
+    assert _prime_disagreements(m)

@@ -224,6 +224,30 @@ def test_quasi_inverses_equal_the_matrix_product_rows(ring_pool):
     assert mismatches == []
 
 
+def test_centre_and_central_idempotents_equal_the_element_search(ring_pool):
+    """Z(R) is the set of elements that commute with every basis element,
+    and its primitive idempotents are the nonzero central idempotents that
+    no other nonzero one lies under."""
+    split = 0
+    for ring in ring_pool:
+        if ring.size() > 512:
+            continue
+        elements = rings.enumerate_elements(ring, CAP)
+        central = {x.coords for x in elements if rings.is_central(x)}
+        assert set(linalg.enumerate_subgroup(ring.centre, ring.moduli)) == central, ring.name
+        idem = [e for e in elements if e.coords in central and (e * e).coords == e.coords
+                and not e.is_zero()]
+        want = {e.coords for e in idem
+                if not any(f != e and (e * f).coords == f.coords for f in idem)}
+        got = rings.primitive_central_idempotents(ring, CAP)
+        assert len(got) == len(want) and set(got) == want, ring.name
+        split += len(got) > 1
+    assert split > 20
+    ring = rings.product_ring(rings.zmod_ring(2), rings.zmod_ring(3))
+    assert rings.primitive_central_idempotents(ring, 6) == ((1, 0), (0, 1))
+    assert rings.primitive_central_idempotents(ring, 5) == ((1, 1),)
+
+
 def test_regular_ring_over_the_cap_stays_undecided():
     ring = rings.matrix_ring_presentation(3, 2)
     assert rings.is_semisimple(ring)
