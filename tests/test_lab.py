@@ -439,6 +439,106 @@ def test_distributive_boolean_equals_the_triple_loop(caps):
     assert caps != CAPS or failing > 5
 
 
+# ---------------------------------------------------------------------------
+# SSP, SIP and the distributive summand lattice against the loops over every
+# pair and triple, with eager tables, that they replaced
+# ---------------------------------------------------------------------------
+
+
+@undecided_on_cap
+def _ssp_all_pairs(m, caps):
+    """Reference: sum every pair of summands, comparable pairs included."""
+    for a, b in itertools.combinations(lab.direct_summands(m, caps), 2):
+        if homs.summand_test(modules.submodule_sum(a, b)) is None:
+            return Verdict.no(witness=(a, b), reason="sum of summands not a summand")
+    return Verdict.yes()
+
+
+@undecided_on_cap
+def _sip_all_pairs(m, caps):
+    """Reference: intersect every pair of summands, comparable pairs included."""
+    for a, b in itertools.combinations(lab.direct_summands(m, caps), 2):
+        if homs.summand_test(modules.submodule_intersect(a, b)) is None:
+            return Verdict.no(witness=(a, b), reason="intersection of summands not a summand")
+    return Verdict.yes()
+
+
+@undecided_on_cap
+def _distributive_boolean_eager(m, caps):
+    """Reference: the full tables of pairwise sums and intersections, a
+    complement searched by sum and intersection, then every triple with B
+    before C."""
+    summands = lab.direct_summands(m, caps)
+    n = len(summands)
+    meet = [[None] * n for _ in range(n)]
+    join = [[None] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        meet[i][j] = meet[j][i] = modules.submodule_intersect(summands[i], summands[j])
+        join[i][j] = join[j][i] = modules.submodule_sum(summands[i], summands[j])
+    for i, a in enumerate(summands):
+        if not any(meet[i][j].is_zero() and join[i][j].is_full() for j in range(n)):
+            return Verdict.no(witness=a, reason="summand without complement")
+    for i, a in enumerate(summands):
+        for j, k in itertools.combinations(range(n), 2):
+            lhs = modules.submodule_intersect(a, join[j][k])
+            rhs = modules.submodule_sum(meet[i][j], meet[i][k])
+            if lhs.gens != rhs.gens:
+                return Verdict.no(
+                    witness=(a, summands[j], summands[k]), reason="distributivity fails")
+    return Verdict.yes()
+
+
+def _summand_lattice_corpus():
+    """The regular modules of the random ring pool, the squares of those with
+    at most 8 elements, the memo corpus, e1R and Z/2 ⊕ Z/3.  SSP, SIP and
+    distributivity each fail on several of them, at different pairs and
+    triples."""
+    pool = [modules.regular_module(r, name=r.name) for r in workspace.RANDOM_RING_POOL]
+    squares = [modules.direct_sum([m, m])[0] for m in pool if m.size() <= 8]
+    return pool + squares + _memo_corpus() + [e1R(), sum_2_3()]
+
+
+@pytest.mark.parametrize("caps", (CAPS,) + TIGHT_CAPS, ids=str)
+def test_summand_lattice_predicates_equal_the_all_pairs_loops(caps):
+    pairs = (
+        (lab.has_ssp, _ssp_all_pairs),
+        (lab.has_sip, _sip_all_pairs),
+        (lab.is_distributive_boolean, _distributive_boolean_eager),
+    )
+    failures = collections.Counter()
+    for m in _summand_lattice_corpus():
+        for fast, reference in pairs:
+            got = fast(m, caps)
+            assert _observable(got) == _observable(reference(m, caps)), (fast.__name__, m.name)
+            failures[fast.__name__] += got.value is False
+    assert caps != CAPS or all(failures[fast.__name__] > 2 for fast, _ in pairs), failures
+
+
+def test_triples_with_a_comparable_pair_are_distributive():
+    """The rule that lets ``is_distributive_boolean`` skip a triple: when one
+    of A, B, C contains another, A ∩ (B + C) = (A ∩ B) + (A ∩ C), with both
+    sides computed in full, on every module of at most 16 elements."""
+    checked = 0
+    for m in _summand_lattice_corpus():
+        if m.size() > 16:
+            continue
+        summands = lab.direct_summands(m, CAPS)
+        index = range(len(summands))
+        join = {(j, k): modules.submodule_sum(summands[j], summands[k])
+                for j, k in itertools.product(index, repeat=2)}
+        meet = {(j, k): modules.submodule_intersect(summands[j], summands[k])
+                for j, k in itertools.product(index, repeat=2)}
+        for i, j, k in itertools.product(index, repeat=3):
+            if not any(summands[x].contains_sub(summands[y])
+                       for x, y in itertools.permutations((i, j, k), 2)):
+                continue
+            lhs = modules.submodule_intersect(summands[i], join[j, k])
+            rhs = modules.submodule_sum(meet[i, j], meet[i, k])
+            assert lhs.gens == rhs.gens, (m.name, i, j, k)
+            checked += 1
+    assert checked > 10000
+
+
 @undecided_on_cap
 @assuming(lambda m, caps: lab.is_endoregular(m, caps))
 def _ker_im_summands_per_power(m, caps):

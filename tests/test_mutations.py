@@ -18,8 +18,8 @@ from endolab import homs, incidence, lab, linalg, modules, rings
 from endolab.verdicts import Caps, Verdict, undecided_on_cap
 from test_incidence import _incend
 from test_lab import (
-    _azumaya_per_element, _first_failure, _k_nonsingular_per_hom, _memoized, _observable,
-    _prime_in_eager, _unit_orbit, plane, reg)
+    _azumaya_per_element, _distributive_boolean_eager, _first_failure, _k_nonsingular_per_hom,
+    _memoized, _observable, _prime_in_eager, _ssp_all_pairs, _unit_orbit, plane, reg)
 from test_modules import _generated_by_closure, _generator_lists, _submodules_by_sum_closure
 
 CAPS = Caps()
@@ -307,3 +307,39 @@ def test_the_product_table_keyed_by_one_index(monkeypatch):
     assert _prime_disagreements(m) == []
     monkeypatch.setattr(lab.ProductTable, "_first_inside", _first_inside_keyed_by_one_index)
     assert _prime_disagreements(m)
+
+
+def test_the_triple_filter_also_skips_disjoint_pairs(monkeypatch):
+    """Any two distinct lines of Z/2 ⊕ Z/2 meet in 0, so every triple of
+    lines, the only triples where distributivity can fail, is skipped, and
+    the plane's summand lattice looks Boolean."""
+    m = plane()
+    want = _observable(_distributive_boolean_eager(m, CAPS))
+    assert want[0] is False
+    assert _observable(lab.is_distributive_boolean(m, CAPS)) == want
+    triples = lab.SummandLattice.incomparable_triples
+
+    def skipping_disjoint(self):
+        return ((i, j, k) for i, j, k in triples(self) if not self.meet(j, k).is_zero())
+
+    monkeypatch.setattr(lab.SummandLattice, "incomparable_triples", skipping_disjoint)
+    assert _observable(lab.is_distributive_boolean(m, CAPS)) != want
+
+
+def _intersecting_pairs(self):
+    """``SummandLattice.incomparable_pairs`` skipping the pairs that meet in
+    0 instead of the comparable ones."""
+    pairs = itertools.combinations(range(len(self.summands)), 2)
+    return ((i, j) for i, j in pairs if not self.meet(i, j).is_zero())
+
+
+def test_ssp_skips_disjoint_pairs_instead_of_comparable_ones(monkeypatch):
+    """In UT2(F2) the summands e22·R and (e12 + e22)·R meet in 0, and their
+    sum, the second column, is no summand; with disjoint pairs skipped, the
+    regular module looks SSP."""
+    m = modules.regular_module(rings.matrix_ring_presentation(2, 2, upper_triangular=True))
+    want = _observable(_ssp_all_pairs(m, CAPS))
+    assert want[0] is False
+    assert _observable(lab.has_ssp(m, CAPS)) == want
+    monkeypatch.setattr(lab.SummandLattice, "incomparable_pairs", _intersecting_pairs)
+    assert _observable(lab.has_ssp(m, CAPS)) != want
