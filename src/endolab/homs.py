@@ -10,6 +10,7 @@ enumeration cap except ``find_embedding``, which sweeps a hom group.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
@@ -72,10 +73,10 @@ class HomGroup:
         flat_target = tuple(v for row in h.matrix for v in row)
         return coordinates_in_subgroup(flat_target, self._coordinates)
 
-    def _odometer(self) -> Iterator[tuple[IntVector, list[int]]]:
-        """(coords, flattened matrix) of every hom, coordinates in
-        lexicographic order (last coordinate fastest), each matrix one
-        generator add from the one before.
+    def _odometer(self) -> Iterator[IntVector]:
+        """The flattened matrix of every hom, coordinates in lexicographic
+        order (last coordinate fastest), each one generator add from the
+        one before.
 
         Stepping coordinate i adds g_i.  When c_i wraps from o_i - 1 to 0,
         the add still happens: o_i * g_i = 0, so the sum returns to c_i = 0
@@ -85,12 +86,12 @@ class HomGroup:
         flat_gens = [[v for row in g.matrix for v in row] for g in self.gens]
         orders = self.orders
         coords = [0] * len(orders)
-        flat = [0] * len(moduli)
+        flat = (0,) * len(moduli)
         while True:
-            yield tuple(coords), flat
+            yield flat
             i = len(orders) - 1
             while i >= 0:
-                flat = [(a + b) % d for a, b, d in zip(flat, flat_gens[i], moduli)]
+                flat = tuple([(a + b) % d for a, b, d in zip(flat, flat_gens[i], moduli)])
                 coords[i] += 1
                 if coords[i] < orders[i]:
                     break
@@ -107,34 +108,48 @@ class HomGroup:
     def iter_homs(self) -> Iterator[ModuleHom]:
         """Every hom: ``from_coords`` of each coordinate vector in
         ``itertools.product`` order, built by the odometer walk."""
-        for _, flat in self._odometer():
+        for flat in self._odometer():
             yield self._from_flat(flat)
 
-    def iter_orbit_representatives(self) -> Iterator[ModuleHom]:
+    def iter_orbit_representatives(self, perms: Sequence[IntVector] = ()) -> Iterator[ModuleHom]:
         """The first hom, in ``iter_homs`` order, of each orbit of the
-        units acting by scalar multiplication.
+        group G = U × Σ, where U is the units acting by scalar
+        multiplication and Σ is the identity together with ``perms``, a
+        group of permutations of the flat matrix indices: σ sends the
+        flattened F to (F[σ(0)], F[σ(1)], ...).
 
         Let e be the exponent of the codomain and u a unit mod e.  Integers
         are central, so y -> u*y is an automorphism of the codomain, and
         Ker(u*f) = Ker f, Im(u*f) = u*Im f = Im f.  Any predicate of
-        (Ker f, Im f) is therefore constant on an orbit, and the first hom
-        of ``iter_homs`` to fail it is the first member of its orbit.
-        u*f has coordinates (u*c_i mod o_i), so only u mod the group's
-        exponent lcm(o_i) matters.  It divides e, and every unit mod it
-        lifts to a unit mod e, so the units mod lcm(o_i) give the same
-        orbits; when lcm(o_i) <= 2 every hom is its own orbit.  ``ahead``
-        holds the orbit members not yet reached, at most the size of the
-        group, and is dropped after the sweep.
+        (Ker f, Im f) is therefore constant on a unit orbit.  u*f depends
+        only on u mod the group's exponent lcm(o_i), which divides e, and
+        every unit mod it lifts to a unit mod e, so the units mod lcm(o_i)
+        give the same orbits; when lcm(o_i) <= 2 they fix every hom.  The
+        caller vouches that each σ maps the group onto itself and keeps its
+        predicate (``block_permutations``); σ permutes entries and u scales
+        them, so the two commute and G is a group.
+
+        Its orbits partition the group, and each is met first at its least
+        member in ``iter_homs`` order.  If a predicate is constant on every
+        orbit, the first hom to fail it is the least of its orbit, so it is
+        yielded here and every hom before it passes: a sweep of the
+        representatives finds the same first failure as ``iter_homs``.
+        ``ahead`` holds the orbit members not yet reached, keyed by flat
+        matrix, at most the size of the group, and is dropped after the
+        sweep.
         """
         exponent = lcm(*self.orders)
         units = [u for u in range(2, exponent) if gcd(u, exponent) == 1]
+        moduli = self.codomain.moduli * self.domain.rank
         ahead: set[IntVector] = set()
-        for coords, flat in self._odometer():
-            if coords in ahead:
-                ahead.remove(coords)
+        for flat in self._odometer():
+            if flat in ahead:
+                ahead.remove(flat)
                 continue
-            ahead.update(tuple(u * c % o for c, o in zip(coords, self.orders)) for u in units)
-            ahead.discard(coords)
+            for image in [flat, *(tuple([flat[i] for i in sigma]) for sigma in perms)]:
+                ahead.add(image)
+                ahead.update(tuple([u * v % d for v, d in zip(image, moduli)]) for u in units)
+            ahead.discard(flat)
             yield self._from_flat(flat)
 
     def primary_parts(self) -> list["HomGroup"]:
@@ -162,19 +177,31 @@ class HomGroup:
             parts.append(HomGroup(self.domain, self.codomain, tuple(gens), tuple(orders)))
         return parts
 
-    def first_failing(self, pred: Callable[[Submodule, Submodule], bool]) -> Optional[ModuleHom]:
-        """The first unit-scalar orbit representative f, in ``iter_homs``
-        order, with ``pred(Ker f, Im f)`` false, or None.
+    def first_failing(
+        self, pred: Callable[[Submodule, Submodule], bool], perms: Sequence[IntVector] = (),
+    ) -> Optional[ModuleHom]:
+        """The first hom f, in ``iter_homs`` order, with ``pred(Ker f, Im f)``
+        false, or None, found by sweeping the orbit representatives of
+        ``iter_orbit_representatives(perms)``.
 
-        ``pred`` must be primary-local: it holds for f exactly when it holds
-        for e_p·f at every prime p.  Here e is the exponent of the codomain
-        and e_p the CRT idempotent integer, e_p ≡ 1 mod p^k and 0 mod e/p^k.
-        Homs preserve primary components, so Ker(e_p·f) = (Ker f)_p ⊕ M_p′
-        and Im(e_p·f) = (Im f)_p, where M_p′ is the sum of the other
-        primary components of the domain M.  A submodule is a summand iff
-        each of its primary components is one, and orders, sums and
-        intersections split by primes as well.  So, for an endomorphism f
-        of M, each of these predicates is primary-local:
+        ``pred`` must be constant on the orbits of ``perms``.  For an
+        endomorphism group of N = B^k, ``block_permutations(N, two_sided)``
+        gives such groups: each block permutation P is an automorphism of
+        N, Ker(P·f·Q) = (Ker f)·P⁻¹ and Im(P·f·Q) = (Im f)·Q.  Automorphisms
+        keep summands, so "Ker f and Im f are summands" is constant on the
+        two-sided orbits f -> P·f·Q.  The other two predicates below compare
+        Ker f with Im f, so they need the same automorphism on both sides:
+        they are constant on the conjugates P·f·P⁻¹ only.
+
+        ``pred`` must also be primary-local: it holds for f exactly when it
+        holds for e_p·f at every prime p.  Here e is the exponent of the
+        codomain and e_p the CRT idempotent integer, e_p ≡ 1 mod p^k and
+        0 mod e/p^k.  Homs preserve primary components, so
+        Ker(e_p·f) = (Ker f)_p ⊕ M_p′ and Im(e_p·f) = (Im f)_p, where M_p′ is
+        the sum of the other primary components of the domain M.  A
+        submodule is a summand iff each of its primary components is one,
+        and orders, sums and intersections split by primes as well.  So, for
+        an endomorphism f of M, each of these predicates is primary-local:
 
         * Ker f and Im f are summands: (Ker f)_p ⊕ M_p′ is a summand iff
           (Ker f)_p is, and (Im f)_p is one iff it is one of M_p;
@@ -187,27 +214,76 @@ class HomGroup:
         ``primary_parts`` (e_p·f = 0 for every f when p does not divide the
         exponent of H, and the zero hom is in every part).  A "yes" thus
         takes Σ_p |H_p| homs, not Π_p |H_p|, each part swept one hom per
-        unit-scalar orbit: a unit mod p^k acts on H_p as its CRT lift, a
-        unit mod e.  With a single part, that part is H and its first
-        failure is the answer.  Otherwise a failing part sends the sweep
-        over H itself, so every witness is the one a sweep of H alone gives.
+        orbit: a unit mod p^k acts on H_p as its CRT lift, a unit mod e, and
+        the integer e_p commutes with every permutation of matrix entries,
+        so σ(e_p·f) = e_p·σ(f) and each σ maps H_p onto itself.  With a
+        single part, that part is H and its first failure is the answer.
+        Otherwise a failing part sends the sweep over H itself.  Either way
+        ``iter_orbit_representatives`` yields the first failing hom of the
+        swept group, so no verdict or witness depends on ``perms``.
         """
         parts = self.primary_parts()
         for part in parts:
             failing = next(
-                (f for f in part.iter_orbit_representatives() if not pred(*kernel_and_image(f))),
+                (f for f in part.iter_orbit_representatives(perms)
+                 if not pred(*kernel_and_image(f))),
                 None,
             )
             if failing is None:
                 continue
             if len(parts) == 1:
                 return failing
-            for f in self.iter_orbit_representatives():
+            for f in self.iter_orbit_representatives(perms):
                 if not pred(*kernel_and_image(f)):
                     return f
             raise InternalInconsistency(
                 "a primary part of a hom group fails the predicate, but no hom does")
         return None
+
+
+def block_power(m: FiniteModule) -> int:
+    """The largest k such that m is ``direct_sum([B] * k)`` for some B, or 1.
+
+    That holds exactly when the moduli repeat with period b = rank/k and
+    every action matrix is block-diagonal with k equal b×b blocks.
+    """
+    n = m.rank
+    for k in range(n, 1, -1):
+        b = n // k
+        if n % k or m.moduli != m.moduli[:b] * k:
+            continue
+        if all(
+            mat[i][j] == (mat[i % b][j % b] if i // b == j // b else 0)
+            for mat in m.action for i in range(n) for j in range(n)
+        ):
+            return k
+    return 1
+
+
+def block_permutations(m: FiniteModule, two_sided: bool) -> list[IntVector]:
+    """Permutations of the flat matrix indices of End(m), m = B^k with
+    k = ``block_power(m)``: f -> P·f·Q over all block permutations P, Q when
+    ``two_sided``, else the conjugates f -> P·f·P⁻¹.  The identity is left
+    out, and there are none when k = 1.
+
+    A block permutation moves the k copies of B and keeps the order inside
+    each.  The moduli repeat with period b and the action matrices are
+    block-diagonal with equal blocks, so P is well defined and commutes
+    with every action matrix: it is an automorphism of m, and P·f·Q is an
+    endomorphism with entries already reduced.  Entry (i, j) of P·f·Q is
+    f[π(i)][τ(j)], with π and τ the index maps of P and Q⁻¹.
+    """
+    k = block_power(m)
+    n = m.rank
+    b = n // k
+    index_maps = [
+        tuple(p[i // b] * b + i % b for i in range(n)) for p in itertools.permutations(range(k))
+    ]
+    pairs = (
+        itertools.product(index_maps, repeat=2) if two_sided else ((p, p) for p in index_maps)
+    )
+    # both orders start with the identity pair
+    return [tuple(r * n + c for r in rows for c in cols) for rows, cols in pairs][1:]
 
 
 def _hom_system(dom: FiniteModule, cod: FiniteModule) -> tuple[list[list[int]], tuple[int, ...], tuple[int, ...]]:

@@ -16,6 +16,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from . import linalg, rings
 from .homs import (
     HomGroup,
+    block_permutations,
     end_ring,
     find_embedding,
     find_isomorphism,
@@ -124,7 +125,8 @@ def _endoregular_via_summands(m: FiniteModule, caps: Caps) -> Verdict:
     """Every endomorphism has summand kernel and image.  Memoized because
     ``check_ker_im_summands_in_powers`` asks it of M ⊕ M, which is also the
     sum of a family (M, M)."""
-    phi = end_homs(m, caps.homs).first_failing(_both_summands)
+    phi = end_homs(m, caps.homs).first_failing(
+        _both_summands, block_permutations(m, two_sided=True))
     if phi is not None:
         return Verdict.no(witness=phi, reason="kernel or image not a summand")
     return Verdict.yes()
@@ -189,7 +191,8 @@ def abelian_route_end_ring(m: FiniteModule, caps: Caps) -> Verdict:
 
 @undecided_on_cap
 def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
-    phi = end_homs(m, caps.homs).first_failing(_ker_im_complementary)
+    phi = end_homs(m, caps.homs).first_failing(
+        _ker_im_complementary, block_permutations(m, two_sided=False))
     if phi is not None:
         return Verdict.no(witness=phi, reason="M != Ker ⊕ Im")
     return Verdict.yes()
@@ -227,10 +230,12 @@ def direct_summands(m: FiniteModule, caps: Caps) -> list[Submodule]:
 class SummandLattice:
     """The direct summands of a module and their pairwise sums and
     intersections, each computed the first time a test reads it, and the
-    pairs and triples of summands in which none contains another."""
+    pairs and triples of summands in which none contains another.
+    ``every_submodule`` says whether every submodule is a summand."""
 
     def __init__(self, m: FiniteModule, caps: Caps) -> None:
         self.summands = direct_summands(m, caps)
+        self.every_submodule = len(self.summands) == len(enumerate_submodules(m, caps.submodules))
         self.orders = [a.order() for a in self.summands]
         self._joins: dict[tuple[int, int], Submodule] = {}
         self._meets: dict[tuple[int, int], Submodule] = {}
@@ -279,10 +284,14 @@ class SummandLattice:
 def has_ssp(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Sum of any two direct summands is a direct summand.
 
-    A pair where one summand contains the other has the larger one as its
-    sum, a summand already, so only incomparable pairs are summed.
+    When every submodule is a summand, so is every sum, and SSP holds.
+    Otherwise a pair where one summand contains the other has the larger
+    one as its sum, a summand already, so only incomparable pairs are
+    summed.
     """
     lattice = SummandLattice(m, caps)
+    if lattice.every_submodule:
+        return Verdict.yes()
     for i, j in lattice.incomparable_pairs():
         if summand_test(lattice.join(i, j)) is None:
             a, b = lattice.summands[i], lattice.summands[j]
@@ -294,11 +303,14 @@ def has_ssp(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
 def has_sip(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Intersection of any two direct summands is a direct summand.
 
-    A pair where one summand contains the other has the smaller one as its
-    intersection, a summand already, so only incomparable pairs are
-    intersected.
+    When every submodule is a summand, so is every intersection, and SIP
+    holds.  Otherwise a pair where one summand contains the other has the
+    smaller one as its intersection, a summand already, so only
+    incomparable pairs are intersected.
     """
     lattice = SummandLattice(m, caps)
+    if lattice.every_submodule:
+        return Verdict.yes()
     for i, j in lattice.incomparable_pairs():
         if summand_test(lattice.meet(i, j)) is None:
             a, b = lattice.summands[i], lattice.summands[j]
@@ -416,7 +428,8 @@ def five_way_conditions(m: FiniteModule, caps: Caps = Caps()) -> tuple[Verdict, 
 @undecided_on_cap
 def im_plus_ker_always_full(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Im φ + Ker φ = M for every endomorphism φ."""
-    phi = end_homs(m, caps.homs).first_failing(_ker_im_span)
+    phi = end_homs(m, caps.homs).first_failing(
+        _ker_im_span, block_permutations(m, two_sided=False))
     if phi is not None:
         return Verdict.no(witness=phi, reason="Im + Ker proper")
     return Verdict.yes()

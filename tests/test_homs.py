@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from endolab import homs, modules, rings, workspace
+from endolab import homs, linalg, modules, rings, workspace
 from endolab.homs import (
     end_ring,
     find_embedding,
@@ -386,7 +386,7 @@ def test_primary_parts_are_the_crt_images(primary_groups):
                   for p, e_p in idempotents.items()}
         images = {p: set() for p in idempotents}
         # the flattened matrices of iter_homs, without building each hom
-        for _, flat in g._odometer():
+        for flat in g._odometer():
             for p, table in tables.items():
                 images[p].add(tuple(map(operator.getitem, table, flat)))
         for p, want in images.items():
@@ -397,3 +397,89 @@ def test_primary_parts_are_the_crt_images(primary_groups):
             assert got == want, (g.orders, p)
         multi_prime += len(parts) > 1
     assert multi_prime >= 8
+
+
+# ---------------------------------------------------------------------------
+# Powers of a block and their block permutations
+# ---------------------------------------------------------------------------
+
+
+def _module(ring, moduli, action):
+    m = modules.FiniteModule(ring, tuple(moduli), tuple(tuple(map(tuple, a)) for a in action))
+    assert modules.validate_module(m) == (True, "")
+    return m
+
+
+@pytest.fixture(scope="module")
+def blocks():
+    """Modules that are no power of a smaller one: the rank-2 blocks of the
+    held-out powers workspace, Z/2 ⊕ Z/4 over Z/4, and Z/n for a few n."""
+    ws = workspace.parse_workspace(os.path.join(ROOT, "workspaces/held-out-powers.json"))
+    z4 = reg(4)
+    z2, _ = modules.quotient(z4, modules.submodule_generated(z4, [(2,)]))
+    return list(ws.modules.values()) + [modules.direct_sum([z2, z4])[0], reg(2), reg(6)]
+
+
+@pytest.fixture(scope="module")
+def unequal_blocks():
+    """Block-diagonal modules with repeating moduli that are no power: the
+    blocks differ, or the diagonal blocks agree but an off-diagonal entry
+    is nonzero."""
+    ws = workspace.parse_workspace(os.path.join(ROOT, "workspaces/held-out-powers.json"))
+    dual, split = ws.rings["f2-dual"], ws.rings["f2xf2"]
+    one = [[int(i == j) for j in range(4)] for i in range(4)]
+    return [
+        # F2[x]/(x²) ⊕ (F2)², x acting as J on the first block and as 0 on the second
+        _module(dual, [2] * 4, [one, [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]]),
+        # (F2 × F2) ⊕ (F2 × F2) with the factors of the second copy swapped
+        _module(split, [2] * 4, [[[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
+                                 [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]]),
+        # equal diagonal blocks J, J joined by the identity above the diagonal
+        _module(dual, [2] * 4, [one, [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]]]),
+    ]
+
+
+def test_block_power_counts_the_copies_of_a_block(blocks, unequal_blocks):
+    for b in blocks:
+        assert homs.block_power(b) == 1, b.name
+        for k in (2, 3, 4):
+            assert homs.block_power(modules.direct_sum([b] * k)[0]) == k, (b.name, k)
+    for m in unequal_blocks:
+        assert homs.block_power(m) == 1, m.action
+        assert homs.block_permutations(m, two_sided=True) == []
+    # a power of a power counts every copy
+    assert homs.block_power(modules.direct_sum([plane(), plane()])[0]) == 4
+
+
+def _permuted(flat, sigma):
+    return tuple(flat[i] for i in sigma)
+
+
+def test_block_permutations_commute_with_every_action_matrix(blocks):
+    """Each σ sends F to P·F·Q for block permutations P, Q.  With
+    Π = σ(1) = P·Q, σ(ρ) = Π·ρ = ρ·Π for every action matrix ρ exactly when
+    P and Q commute with ρ; Π = 1 for a conjugation.  σ also maps each
+    generator of End to an endomorphism."""
+    for b in blocks:
+        for k in (2, 3):
+            m = modules.direct_sum([b] * k)[0]
+            n = m.rank
+            flat = lambda mat: tuple(v for row in mat for v in row)
+            unflat = lambda v: tuple(tuple(v[r * n:(r + 1) * n]) for r in range(n))
+            one = flat(modules.identity_hom(m).matrix)
+            gens = hom_group(m, m).gens
+            for two_sided in (False, True):
+                perms = homs.block_permutations(m, two_sided)
+                assert len(perms) == math.factorial(k) ** (1 + two_sided) - 1
+                products = set()
+                for sigma in perms:
+                    pi = unflat(_permuted(one, sigma))
+                    assert sorted(pi) == sorted(unflat(one))
+                    for rho in m.action:
+                        got = unflat(_permuted(flat(rho), sigma))
+                        assert got == linalg.mat_mul(pi, rho) == linalg.mat_mul(rho, pi)
+                    for g in gens:
+                        moved = modules.ModuleHom(m, m, unflat(_permuted(flat(g.matrix), sigma)))
+                        assert modules.is_module_hom(moved), (b.name, k, sigma)
+                    products.add(pi)
+                assert len(products) == (math.factorial(k) if two_sided else 1)

@@ -514,6 +514,23 @@ def test_summand_lattice_predicates_equal_the_all_pairs_loops(caps):
     assert caps != CAPS or all(failures[fast.__name__] > 2 for fast, _ in pairs), failures
 
 
+def test_ssp_and_sip_take_no_pair_when_every_submodule_is_a_summand(monkeypatch):
+    """Every submodule of (Z/3)³ is a summand: SSP and SIP hold with no sum
+    or intersection made.  The shortcut skips incomparable pairs on several
+    modules of the lattice corpus, where the all-pairs loops above agree
+    with it."""
+    cube = modules.direct_sum([reg(3)] * 3)[0]
+    made = collections.Counter()
+    for name in ("submodule_sum", "submodule_intersect"):
+        op = getattr(lab, name)
+        monkeypatch.setattr(lab, name, lambda a, b, op=op, name=name: made.update([name]) or op(a, b))
+    assert lab.has_ssp(cube, CAPS).value is True and lab.has_sip(cube, CAPS).value is True
+    assert made == {}
+    lattices = [lab.SummandLattice(m, CAPS) for m in _summand_lattice_corpus()]
+    skipped = [t for t in lattices if t.every_submodule and next(t.incomparable_pairs(), None)]
+    assert len(skipped) > 5, len(skipped)
+
+
 def test_triples_with_a_comparable_pair_are_distributive():
     """The rule that lets ``is_distributive_boolean`` skip a triple: when one
     of A, B, C contains another, A ∩ (B + C) = (A ∩ B) + (A ∩ C), with both
@@ -570,14 +587,18 @@ def test_power_check_equals_the_per_power_loop():
 
 
 # ---------------------------------------------------------------------------
-# Ker/Im sweeps on the primary parts, against the plain sweep
+# Ker/Im sweeps on the primary parts and block-permutation orbits, against
+# the plain sweep
 # ---------------------------------------------------------------------------
 
+# name, predicate, route, reason, and whether the route sweeps End(B^k) by
+# two-sided block permutations (True) or by conjugates only (False)
 PRIMARY_LOCAL = (
     ("summands", lab._both_summands, lab._endoregular_via_summands,
-     "kernel or image not a summand"),
-    ("complementary", lab._ker_im_complementary, lab.abelian_route_ker_im, "M != Ker ⊕ Im"),
-    ("span", lab._ker_im_span, lab.im_plus_ker_always_full, "Im + Ker proper"),
+     "kernel or image not a summand", True),
+    ("complementary", lab._ker_im_complementary, lab.abelian_route_ker_im, "M != Ker ⊕ Im",
+     False),
+    ("span", lab._ker_im_span, lab.im_plus_ker_always_full, "Im + Ker proper", False),
 )
 
 
@@ -585,25 +606,48 @@ def _first_failure(g, predicate):
     return next((f for f in g.iter_homs() if not predicate(*homs.kernel_and_image(f))), None)
 
 
+def _power_blocks():
+    """The rank-2 blocks of the held-out powers workspace."""
+    path = os.path.join(os.path.dirname(__file__), "..", "workspaces", "held-out-powers.json")
+    return list(workspace.parse_workspace(path).modules.values())
+
+
+def _powers(corpus, cap):
+    """M, M ⊕ M and M ⊕ M ⊕ M for each M of the corpus, as far as End stays
+    within the cap."""
+    found = []
+    for m in corpus:
+        found += [n for n in (modules.direct_sum([m] * k)[0] for k in (1, 2, 3))
+                  if homs.hom_group(n, n).size() <= cap]
+    return list(dict.fromkeys(found))
+
+
 def test_first_failing_equals_the_first_failure_of_the_plain_sweep():
     multi_prime_failures = 0
-    for m in _cap_corpus() + _memo_corpus():
-        square = modules.direct_sum([m, m])[0]
-        for g in dict.fromkeys((homs.hom_group(m, m), homs.hom_group(square, square))):
-            if g.size() > CAPS.homs:
-                continue
-            ker_im = {f.matrix: homs.kernel_and_image(f) for f in g.iter_homs()}
-            for _, predicate, _, _ in PRIMARY_LOCAL:
-                want = next((f for f in g.iter_homs() if not predicate(*ker_im[f.matrix])), None)
-                assert g.first_failing(predicate) == want, (m.name, g.orders, predicate)
-                multi_prime_failures += want is not None and len(g.primary_parts()) > 1
+    permuted = collections.Counter()
+    for m in _powers(_cap_corpus() + _memo_corpus() + _power_blocks(), CAPS.homs):
+        g = homs.hom_group(m, m)
+        ker_im = {f.matrix: homs.kernel_and_image(f) for f in g.iter_homs()}
+        for name, predicate, _, _, two_sided in PRIMARY_LOCAL:
+            want = next((f for f in g.iter_homs() if not predicate(*ker_im[f.matrix])), None)
+            perms = homs.block_permutations(m, two_sided)
+            assert g.first_failing(predicate, perms) == want, (m.name, g.orders, name)
+            multi_prime_failures += want is not None and len(g.primary_parts()) > 1
+            if perms:
+                permuted[name, homs.block_power(m), want is not None] += 1
     assert multi_prime_failures >= 5
+    # each predicate sweeps squares and cubes by block permutations, and the
+    # summand predicate both fails and holds there
+    assert all(permuted[name, k, True] + permuted[name, k, False] >= 4
+               for name, *_ in PRIMARY_LOCAL for k in (2, 3)), permuted
+    assert permuted["summands", 2, True] >= 2 and permuted["summands", 3, False] >= 2, permuted
 
 
 @pytest.mark.parametrize("caps", (CAPS,) + TIGHT_CAPS, ids=str)
 def test_ker_im_routes_equal_the_plain_sweep(caps):
-    for m in _cap_corpus() + _memo_corpus():
-        for name, predicate, route, reason in PRIMARY_LOCAL:
+    corpus = _cap_corpus() + _memo_corpus() + _powers(_power_blocks(), caps.homs)
+    for m in corpus:
+        for name, predicate, route, reason, _ in PRIMARY_LOCAL:
 
             @undecided_on_cap
             def plain(m, caps):

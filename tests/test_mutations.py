@@ -18,8 +18,9 @@ from endolab import homs, incidence, lab, linalg, modules, rings
 from endolab.verdicts import Caps, Verdict, undecided_on_cap
 from test_incidence import _incend
 from test_lab import (
-    _azumaya_per_element, _distributive_boolean_eager, _first_failure, _k_nonsingular_per_hom,
-    _memoized, _observable, _prime_in_eager, _ssp_all_pairs, _unit_orbit, plane, reg)
+    PRIMARY_LOCAL, _azumaya_per_element, _distributive_boolean_eager, _first_failure,
+    _k_nonsingular_per_hom, _memoized, _observable, _prime_in_eager, _sip_all_pairs,
+    _ssp_all_pairs, _unit_orbit, plane, reg)
 from test_modules import _generated_by_closure, _generator_lists, _submodules_by_sum_closure
 
 CAPS = Caps()
@@ -80,18 +81,18 @@ def test_is_central_on_the_first_basis_element_only(unmemoized):
 
 def _odometer_without_wrap_around(self):
     """``HomGroup._odometer`` with no add when a coordinate wraps to 0, so
-    the matrices stop matching the coordinates they are yielded with."""
+    the matrices stop matching the coordinates they stand for."""
     moduli = self.codomain.moduli * self.domain.rank
     flat_gens = [[v for row in g.matrix for v in row] for g in self.gens]
     coords = [0] * len(self.orders)
-    flat = [0] * len(moduli)
+    flat = (0,) * len(moduli)
     while True:
-        yield tuple(coords), flat
+        yield flat
         i = len(self.orders) - 1
         while i >= 0:
             coords[i] += 1
             if coords[i] < self.orders[i]:
-                flat = [(a + b) % d for a, b, d in zip(flat, flat_gens[i], moduli)]
+                flat = tuple((a + b) % d for a, b, d in zip(flat, flat_gens[i], moduli))
                 break
             coords[i] = 0
             i -= 1
@@ -100,23 +101,31 @@ def _odometer_without_wrap_around(self):
 
 
 def test_the_odometer_wrap_around_dropped(unmemoized):
-    """End(Z/2 ⊕ Z/4) over Z/4 has orders (2, 2, 2, 4).  With the orbit of
-    its last nonzero idempotent made irregular, the orbit sweep must report
-    the orbit's first member, as the per-element loop does."""
+    """End(Z/2 ⊕ Z/4) over Z/4 has orders (2, 2, 2, 4).  With the unit orbit
+    of an idempotent made irregular, the orbit sweep must report the
+    orbit's first member in ``iter_homs`` order, as the per-element loop
+    does.  Without the wrap-around add the walk still meets every hom here,
+    but in another order, so for some orbit of two homs it meets the
+    second one first."""
     z4 = reg(4)
     z2, _ = modules.quotient(z4, modules.submodule_generated(z4, [(2,)]))
     m, _, _ = modules.direct_sum([z2, z4])
     ring = homs.end_ring(m).ring
-    e = [e for e in rings.idempotents(ring, CAPS.homs) if not e.is_zero()][-1]
-    orbit = _unit_orbit(ring, e.coords)
     witness = rings.regularity_witness
-    unmemoized.setattr(
-        rings, "regularity_witness", lambda x: None if x.coords in orbit else witness(x))
-    want = _observable(_azumaya_per_element(m, CAPS))
-    assert want[0] is False
-    assert _observable(lab.azumaya_agreement(m, CAPS)) == want
-    unmemoized.setattr(homs.HomGroup, "_odometer", _odometer_without_wrap_around)
-    assert _observable(lab.azumaya_agreement(m, CAPS)) != want
+    moved = 0
+    for e in rings.idempotents(ring, CAPS.homs):
+        orbit = _unit_orbit(ring, e.coords)
+        if len(orbit) < 2:
+            continue
+        unmemoized.setattr(
+            rings, "regularity_witness", lambda x: None if x.coords in orbit else witness(x))
+        want = _observable(_azumaya_per_element(m, CAPS))
+        assert want[0] is False
+        assert _observable(lab.azumaya_agreement(m, CAPS)) == want
+        with pytest.MonkeyPatch.context() as broken:
+            broken.setattr(homs.HomGroup, "_odometer", _odometer_without_wrap_around)
+            moved += _observable(lab.azumaya_agreement(m, CAPS)) != want
+    assert moved
 
 
 def test_radical_chain_stopped_after_level_zero(unmemoized):
@@ -262,11 +271,11 @@ def test_a_primary_part_dropped(monkeypatch):
     assert _first_failing_disagrees(g)
 
 
-def _first_failing_without_the_fallback(self, pred):
+def _first_failing_without_the_fallback(self, pred, perms=()):
     """``HomGroup.first_failing`` returning the failing part's own hom, with
     no sweep of the whole group."""
     for part in self.primary_parts():
-        for f in part.iter_orbit_representatives():
+        for f in part.iter_orbit_representatives(perms):
             if not pred(*homs.kernel_and_image(f)):
                 return f
     return None
@@ -343,3 +352,78 @@ def test_ssp_skips_disjoint_pairs_instead_of_comparable_ones(monkeypatch):
     assert _observable(lab.has_ssp(m, CAPS)) == want
     monkeypatch.setattr(lab.SummandLattice, "incomparable_pairs", _intersecting_pairs)
     assert _observable(lab.has_ssp(m, CAPS)) != want
+
+
+def _route_disagrees(name, m):
+    """The library route of a Ker/Im predicate on m, read from ``lab`` so
+    that ``unmemoized`` reaches it, differs from the plain sweep of End(m)
+    in ``iter_homs`` order."""
+    _, predicate, route, reason, _ = next(case for case in PRIMARY_LOCAL if case[0] == name)
+    f = _first_failure(lab.end_homs(m, CAPS.homs), predicate)
+    want = Verdict.yes() if f is None else Verdict.no(witness=f, reason=reason)
+    return _observable(getattr(lab, route.__name__)(m, CAPS)) != _observable(want)
+
+
+def _block_power_without_the_equal_block_check(m):
+    """``homs.block_power`` checking the period of the moduli and that every
+    action matrix is block-diagonal, but not that the blocks are equal."""
+    n = m.rank
+    for k in range(n, 1, -1):
+        b = n // k
+        if n % k or m.moduli != m.moduli[:b] * k:
+            continue
+        if all(mat[i][j] == 0 for mat in m.action
+               for i in range(n) for j in range(n) if i // b != j // b):
+            return k
+    return 1
+
+
+def test_block_power_without_the_equal_block_check(unmemoized):
+    """D ⊕ F2 ⊕ F2 over the dual numbers D = F2[x]/(x²), with x acting as 0
+    on each F2, has the moduli (2, 2, 2, 2) and a block-diagonal action, but
+    x acts as a nonzero nilpotent on the first block only.  Taken for D²,
+    swapping the blocks looks like an automorphism, orbits that differ
+    merge, and the sweep misses the first hom whose kernel or image is no
+    summand."""
+    ring = rings.FiniteRing(moduli=(2, 2), mul=(((1, 0), (0, 1)), ((0, 1), (0, 0))), one=(1, 0))
+    dual = modules.regular_module(ring)
+    simple, _ = modules.quotient(dual, modules.submodule_generated(dual, [(0, 1)]))
+    m, _, _ = modules.direct_sum([dual, simple, simple])
+    assert homs.block_power(m) == 1
+    assert not _route_disagrees("summands", m)
+    unmemoized.setattr(homs, "block_power", _block_power_without_the_equal_block_check)
+    assert _route_disagrees("summands", m)
+
+
+def test_the_two_sided_group_for_ker_im_complementary(unmemoized):
+    """On Z/2 ⊕ Z/2, diag(1, 0) has Ker ⊕ Im = M, but its row swap
+    [[0, 0], [1, 0]] has Ker = Im.  Both lie in one two-sided orbit, so
+    swept by that orbit the first failure moves."""
+    m = plane()
+    assert not _route_disagrees("complementary", m)
+    block_permutations = homs.block_permutations
+    unmemoized.setattr(lab, "block_permutations", lambda m, two_sided: block_permutations(m, True))
+    assert _route_disagrees("complementary", m)
+
+
+def test_every_submodule_a_summand_counted_against_the_summands(monkeypatch):
+    """With the summand count compared with itself, SSP and SIP answer yes
+    at once everywhere.  In the regular module of UT2(F2) the sum of the
+    summands e22·R and (e12 + e22)·R is no summand; in Z/4 ⊕ Z/2 over Z/4
+    two summands meet in a submodule that is no summand."""
+    ut2 = modules.regular_module(rings.matrix_ring_presentation(2, 2, upper_triangular=True))
+    z4 = reg(4)
+    z2, _ = modules.quotient(z4, modules.submodule_generated(z4, [(2,)]))
+    cases = ((lab.has_ssp, _ssp_all_pairs, ut2),
+             (lab.has_sip, _sip_all_pairs, modules.direct_sum([z4, z2])[0]))
+    wants = [_observable(reference(m, CAPS)) for _, reference, m in cases]
+    assert [want[0] for want in wants] == [False, False]
+    assert [_observable(fast(m, CAPS)) for fast, _, m in cases] == wants
+    init = lab.SummandLattice.__init__
+
+    def counted_against_itself(self, m, caps):
+        init(self, m, caps)
+        self.every_submodule = len(self.summands) == len(lab.direct_summands(m, caps))
+
+    monkeypatch.setattr(lab.SummandLattice, "__init__", counted_against_itself)
+    assert all(_observable(fast(m, CAPS)) != want for (fast, _, m), want in zip(cases, wants))

@@ -248,6 +248,21 @@ def test_centre_and_central_idempotents_equal_the_element_search(ring_pool):
     assert rings.primitive_central_idempotents(ring, 5) == ((1, 1),)
 
 
+def test_is_central_equals_commuting_with_every_element(ring_pool):
+    """``is_central`` reads the basis only; against every product with every
+    element, on each pool ring of at most 512 elements (the brute force is
+    quadratic in the ring's order)."""
+    non_commutative = 0
+    for ring in ring_pool:
+        if ring.size() > 512:
+            continue
+        elements = rings.enumerate_elements(ring, CAP)
+        central = [all((x * y).coords == (y * x).coords for y in elements) for x in elements]
+        assert [rings.is_central(x) for x in elements] == central, ring.name
+        non_commutative += not all(central)
+    assert non_commutative > 20
+
+
 def test_regular_ring_over_the_cap_stays_undecided():
     ring = rings.matrix_ring_presentation(3, 2)
     assert rings.is_semisimple(ring)
