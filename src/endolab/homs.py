@@ -178,30 +178,33 @@ class HomGroup:
         return parts
 
     def first_failing(
-        self, pred: Callable[[Submodule, Submodule], bool], perms: Sequence[IntVector] = (),
+        self, pred: Callable[[ModuleHom], bool], perms: Sequence[IntVector] = (),
     ) -> Optional[ModuleHom]:
-        """The first hom f, in ``iter_homs`` order, with ``pred(Ker f, Im f)``
-        false, or None, found by sweeping the orbit representatives of
+        """The first hom f, in ``iter_homs`` order, with ``pred(f)`` false, or
+        None, found by sweeping the orbit representatives of
         ``iter_orbit_representatives(perms)``.
 
-        ``pred`` must be constant on the orbits of ``perms``.  For an
-        endomorphism group of N = B^k, ``block_permutations(N, two_sided)``
-        gives such groups: each block permutation P is an automorphism of
-        N, Ker(P·f·Q) = (Ker f)·P⁻¹ and Im(P·f·Q) = (Im f)·Q.  Automorphisms
-        keep summands, so "Ker f and Im f are summands" is constant on the
-        two-sided orbits f -> P·f·Q.  The other two predicates below compare
-        Ker f with Im f, so they need the same automorphism on both sides:
-        they are constant on the conjugates P·f·P⁻¹ only.
+        ``pred`` must be constant on the orbits of the unit scalars and
+        ``perms``.  Any predicate of (Ker f, Im f) is constant on the unit
+        orbits.  For an endomorphism group of N = B^k,
+        ``block_permutations(N, two_sided)`` gives permutation groups: each
+        block permutation P is an automorphism of N, Ker(P·f·Q) =
+        (Ker f)·P⁻¹ and Im(P·f·Q) = (Im f)·Q.  Automorphisms keep summands,
+        so "Ker f and Im f are summands" is constant on the two-sided orbits
+        f -> P·f·Q.  The other two predicates below compare Ker f with Im f,
+        so they need the same automorphism on both sides: they are constant
+        on the conjugates P·f·P⁻¹ only.
 
-        ``pred`` must also be primary-local: it holds for f exactly when it
-        holds for e_p·f at every prime p.  Here e is the exponent of the
-        codomain and e_p the CRT idempotent integer, e_p ≡ 1 mod p^k and
-        0 mod e/p^k.  Homs preserve primary components, so
-        Ker(e_p·f) = (Ker f)_p ⊕ M_p′ and Im(e_p·f) = (Im f)_p, where M_p′ is
-        the sum of the other primary components of the domain M.  A
-        submodule is a summand iff each of its primary components is one,
-        and orders, sums and intersections split by primes as well.  So, for
-        an endomorphism f of M, each of these predicates is primary-local:
+        ``pred`` must also be primary-local: when it fails at f, it fails at
+        e_p·f for some prime p.  Here e is the exponent of the codomain and
+        e_p the CRT idempotent integer, e_p ≡ 1 mod p^k and 0 mod e/p^k.
+        Homs preserve primary components, so Ker(e_p·f) = (Ker f)_p ⊕ M_p′
+        and Im(e_p·f) = (Im f)_p, where M_p′ is the sum of the other primary
+        components of the domain M.  A submodule is a summand iff each of
+        its primary components is one, and orders, sums and intersections
+        split by primes as well.  So, for an endomorphism f of M, each of
+        these predicates holds for f exactly when it holds for e_p·f at
+        every prime p, which is more than primary-local asks:
 
         * Ker f and Im f are summands: (Ker f)_p ⊕ M_p′ is a summand iff
           (Ker f)_p is, and (Im f)_p is one iff it is one of M_p;
@@ -210,23 +213,27 @@ class HomGroup:
           Ker(e_p·f) ∩ Im(e_p·f) = (Ker f ∩ Im f)_p;
         * Ker f + Im f = M: Ker(e_p·f) + Im(e_p·f) = (Ker f + Im f)_p ⊕ M_p′.
 
+        The agreement swept by ``lab.azumaya_agreement`` is primary-local in
+        the weaker sense only; its docstring gives both proofs for it.
+
         As f runs over H, e_p·f runs over H_p = e_p·H, the parts of
         ``primary_parts`` (e_p·f = 0 for every f when p does not divide the
-        exponent of H, and the zero hom is in every part).  A "yes" thus
-        takes Σ_p |H_p| homs, not Π_p |H_p|, each part swept one hom per
-        orbit: a unit mod p^k acts on H_p as its CRT lift, a unit mod e, and
-        the integer e_p commutes with every permutation of matrix entries,
-        so σ(e_p·f) = e_p·σ(f) and each σ maps H_p onto itself.  With a
-        single part, that part is H and its first failure is the answer.
-        Otherwise a failing part sends the sweep over H itself.  Either way
+        exponent of H, and the zero hom is in every part).  If no part
+        fails, no hom of H fails, since its failure would show at some
+        e_p·f.  A "yes" thus takes Σ_p |H_p| homs, not Π_p |H_p|, each part
+        swept one hom per orbit: a unit mod p^k acts on H_p as its CRT lift,
+        a unit mod e, and the integer e_p commutes with every permutation of
+        matrix entries, so σ(e_p·f) = e_p·σ(f) and each σ maps H_p onto
+        itself.  With a single part, that part is H and its first failure is
+        the answer.  Otherwise a failing part sends the sweep over H itself,
+        which fails too, since H_p lies in H.  Either way
         ``iter_orbit_representatives`` yields the first failing hom of the
         swept group, so no verdict or witness depends on ``perms``.
         """
         parts = self.primary_parts()
         for part in parts:
             failing = next(
-                (f for f in part.iter_orbit_representatives(perms)
-                 if not pred(*kernel_and_image(f))),
+                (f for f in part.iter_orbit_representatives(perms) if not pred(f)),
                 None,
             )
             if failing is None:
@@ -234,7 +241,7 @@ class HomGroup:
             if len(parts) == 1:
                 return failing
             for f in self.iter_orbit_representatives(perms):
-                if not pred(*kernel_and_image(f)):
+                if not pred(f):
                     return f
             raise InternalInconsistency(
                 "a primary part of a hom group fails the predicate, but no hom does")

@@ -126,7 +126,8 @@ def _endoregular_via_summands(m: FiniteModule, caps: Caps) -> Verdict:
     ``check_ker_im_summands_in_powers`` asks it of M ⊕ M, which is also the
     sum of a family (M, M)."""
     phi = end_homs(m, caps.homs).first_failing(
-        _both_summands, block_permutations(m, two_sided=True))
+        lambda f: _both_summands(*kernel_and_image(f)),
+        block_permutations(m, two_sided=True))
     if phi is not None:
         return Verdict.no(witness=phi, reason="kernel or image not a summand")
     return Verdict.yes()
@@ -141,24 +142,43 @@ def azumaya_agreement(m: FiniteModule, caps: Caps) -> Verdict:
     """Per-endomorphism equivalence: quasi-inverse exists iff Ker and Im are
     direct summands.  True means zero disagreements over all of End(m).
 
-    Both sides are constant on each unit-scalar orbit: if x·y·x = x, then
-    (u·x)(u⁻¹·y)(u·x) = u·x, and Ker and Im do not change under u·φ.  So the
-    first disagreement in coordinate order is the first member of its orbit,
-    and the sweep takes one endomorphism per orbit.
+    ``HomGroup.first_failing`` finds the first disagreement in
+    ``iter_homs`` order, sweeping End(m), m = B^k, by the unit scalars and
+    two-sided block permutations.  It may, because the agreement is constant
+    on those orbits and primary-local.
+
+    Constant on the orbits φ -> u·P·φ·Q, with u a unit scalar and P, Q
+    block automorphisms: u·1, P and Q are units of R = End(m), and x is
+    regular iff a·x·b is for units a, b: if x·y·x = x, then
+    (a·x·b)(b⁻¹·y·a⁻¹)(a·x·b) = a·x·b, and back with a⁻¹, b⁻¹.
+    Automorphisms keep summands, so Ker and Im stay summands or not.
+
+    Primary-local: let e be the exponent of m and e_p the CRT idempotent
+    integers.  They are central idempotents of R, so R = ∏_p e_p·R, and x
+    is regular iff every e_p·x is regular in e_p·R, which is when e_p·x is
+    regular in R (its other components are 0).  Ker(e_p·φ) =
+    (Ker φ)_p ⊕ m_p′ and Im(e_p·φ) = (Im φ)_p, so both are summands iff the
+    p-components of Ker φ and Im φ are.  If every e_p·φ agrees, then
+    regularity and the summand test agree prime by prime, and so they agree
+    at φ: a disagreement of φ shows at some e_p·φ.
     """
     bundle = end_ring(m)
     if bundle.homs.size() > caps.homs:
         return Verdict.undecided(f"|End| = {bundle.homs.size()} exceeds hom cap {caps.homs}")
-    for phi in bundle.homs.iter_orbit_representatives():
-        witness = rings.regularity_witness(bundle.from_hom(phi)) is not None
-        summands = _both_summands(*kernel_and_image(phi))
-        if witness != summands:
-            return Verdict.no(
-                witness=phi,
-                reason=f"quasi-inverse {'exists' if witness else 'missing'} but "
-                f"summand checks say {summands}",
-            )
-    return Verdict.yes()
+
+    def agrees(phi: ModuleHom) -> bool:
+        regular = rings.regularity_witness(bundle.from_hom(phi)) is not None
+        return regular == _both_summands(*kernel_and_image(phi))
+
+    phi = bundle.homs.first_failing(agrees, block_permutations(m, two_sided=True))
+    if phi is None:
+        return Verdict.yes()
+    summands = _both_summands(*kernel_and_image(phi))
+    return Verdict.no(
+        witness=phi,
+        reason=f"quasi-inverse {'missing' if summands else 'exists'} but "
+        f"summand checks say {summands}",
+    )
 
 
 def is_abelian_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
@@ -192,7 +212,8 @@ def abelian_route_end_ring(m: FiniteModule, caps: Caps) -> Verdict:
 @undecided_on_cap
 def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
     phi = end_homs(m, caps.homs).first_failing(
-        _ker_im_complementary, block_permutations(m, two_sided=False))
+        lambda f: _ker_im_complementary(*kernel_and_image(f)),
+        block_permutations(m, two_sided=False))
     if phi is not None:
         return Verdict.no(witness=phi, reason="M != Ker ⊕ Im")
     return Verdict.yes()
@@ -429,7 +450,8 @@ def five_way_conditions(m: FiniteModule, caps: Caps = Caps()) -> tuple[Verdict, 
 def im_plus_ker_always_full(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Im φ + Ker φ = M for every endomorphism φ."""
     phi = end_homs(m, caps.homs).first_failing(
-        _ker_im_span, block_permutations(m, two_sided=False))
+        lambda f: _ker_im_span(*kernel_and_image(f)),
+        block_permutations(m, two_sided=False))
     if phi is not None:
         return Verdict.no(witness=phi, reason="Im + Ker proper")
     return Verdict.yes()

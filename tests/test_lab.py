@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from endolab import homs, lab, modules, rings, workspace
+from endolab import homs, lab, linalg, modules, rings, workspace
 from endolab.verdicts import (
     CapExceeded, Caps, InternalInconsistency, Verdict, assuming, undecided_on_cap)
 from support import zero_module
@@ -631,7 +631,8 @@ def test_first_failing_equals_the_first_failure_of_the_plain_sweep():
         for name, predicate, _, _, two_sided in PRIMARY_LOCAL:
             want = next((f for f in g.iter_homs() if not predicate(*ker_im[f.matrix])), None)
             perms = homs.block_permutations(m, two_sided)
-            assert g.first_failing(predicate, perms) == want, (m.name, g.orders, name)
+            pred = lambda f: predicate(*ker_im[f.matrix])
+            assert g.first_failing(pred, perms) == want, (m.name, g.orders, name)
             multi_prime_failures += want is not None and len(g.primary_parts()) > 1
             if perms:
                 permuted[name, homs.block_power(m), want is not None] += 1
@@ -680,39 +681,116 @@ def _azumaya_per_element(m, caps):
     return Verdict.yes()
 
 
-def _unit_orbit(ring, coords):
-    """The coordinates of u·x for every unit u mod the exponent of the ring."""
-    e = math.lcm(*ring.moduli)
-    return {
-        tuple(u * c % o for c, o in zip(coords, ring.moduli))
-        for u in range(1, e + 1) if math.gcd(u, e) == 1
-    }
+def _crt_idempotents(n):
+    """The integers e_p, one per prime p dividing n, with e_p ≡ 1 mod p^k and
+    0 mod n/p^k, where p^k is the largest power of p dividing n."""
+    found = []
+    for p in linalg.prime_divisors(n):
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        found.append(n // q * pow(n // q, -1, q) % n)
+    return found
+
+
+def _irregular_orbit(m, coords):
+    """The nonzero e_p·u·P·x·Q in End(m), as coordinates: x has the given
+    coordinates, u runs over the units and e_p over the CRT idempotents of
+    the exponent of End(m), and P, Q over the block permutations of m."""
+    g = homs.end_ring(m).homs
+    flat = [v for row in g.from_coords(coords).matrix for v in row]
+    sigmas = [range(len(flat)), *homs.block_permutations(m, two_sided=True)]
+    images = [g.coords_of(g._from_flat([flat[i] for i in sigma])) for sigma in sigmas]
+    e = math.lcm(*g.orders)
+    scalars = {u * ep % e for u in range(1, e + 1) if math.gcd(u, e) == 1
+               for ep in _crt_idempotents(e)}
+    orbit = {tuple(s * c % o for c, o in zip(y, g.orders)) for y in images for s in scalars}
+    return orbit - {(0,) * len(g.orders)}
+
+
+def _irregular_on(ring, orbit):
+    """``rings.regularity_witness`` with no quasi-inverse for every x such
+    that e_p·x lies in ``orbit`` for some CRT idempotent e_p.
+
+    With ``orbit`` from ``_irregular_orbit`` the Azumaya sweep may still take
+    its shortcuts: e_p is a central integer, so e_p·(u·P·x·Q) = u·P·(e_p·x)·Q
+    and the set so made irregular is closed under the orbits.  It is also
+    primary-local, since e_q·e_p·x = 0 for q ≠ p and 0 is not in ``orbit``:
+    x has a quasi-inverse exactly when every e_p·x has one.
+    """
+    witness = rings.regularity_witness
+    idempotents = _crt_idempotents(math.lcm(*ring.moduli))
+
+    def patched(x):
+        if any(tuple(ep * c % o for c, o in zip(x.coords, ring.moduli)) in orbit
+               for ep in idempotents):
+            return None
+        return witness(x)
+
+    return patched
 
 
 @pytest.mark.parametrize("caps", (CAPS,) + TIGHT_CAPS, ids=str)
-def test_azumaya_agreement_equals_the_per_element_loop(caps, monkeypatch):
-    """Unpatched, both sides agree everywhere.  Patched so that the orbit of
-    the last nonzero idempotent has no quasi-inverse, both must report the
-    first member of that orbit, which is often not the idempotent itself."""
+def test_azumaya_agreement_equals_the_per_element_loop(caps):
+    """Unpatched, both sides agree everywhere.  Patched so that the last
+    nonzero idempotent, closed under the orbits and primary components of
+    ``_irregular_orbit``, has no quasi-inverse, both must report the first
+    endomorphism so made irregular, which is often not the idempotent
+    itself."""
     corpus = _cap_corpus() + _memo_corpus()
     for m in corpus:
         got = lab.azumaya_agreement(m, caps)
         assert _observable(got) == _observable(_azumaya_per_element(m, caps)), m.name
-    witness = rings.regularity_witness
     moved = 0
     for m in corpus:
         ring = homs.end_ring(m).ring
         if ring.size() > caps.homs or ring.size() == 1:
             continue
         e = [e for e in rings.idempotents(ring, ring.size()) if not e.is_zero()][-1]
-        orbit = _unit_orbit(ring, e.coords)
-        monkeypatch.setattr(
-            rings, "regularity_witness", lambda x: None if x.coords in orbit else witness(x))
-        got = lab.azumaya_agreement(m, caps)
-        assert _observable(got) == _observable(_azumaya_per_element(m, caps)), m.name
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(
+                rings, "regularity_witness", _irregular_on(ring, _irregular_orbit(m, e.coords)))
+            got = lab.azumaya_agreement(m, caps)
+            assert _observable(got) == _observable(_azumaya_per_element(m, caps)), m.name
         assert got.value is False, m.name
         moved += homs.end_ring(m).from_hom(got.witness).coords != e.coords
     assert caps.homs < 16 or moved >= 5, moved
+
+
+def test_azumaya_sides_keep_to_orbits_and_split_by_primes():
+    """The two facts the Azumaya sweep rests on, on every module of the test
+    corpus, with its squares and cubes, that has block power at least 2 or
+    a composite End exponent, and |End| <= 256.  Having a quasi-inverse, and
+    having summand kernel and image, each take the same value at φ and at
+    every two-sided block permutation σ(φ) = P·φ·Q, and each holds at φ
+    exactly when it holds at every e_p·φ.  So a disagreement of φ shows at
+    some e_p·φ."""
+    seen = collections.Counter()
+    for m in _powers(_cap_corpus() + _memo_corpus() + _power_blocks(), 256):
+        bundle = homs.end_ring(m)
+        exponent = math.lcm(*bundle.homs.orders)
+        primes = list(linalg.prime_divisors(exponent))
+        power = homs.block_power(m)
+        if power < 2 and exponent in (1, *primes):
+            continue
+        sides = {
+            f.matrix: (rings.regularity_witness(bundle.from_hom(f)) is not None,
+                       lab._both_summands(*homs.kernel_and_image(f)))
+            for f in bundle.homs.iter_homs()
+        }
+        n = m.rank
+        for matrix, got in sides.items():
+            flat = [v for row in matrix for v in row]
+            for sigma in homs.block_permutations(m, two_sided=True):
+                moved = tuple(tuple(flat[sigma[r * n + c]] for c in range(n)) for r in range(n))
+                assert sides[moved] == got, (m.name, matrix, sigma)
+            parts = [sides[tuple(tuple(ep * v % d for v, d in zip(row, m.moduli))
+                                 for row in matrix)] for ep in _crt_idempotents(exponent)]
+            assert got == tuple(all(side) for side in zip(*parts)), (m.name, matrix)
+            assert got[0] == got[1] or any(a != b for a, b in parts), (m.name, matrix)
+        seen["permuted"] += power >= 2
+        seen["split"] += len(primes) >= 2
+    assert seen["permuted"] >= 5 and seen["split"] >= 5, seen
 
 
 @undecided_on_cap

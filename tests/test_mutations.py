@@ -19,8 +19,8 @@ from endolab.verdicts import Caps, Verdict, undecided_on_cap
 from test_incidence import _incend
 from test_lab import (
     PRIMARY_LOCAL, _azumaya_per_element, _distributive_boolean_eager, _first_failure,
-    _k_nonsingular_per_hom, _memoized, _observable, _prime_in_eager, _sip_all_pairs,
-    _ssp_all_pairs, _unit_orbit, plane, reg)
+    _irregular_on, _irregular_orbit, _k_nonsingular_per_hom, _memoized, _observable,
+    _prime_in_eager, _sip_all_pairs, _ssp_all_pairs, plane, reg, sum_2_3)
 from test_modules import _generated_by_closure, _generator_lists, _submodules_by_sum_closure
 
 CAPS = Caps()
@@ -101,8 +101,9 @@ def _odometer_without_wrap_around(self):
 
 
 def test_the_odometer_wrap_around_dropped(unmemoized):
-    """End(Z/2 ⊕ Z/4) over Z/4 has orders (2, 2, 2, 4).  With the unit orbit
-    of an idempotent made irregular, the orbit sweep must report the
+    """End(Z/2 ⊕ Z/4) over Z/4 has orders (2, 2, 2, 4), and Z/2 ⊕ Z/4 is no
+    square, so ``_irregular_orbit`` is a unit orbit.  With the unit orbit of
+    an idempotent made irregular, the orbit sweep must report the
     orbit's first member in ``iter_homs`` order, as the per-element loop
     does.  Without the wrap-around add the walk still meets every hom here,
     but in another order, so for some orbit of two homs it meets the
@@ -111,19 +112,17 @@ def test_the_odometer_wrap_around_dropped(unmemoized):
     z2, _ = modules.quotient(z4, modules.submodule_generated(z4, [(2,)]))
     m, _, _ = modules.direct_sum([z2, z4])
     ring = homs.end_ring(m).ring
-    witness = rings.regularity_witness
     moved = 0
     for e in rings.idempotents(ring, CAPS.homs):
-        orbit = _unit_orbit(ring, e.coords)
+        orbit = _irregular_orbit(m, e.coords)
         if len(orbit) < 2:
             continue
-        unmemoized.setattr(
-            rings, "regularity_witness", lambda x: None if x.coords in orbit else witness(x))
-        want = _observable(_azumaya_per_element(m, CAPS))
-        assert want[0] is False
-        assert _observable(lab.azumaya_agreement(m, CAPS)) == want
-        with pytest.MonkeyPatch.context() as broken:
-            broken.setattr(homs.HomGroup, "_odometer", _odometer_without_wrap_around)
+        with pytest.MonkeyPatch.context() as injected:
+            injected.setattr(rings, "regularity_witness", _irregular_on(ring, orbit))
+            want = _observable(_azumaya_per_element(m, CAPS))
+            assert want[0] is False
+            assert _observable(lab.azumaya_agreement(m, CAPS)) == want
+            injected.setattr(homs.HomGroup, "_odometer", _odometer_without_wrap_around)
             moved += _observable(lab.azumaya_agreement(m, CAPS)) != want
     assert moved
 
@@ -257,7 +256,8 @@ def test_the_last_central_piece_dropped(monkeypatch):
 
 
 def _first_failing_disagrees(g):
-    return g.first_failing(lab._both_summands) != _first_failure(g, lab._both_summands)
+    got = g.first_failing(lambda f: lab._both_summands(*homs.kernel_and_image(f)))
+    return got != _first_failure(g, lab._both_summands)
 
 
 def test_a_primary_part_dropped(monkeypatch):
@@ -271,12 +271,60 @@ def test_a_primary_part_dropped(monkeypatch):
     assert _first_failing_disagrees(g)
 
 
+def _irregular_at(m, matrix):
+    """``rings.regularity_witness`` with the endomorphism of m of the given
+    matrix made irregular, with its orbit, by ``_irregular_on``."""
+    bundle = homs.end_ring(m)
+    e = bundle.from_hom(modules.ModuleHom(m, m, matrix))
+    return _irregular_on(bundle.ring, _irregular_orbit(m, e.coords))
+
+
+def test_the_azumaya_sweep_drops_the_last_primary_part(unmemoized):
+    """In End((Z/2 ⊕ Z/3)²) the idempotent that is the identity on the second
+    Z/3 and 0 elsewhere lies in the 3-part, the last one.  Made irregular
+    with its orbit, the first disagreement is a hom whose 3-part is in that
+    orbit; without the 3-part the sweep finds none.  End = M2(F2) × M2(F3)
+    has the orders (6, 6, 6, 6)."""
+    m, _, _ = modules.direct_sum([sum_2_3(), sum_2_3()])
+    assert m.moduli == (2, 3, 2, 3)
+    e3 = ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1))
+    unmemoized.setattr(rings, "regularity_witness", _irregular_at(m, e3))
+    want = _observable(_azumaya_per_element(m, CAPS))
+    assert want[0] is False
+    assert _observable(lab.azumaya_agreement(m, CAPS)) == want
+    parts = homs.HomGroup.primary_parts
+    unmemoized.setattr(homs.HomGroup, "primary_parts",
+                       lambda self: parts(self)[:-1] if len(parts(self)) > 1 else parts(self))
+    assert _observable(lab.azumaya_agreement(m, CAPS)) != want
+
+
+def _transposes(m, two_sided):
+    """The flat-index permutation F -> Fᵀ of End(m), which is no P·F·Q."""
+    n = m.rank
+    return [tuple(c * n + r for r in range(n) for c in range(n))]
+
+
+def test_the_azumaya_sweep_given_the_transpose(unmemoized):
+    """On Z/2 ⊕ Z/2, with the idempotent [[1, 0], [1, 0]] made irregular
+    together with its block-permutation image [[0, 1], [0, 1]], the first
+    disagreement is [[0, 1], [0, 1]].  Swept by transposes, that hom is in
+    the orbit of [[0, 0], [1, 1]], which comes first and is regular, so the
+    sweep reports [[1, 0], [1, 0]] instead."""
+    m = plane()
+    unmemoized.setattr(rings, "regularity_witness", _irregular_at(m, ((1, 0), (1, 0))))
+    want = _observable(_azumaya_per_element(m, CAPS))
+    assert want[0] is False
+    assert _observable(lab.azumaya_agreement(m, CAPS)) == want
+    unmemoized.setattr(lab, "block_permutations", _transposes)
+    assert _observable(lab.azumaya_agreement(m, CAPS)) != want
+
+
 def _first_failing_without_the_fallback(self, pred, perms=()):
     """``HomGroup.first_failing`` returning the failing part's own hom, with
     no sweep of the whole group."""
     for part in self.primary_parts():
         for f in part.iter_orbit_representatives(perms):
-            if not pred(*homs.kernel_and_image(f)):
+            if not pred(f):
                 return f
     return None
 
