@@ -38,7 +38,9 @@ from .modules import (
     direct_sum,
     enumerate_submodules,
     extract,
+    maximal_members,
     maximal_submodules,
+    properly_contains,
     quotient,
     radical,
     socle,
@@ -274,11 +276,8 @@ class SummandLattice:
         return self._meets[key]
 
     def _contains(self, i: int, j: int) -> bool:
-        """Summand i contains summand j ≠ i.  The summands are distinct, so
-        that needs |j| to divide |i| properly; only then are the generators
-        of j tested for membership."""
-        oi, oj = self.orders[i], self.orders[j]
-        return oi > oj and oi % oj == 0 and self.summands[i].contains_sub(self.summands[j])
+        """Summand i properly contains summand j."""
+        return properly_contains(self.summands[i], self.summands[j], self.orders[i], self.orders[j])
 
     def incomparable_pairs(self) -> Iterator[tuple[int, int]]:
         """The pairs i < j where neither summand contains the other, in
@@ -797,12 +796,8 @@ def check_fi_maximal_is_prime(m: FiniteModule, caps: Caps) -> Verdict:
     """On projective members, a submodule maximal in the lattice of fully
     invariant submodules is prime."""
     table = ProductTable(m, caps)
-    for n in table.fi:
-        maximal_fi = not n.is_full() and not any(
-            k.contains_sub(n) and not n.contains_sub(k) and not k.is_full() for k in table.fi
-        )
-        if not maximal_fi:
-            continue
+    # M is the largest fully invariant submodule, so it leads table.fi
+    for n in maximal_members(table.fi[1:]):
         pair = table.prime_failure(n)
         if pair is not None:
             return Verdict.no(witness=(n, pair), reason="maximal fully invariant, not prime")

@@ -305,8 +305,7 @@ def enumerate_submodules(m: FiniteModule, cap: int) -> tuple[Submodule, ...]:
     submodules N·e_i of the pieces M·e_i (``central_pieces``), and any
     choice of one submodule N_i per piece gives a distinct submodule
     N_1 + ... + N_r, since (N_1 + ... + N_r)·e_i = N_i.  Each piece's
-    submodules are its cyclic ones closed under pairwise sums, correct
-    because every submodule is a sum of cyclic ones.
+    submodules are the sums of its cyclic ones (``_sum_closure``).
     """
     total = m.size()
     if total > cap:
@@ -319,38 +318,40 @@ def enumerate_submodules(m: FiniteModule, cap: int) -> tuple[Submodule, ...]:
 
 
 def _sum_closure(m: FiniteModule, piece: Submodule) -> list[Submodule]:
-    """The cyclic submodules xR of the piece's elements, closed under sums."""
-    seen: dict[IntMatrix, Submodule] = {}
+    """The piece's submodules, in one pass over its elements: each new cyclic
+    submodule xR is added to every submodule found so far.  Those are all
+    the sums of the cyclic submodules walked before x, so an xR among them
+    adds nothing new."""
     zero = zero_submodule(m)
-    seen[zero.gens] = zero
-    cyclic = []
+    seen = {zero.gens: zero}
     # M itself is walked by coordinates, with no Smith form of its generators
     for x in m.elements() if piece.is_full() else piece.elements():
-        sub = submodule_generated(m, [x])
-        if sub.gens not in seen:
-            seen[sub.gens] = sub
-            cyclic.append(sub)
-    frontier = list(cyclic)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in cyclic:
-                s = submodule_sum(a, b)
-                if s.gens not in seen:
-                    seen[s.gens] = s
-                    fresh.append(s)
-        frontier = fresh
+        cyclic = submodule_generated(m, [x])
+        if cyclic.gens in seen:
+            continue
+        for a in list(seen.values()):
+            s = submodule_sum(a, cyclic)
+            seen.setdefault(s.gens, s)
     return list(seen.values())
 
 
+def properly_contains(big: Submodule, small: Submodule, big_order: int, small_order: int) -> bool:
+    """big ⊋ small, given their orders.  That needs |small| to divide |big|
+    properly; only then are the generators of small tested for membership."""
+    return big_order > small_order and big_order % small_order == 0 and big.contains_sub(small)
+
+
+def maximal_members(subs: Sequence[Submodule]) -> list[Submodule]:
+    """The members of ``subs`` that no other member properly contains, in
+    the order given; each order is computed once."""
+    orders = [s.order() for s in subs]
+    return [s for s, o in zip(subs, orders)
+            if not any(properly_contains(t, s, ot, o) for t, ot in zip(subs, orders))]
+
+
 def maximal_submodules(m: FiniteModule, cap: int) -> list[Submodule]:
-    subs = enumerate_submodules(m, cap)
-    proper = [s for s in subs if not s.is_full()]
-    out = []
-    for s in proper:
-        if not any(t is not s and t.order() > s.order() and t.contains_sub(s) for t in proper):
-            out.append(s)
-    return out
+    # M is the one submodule of the largest order, so it is sorted last
+    return maximal_members(enumerate_submodules(m, cap)[:-1])
 
 
 def radical(m: FiniteModule, cap: int) -> Submodule:
@@ -366,12 +367,11 @@ def radical(m: FiniteModule, cap: int) -> Submodule:
 
 def socle(m: FiniteModule, cap: int) -> Submodule:
     """Sum of the minimal submodules: one canonical form of their generators."""
-    subs = enumerate_submodules(m, cap)
-    nonzero = [s for s in subs if not s.is_zero()]
-    minimal = [
-        s for s in nonzero
-        if not any(t is not s and not t.is_zero() and t.order() < s.order() and s.contains_sub(t) for t in nonzero)
-    ]
+    # 0 is the one submodule of order 1, so it is sorted first
+    nonzero = enumerate_submodules(m, cap)[1:]
+    orders = [s.order() for s in nonzero]
+    minimal = [s for s, o in zip(nonzero, orders)
+               if not any(properly_contains(s, t, o, ot) for t, ot in zip(nonzero, orders))]
     rows = [g for s in minimal for g in s.gens]
     return Submodule(m, linalg.subgroup_canonical_form(rows, m.moduli))
 

@@ -48,7 +48,6 @@ class Workspace:
     corpora: dict[str, list[CorpusMember]]
     caps: Caps
     seed: int
-    path: str = ""
 
     def member(self, module_id: str) -> CorpusMember:
         if module_id not in self.modules:
@@ -188,7 +187,6 @@ def parse_workspace(path: str) -> Workspace:
         corpora={},
         caps=caps,
         seed=seed,
-        path=path,
     )
     for name, entries in data.get("corpora", {}).items():
         _require(isinstance(entries, list), f"corpus {name}: expected a list")

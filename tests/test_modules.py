@@ -296,6 +296,24 @@ def test_submodules_of_small_modules_equal_the_closed_element_subsets():
         assert got == _submodules_by_subsets(m), m.name
 
 
+def _maximal_and_radical_by_all_pairs(m):
+    """Reference: the proper submodules that no other proper submodule
+    contains, by membership alone over every pair, and their intersection."""
+    proper = [s for s in modules.enumerate_submodules(m, CAP) if not s.is_full()]
+    maxes = [s for s in proper if not any(t != s and t.contains_sub(s) for t in proper)]
+    rad = modules.full_submodule(m)
+    for s in maxes:
+        rad = modules.submodule_intersect(rad, s)
+    return maxes, rad
+
+
+def test_maximal_submodules_and_radical_equal_the_all_pairs_scan():
+    for m in _lattice_corpus():
+        if m.size() <= CAP:
+            got = modules.maximal_submodules(m, CAP), modules.radical(m, CAP)
+            assert got == _maximal_and_radical_by_all_pairs(m), m.name
+
+
 def test_enumerate_submodules_cap():
     with pytest.raises(CapExceeded):
         modules.enumerate_submodules(reg(12), cap=4)

@@ -21,7 +21,9 @@ from test_lab import (
     PRIMARY_LOCAL, _azumaya_per_element, _distributive_boolean_eager, _first_failure,
     _irregular_on, _irregular_orbit, _k_nonsingular_per_hom, _memoized, _observable,
     _prime_in_eager, _sip_all_pairs, _ssp_all_pairs, plane, reg, sum_2_3)
-from test_modules import _generated_by_closure, _generator_lists, _submodules_by_sum_closure
+from test_modules import (
+    _generated_by_closure, _generator_lists, _maximal_and_radical_by_all_pairs,
+    _submodules_by_sum_closure)
 
 CAPS = Caps()
 
@@ -253,6 +255,51 @@ def test_the_last_central_piece_dropped(monkeypatch):
     pieces = modules.central_pieces
     monkeypatch.setattr(modules, "central_pieces", lambda m, cap: pieces(m, cap)[:-1])
     assert _lattice_disagrees(m)
+
+
+def test_the_closure_skips_every_element_inside_a_found_submodule(monkeypatch):
+    """The plane walks (0, 1) and (1, 0) first, and their sum is the whole
+    plane.  Skipping each later element that lies in a submodule already
+    found, instead of each whose cyclic submodule was found, loses the line
+    generated by (1, 1)."""
+    m = plane()
+    assert not _lattice_disagrees(m)
+
+    def skip_inside_any(m, piece):
+        zero = modules.zero_submodule(m)
+        seen = {zero.gens: zero}
+        for x in m.elements() if piece.is_full() else piece.elements():
+            if any(s.contains(x) for s in seen.values()):
+                continue
+            cyclic = modules.submodule_generated(m, [x])
+            for a in list(seen.values()):
+                s = modules.submodule_sum(a, cyclic)
+                seen.setdefault(s.gens, s)
+        return list(seen.values())
+
+    monkeypatch.setattr(modules, "_sum_closure", skip_inside_any)
+    assert _lattice_disagrees(m)
+
+
+def _maximal_disagrees(m):
+    """The library's maximal submodules or radical of m differ from the
+    all-pairs scan."""
+    got = modules.maximal_submodules(m, CAPS.submodules), modules.radical(m, CAPS.submodules)
+    return got != _maximal_and_radical_by_all_pairs(m)
+
+
+def test_the_maximal_scan_against_the_next_submodule_only(monkeypatch):
+    """In Z/12 the line 6Z/12 lies in 2Z/12 but not in 4Z/12, the submodule
+    after it in sorted order; tested against that one alone, it looks
+    maximal."""
+    m = reg(12)
+    assert not _maximal_disagrees(m)
+
+    def next_only(subs):
+        return [s for s, t in zip(subs, [*subs[1:], None]) if t is None or not t.contains_sub(s)]
+
+    monkeypatch.setattr(modules, "maximal_members", next_only)
+    assert _maximal_disagrees(m)
 
 
 def _first_failing_disagrees(g):
