@@ -17,7 +17,7 @@ from math import gcd, lcm, prod
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import linalg
-from .linalg import IntVector
+from .linalg import IntMatrix, IntVector
 from .modules import (
     FiniteModule,
     ModuleHom,
@@ -31,6 +31,15 @@ from .rings import FiniteRing, RingElement
 from .verdicts import CapExceeded, InternalInconsistency
 
 
+@dataclass
+class _Walk:
+    """The orbit representatives one permutation group's walk has met so
+    far, as flat matrices, and the paused walk that meets the rest."""
+
+    found: list[IntVector]
+    rest: Iterator[IntVector]
+
+
 @dataclass(frozen=True)
 class HomGroup:
     """Hom_R(M, N) as an abelian group with matrix generators.
@@ -38,6 +47,12 @@ class HomGroup:
     ``orders`` are the invariant factors (each > 1, dividing chain), so every
     hom is uniquely sum(c_i * gens_i) with 0 <= c_i < orders_i and
     |Hom| = prod(orders).
+
+    A group carries its sweep table, filled as sweeps read it: the orbit
+    representatives met so far per permutation group, the (Ker, Im) pairs
+    read through ``kernel_and_image``, and its primary parts, each with a
+    table of its own.  The table lives as long as the group, which
+    ``hom_group`` keeps.
     """
 
     domain: FiniteModule
@@ -134,9 +149,36 @@ class HomGroup:
         orbit, the first hom to fail it is the least of its orbit, so it is
         yielded here and every hom before it passes: a sweep of the
         representatives finds the same first failure as ``iter_homs``.
-        ``ahead`` holds the orbit members not yet reached, keyed by flat
-        matrix, at most the size of the group, and is dropped after the
-        sweep.
+        The walk runs once per permutation group: the representatives it
+        meets are kept in the group's sweep table, a later sweep reads them
+        there, and only a sweep that reads past them resumes the walk, so a
+        sweep that stops early walks no further than it reads.
+        """
+        walk = self._walk(tuple(perms))
+        for i in itertools.count():
+            if i == len(walk.found):
+                flat = next(walk.rest, None)
+                if flat is None:
+                    return
+                walk.found.append(flat)
+            yield self._from_flat(walk.found[i])
+
+    @cached_property
+    def _walks(self) -> dict[tuple[IntVector, ...], _Walk]:
+        return {}
+
+    def _walk(self, perms: tuple[IntVector, ...]) -> _Walk:
+        """The table entry of one permutation group, made on first use."""
+        walk = self._walks.get(perms)
+        if walk is None:
+            walk = self._walks[perms] = _Walk([], self._orbit_walk(perms))
+        return walk
+
+    def _orbit_walk(self, perms: tuple[IntVector, ...]) -> Iterator[IntVector]:
+        """The flat matrix of each orbit representative, in ``iter_homs``
+        order.  ``ahead`` holds the orbit members not yet reached, keyed by
+        flat matrix, at most the size of the group, and is dropped when the
+        walk ends.
         """
         exponent = lcm(*self.orders)
         units = [u for u in range(2, exponent) if gcd(u, exponent) == 1]
@@ -150,20 +192,25 @@ class HomGroup:
                 ahead.add(image)
                 ahead.update(tuple([u * v % d for v, d in zip(image, moduli)]) for u in units)
             ahead.discard(flat)
-            yield self._from_flat(flat)
+            yield flat
 
-    def primary_parts(self) -> list["HomGroup"]:
+    def primary_parts(self) -> tuple["HomGroup", ...]:
         """The p-primary subgroups H_p, one per prime p dividing the
-        group's exponent lcm(o_i), or ``[self]`` when there is at most one.
+        group's exponent lcm(o_i), or ``(self,)`` when there is at most one.
 
         H_p has the generators (o_i / p^{v_p(o_i)})·g_i of orders
         p^{v_p(o_i)}, dropping v_p(o_i) = 0.  The orders still form a
         dividing chain, so H_p is in invariant-factor form and
-        ``iter_orbit_representatives`` applies to it unchanged.
+        ``iter_orbit_representatives`` applies to it unchanged.  The parts
+        are built once per group, so each keeps its own sweep table.
         """
+        return self._primary_parts
+
+    @cached_property
+    def _primary_parts(self) -> tuple["HomGroup", ...]:
         primes = list(linalg.prime_divisors(lcm(*self.orders)))
         if len(primes) <= 1:
-            return [self]
+            return (self,)
         parts = []
         for p in primes:
             gens, orders = [], []
@@ -175,7 +222,19 @@ class HomGroup:
                     gens.append(g.scale(o // q))
                     orders.append(q)
             parts.append(HomGroup(self.domain, self.codomain, tuple(gens), tuple(orders)))
-        return parts
+        return tuple(parts)
+
+    @cached_property
+    def _ker_im(self) -> dict[IntMatrix, tuple[Submodule, Submodule]]:
+        return {}
+
+    def kernel_and_image(self, f: ModuleHom) -> tuple[Submodule, Submodule]:
+        """(Ker f, Im f) of a hom f of this group, factored once per group
+        and kept in its sweep table under f's matrix."""
+        ker_im = self._ker_im.get(f.matrix)
+        if ker_im is None:
+            ker_im = self._ker_im[f.matrix] = kernel_and_image(f)
+        return ker_im
 
     def first_failing(
         self, pred: Callable[[ModuleHom], bool], perms: Sequence[IntVector] = (),
@@ -473,10 +532,13 @@ def summand_test(n: Submodule) -> Optional[ModuleHom]:
     inc-then-f equal to the identity of n.  That condition is linear in the
     coordinates of f over the hom-group generators, so one congruence solve
     decides it, and f-then-inc is then an idempotent with image exactly n.
+    N = 0 and N = M need no solve: their projections are 0 and the identity.
     """
     m = n.ambient
     if n.is_zero():
         return identity_hom(m).scale(0)
+    if n.is_full():
+        return identity_hom(m)
     inner, inc = extract(n)
     homs = hom_group(m, inner)
     rows = [

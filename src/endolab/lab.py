@@ -24,7 +24,6 @@ from .homs import (
     image,
     is_fully_invariant,
     is_m_generated,
-    kernel_and_image,
     product_submodules,
     summand_test,
 )
@@ -127,8 +126,9 @@ def _endoregular_via_summands(m: FiniteModule, caps: Caps) -> Verdict:
     """Every endomorphism has summand kernel and image.  Memoized because
     ``check_ker_im_summands_in_powers`` asks it of M ⊕ M, which is also the
     sum of a family (M, M)."""
-    phi = end_homs(m, caps.homs).first_failing(
-        lambda f: _both_summands(*kernel_and_image(f)),
+    homs = end_homs(m, caps.homs)
+    phi = homs.first_failing(
+        lambda f: _both_summands(*homs.kernel_and_image(f)),
         block_permutations(m, two_sided=True))
     if phi is not None:
         return Verdict.no(witness=phi, reason="kernel or image not a summand")
@@ -170,12 +170,12 @@ def azumaya_agreement(m: FiniteModule, caps: Caps) -> Verdict:
 
     def agrees(phi: ModuleHom) -> bool:
         regular = rings.regularity_witness(bundle.from_hom(phi)) is not None
-        return regular == _both_summands(*kernel_and_image(phi))
+        return regular == _both_summands(*bundle.homs.kernel_and_image(phi))
 
     phi = bundle.homs.first_failing(agrees, block_permutations(m, two_sided=True))
     if phi is None:
         return Verdict.yes()
-    summands = _both_summands(*kernel_and_image(phi))
+    summands = _both_summands(*bundle.homs.kernel_and_image(phi))
     return Verdict.no(
         witness=phi,
         reason=f"quasi-inverse {'missing' if summands else 'exists'} but "
@@ -213,8 +213,9 @@ def abelian_route_end_ring(m: FiniteModule, caps: Caps) -> Verdict:
 
 @undecided_on_cap
 def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
-    phi = end_homs(m, caps.homs).first_failing(
-        lambda f: _ker_im_complementary(*kernel_and_image(f)),
+    homs = end_homs(m, caps.homs)
+    phi = homs.first_failing(
+        lambda f: _ker_im_complementary(*homs.kernel_and_image(f)),
         block_permutations(m, two_sided=False))
     if phi is not None:
         return Verdict.no(witness=phi, reason="M != Ker ⊕ Im")
@@ -448,8 +449,9 @@ def five_way_conditions(m: FiniteModule, caps: Caps = Caps()) -> tuple[Verdict, 
 @undecided_on_cap
 def im_plus_ker_always_full(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Im φ + Ker φ = M for every endomorphism φ."""
-    phi = end_homs(m, caps.homs).first_failing(
-        lambda f: _ker_im_span(*kernel_and_image(f)),
+    homs = end_homs(m, caps.homs)
+    phi = homs.first_failing(
+        lambda f: _ker_im_span(*homs.kernel_and_image(f)),
         block_permutations(m, two_sided=False))
     if phi is not None:
         return Verdict.no(witness=phi, reason="Im + Ker proper")

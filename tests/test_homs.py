@@ -24,6 +24,7 @@ from endolab.homs import (
     trace,
 )
 from endolab.verdicts import CapExceeded, Caps
+from test_lab import PRIMARY_LOCAL, _cap_corpus, _memo_corpus, _power_blocks
 
 CAP = 4096
 
@@ -483,3 +484,55 @@ def test_block_permutations_commute_with_every_action_matrix(blocks):
                         assert modules.is_module_hom(moved), (b.name, k, sigma)
                     products.add(pi)
                 assert len(products) == (math.factorial(k) if two_sided else 1)
+
+
+# ---------------------------------------------------------------------------
+# The sweep table, shared by sweeps, against fresh groups
+# ---------------------------------------------------------------------------
+
+
+def _fresh(g):
+    """A copy of g with an empty sweep table."""
+    return homs.HomGroup(g.domain, g.codomain, g.gens, g.orders)
+
+
+def test_sweeps_sharing_a_table_read_as_sweeps_of_fresh_groups():
+    """End(M) and End(M ⊕ M) over the corpus of the Ker/Im routes, swept
+    twice through one table by both permutation groups in both orders:
+    first three representatives of a group, then the first failure of each
+    predicate that keeps to its orbits, which stops there, then every
+    representative.  Each sweep meets what it meets in a fresh group, and
+    each (Ker, Im) in the table is that of the hom with its matrix."""
+    summands, complementary, span = (case[1] for case in PRIMARY_LOCAL)
+    corpus = _cap_corpus() + _memo_corpus() + _power_blocks()
+    ends = [hom_group(n, n) for m in corpus for n in (m, modules.direct_sum([m, m])[0])]
+    stopped = resumed = 0
+    for g in dict.fromkeys(e for e in ends if e.size() <= CAP):
+        m = g.domain
+        # each permutation group, the predicates constant on its orbits, and
+        # what fresh groups meet
+        groups = []
+        for perms, predicates in (
+            (homs.block_permutations(m, two_sided=True), [summands]),
+            (homs.block_permutations(m, two_sided=False), [summands, complementary, span]),
+        ):
+            reps = list(_fresh(g).iter_orbit_representatives(perms))
+            fails = [_fresh(g).first_failing(lambda f: p(*kernel_and_image(f)), perms)
+                     for p in predicates]
+            groups.append((perms, predicates, reps, fails))
+        for order in (groups, groups[::-1]):
+            shared = _fresh(g)
+            for _ in range(2):
+                for perms, predicates, reps, fails in order:
+                    prefix = itertools.islice(shared.iter_orbit_representatives(perms), 3)
+                    assert list(prefix) == reps[:3], (m.name, perms)
+                    got = [shared.first_failing(lambda f: p(*shared.kernel_and_image(f)), perms)
+                           for p in predicates]
+                    assert got == fails, (m.name, perms)
+                    stopped += any(f is not None for f in fails)
+                for perms, _, reps, _ in order:
+                    assert list(shared.iter_orbit_representatives(perms)) == reps, m.name
+                    resumed += len(reps) > 3
+            for matrix, ker_im in shared._ker_im.items():
+                assert ker_im == kernel_and_image(modules.ModuleHom(m, m, matrix)), m.name
+    assert stopped >= 20 and resumed >= 20, (stopped, resumed)

@@ -6,7 +6,9 @@ on the unbroken code, and then asserts one of two outcomes under the break:
 a named test-local reference disagrees with the library, or
 ``theorem_suites`` records a fail raised as ``InternalInconsistency``.  If a
 later change weakens a cross-check so that a break goes unnoticed, its case
-fails.  A fast path added, or a route removed, adds its case here.
+fails.  A fast path added, or a route removed, adds its case here.  Every
+patch drops the cached hom groups (``FreshTables``), so no sweep table
+filled by an unbroken run hides a break.
 """
 
 import itertools
@@ -26,6 +28,36 @@ from test_modules import (
     _submodules_by_sum_closure)
 
 CAPS = Caps()
+
+
+def _drop_hom_groups():
+    """Forget every cached hom group and End ring, and with them every
+    sweep table."""
+    homs.hom_group.cache_clear()
+    homs.end_ring.cache_clear()
+
+
+class FreshTables(pytest.MonkeyPatch):
+    """A monkeypatch that drops every hom group as each patch starts and
+    once the patches are undone, so that no sweep table filled on one side
+    of a patch is read on the other: a broken sweep cannot read what the
+    unbroken run found, nor leave what it found to the next run."""
+
+    def setattr(self, *args, **kwargs):
+        _drop_hom_groups()
+        super().setattr(*args, **kwargs)
+
+    def undo(self):
+        super().undo()
+        _drop_hom_groups()
+
+
+@pytest.fixture
+def monkeypatch():
+    """Every case here patches through ``FreshTables``."""
+    patches = FreshTables()
+    yield patches
+    patches.undo()
 
 
 @pytest.fixture
@@ -119,7 +151,7 @@ def test_the_odometer_wrap_around_dropped(unmemoized):
         orbit = _irregular_orbit(m, e.coords)
         if len(orbit) < 2:
             continue
-        with pytest.MonkeyPatch.context() as injected:
+        with FreshTables.context() as injected:
             injected.setattr(rings, "regularity_witness", _irregular_on(ring, orbit))
             want = _observable(_azumaya_per_element(m, CAPS))
             assert want[0] is False
@@ -499,6 +531,61 @@ def test_the_two_sided_group_for_ker_im_complementary(unmemoized):
     block_permutations = homs.block_permutations
     unmemoized.setattr(lab, "block_permutations", lambda m, two_sided: block_permutations(m, True))
     assert _route_disagrees("complementary", m)
+
+
+def _walk_keyed_without_the_permutations(self, perms):
+    """``HomGroup._walk`` keeping one table entry for every permutation
+    group, so a sweep reads the representatives of whichever group walked
+    first."""
+    walk = self._walks.get(())
+    if walk is None:
+        walk = self._walks[()] = homs._Walk([], self._orbit_walk(perms))
+    return walk
+
+
+def test_the_sweep_table_keyed_without_the_permutation_group(unmemoized):
+    """The summand route sweeps End(Z/2 ⊕ Z/2) by two-sided block
+    permutations and finds no failure.  The complementary route, sweeping
+    next, then reads those representatives, in which [[0, 0], [1, 0]], the
+    first hom with Ker = Im, lies in the orbit of diag(0, 1), met first
+    and with Ker ⊕ Im = M, so the first failure moves."""
+    m = plane()
+    assert lab._endoregular_via_summands(m, CAPS).value is True
+    assert not _route_disagrees("complementary", m)
+    unmemoized.setattr(homs.HomGroup, "_walk", _walk_keyed_without_the_permutations)
+    assert lab._endoregular_via_summands(m, CAPS).value is True
+    assert _route_disagrees("complementary", m)
+
+
+def _ker_im_keyed_by_the_first_row(self, f):
+    """``HomGroup.kernel_and_image`` keeping (Ker, Im) under the first row of
+    the matrix only, so another hom's pair is served for every later hom
+    with the same first row."""
+    ker_im = self._ker_im.get(f.matrix[0])
+    if ker_im is None:
+        ker_im = self._ker_im[f.matrix[0]] = homs.kernel_and_image(f)
+    return ker_im
+
+
+def test_another_homs_ker_im_served_from_the_table(unmemoized):
+    """On Z/2 ⊕ Z/2 the zero hom, read first, has Ker = M and Im = 0, which
+    are complementary, and [[0, 0], [1, 0]], with Ker = Im, shares its first
+    row, so the first hom with M != Ker ⊕ Im moves."""
+    m = plane()
+    assert not _route_disagrees("complementary", m)
+    unmemoized.setattr(homs.HomGroup, "kernel_and_image", _ker_im_keyed_by_the_first_row)
+    assert _route_disagrees("complementary", m)
+
+
+def test_the_summand_test_of_the_whole_module_answered_none(unmemoized):
+    """Told that Z/6 is no summand of itself, the zero endomorphism, whose
+    kernel is Z/6, looks like one without summand kernel and image, though
+    End(Z/6) is regular: the two endoregular routes disagree."""
+    m = reg(6)
+    assert _inconsistencies(m) == []
+    summand_test = homs.summand_test
+    unmemoized.setattr(lab, "summand_test", lambda n: None if n.is_full() else summand_test(n))
+    assert _inconsistencies(m)
 
 
 def test_every_submodule_a_summand_counted_against_the_summands(monkeypatch):
