@@ -178,13 +178,16 @@ class HomGroup:
         """The flat matrix of each orbit representative, in ``iter_homs``
         order.  ``ahead`` holds the orbit members not yet reached, keyed by
         flat matrix, at most the size of the group, and is dropped when the
-        walk ends.
+        walk ends.  A representative's orbit is met first at it, so ``ahead``
+        only holds homs not yet reached; once it holds all of them, no
+        representative is left and the walk ends there.
         """
         exponent = lcm(*self.orders)
         units = [u for u in range(2, exponent) if gcd(u, exponent) == 1]
         moduli = self.codomain.moduli * self.domain.rank
+        size = self.size()
         ahead: set[IntVector] = set()
-        for flat in self._odometer():
+        for reached, flat in enumerate(self._odometer(), 1):
             if flat in ahead:
                 ahead.remove(flat)
                 continue
@@ -193,6 +196,8 @@ class HomGroup:
                 ahead.update(tuple([u * v % d for v, d in zip(image, moduli)]) for u in units)
             ahead.discard(flat)
             yield flat
+            if len(ahead) == size - reached:
+                return
 
     def primary_parts(self) -> tuple["HomGroup", ...]:
         """The p-primary subgroups H_p, one per prime p dividing the

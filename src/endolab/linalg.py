@@ -13,8 +13,9 @@ lattice that contains diag(moduli):
 
 All three compute that HNF with ``lattice_basis``, a modular HNF: since
 m_j * e_j lies in the lattice, every entry of column j is kept reduced mod
-m_j, and each column takes one extended-gcd step per generator that is
-nonzero there.  ``hermite_normal_form`` is the general routine over Z; it
+m_j, each column takes one extended-gcd step per generator that is
+nonzero there, and the rows above a pivot are reduced as soon as its
+column is done.  ``hermite_normal_form`` is the general routine over Z; it
 serves ``integer_kernel`` and is the reference the tests compare against.
 
 The Smith normal form, with the column transform and its inverse, gives
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import prod
+from operator import mod, mul, neg
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .verdicts import InternalInconsistency
@@ -54,26 +56,20 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
         raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0]) if b else 0}")
     if not b:
         return tuple(() for _ in a)
-    cols = range(len(b[0]))
-    return tuple(
-        tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in cols)
-        for ra in a
-    )
+    cols = list(zip(*b))
+    return tuple(tuple([sum(map(mul, ra, col)) for col in cols]) for ra in a)
 
 
 def vec_mat(x: Sequence[int], a: Sequence[Sequence[int]]) -> IntVector:
     if len(x) != len(a):
         raise DimensionMismatch(f"vector length {len(x)} vs {len(a)} rows")
-    if not a:
-        return ()
-    cols = range(len(a[0]))
-    return tuple(sum(x[k] * a[k][j] for k in range(len(a))) for j in cols)
+    return tuple([sum(map(mul, x, col)) for col in zip(*a)])
 
 
 def vec_mod(x: Sequence[int], m: ModuliVector) -> IntVector:
     if len(x) != len(m):
         raise DimensionMismatch(f"vector length {len(x)} vs {len(m)} moduli")
-    return tuple(v % mm for v, mm in zip(x, m))
+    return tuple(map(mod, x, m))
 
 
 def mat_mod(a: Sequence[Sequence[int]], m: ModuliVector) -> IntMatrix:
@@ -304,22 +300,27 @@ def lattice_basis(gens: Iterable[Sequence[int]], m: ModuliVector) -> IntMatrix:
     mod m_j.  Column c's pivot row starts as m_c * e_c and absorbs each
     working row that is nonzero at c by one extended-gcd 2x2 unimodular
     step, which leaves that row zero at c; rows that become zero are
-    dropped.  The rows are zero left of c, so only columns > c change.  The
-    HNF is unique, so the result equals ``hermite_normal_form`` of the
-    generators stacked on diag(m).
+    dropped.  The rows are zero left of c, so only columns > c change, and
+    a divisible step skips the columns where the pivot row is zero.  Once
+    column c is done, the rows above its pivot are reduced at c into
+    [0, pivot) on columns >= c, left to right as in ``_reduce_above_pivots``;
+    a column no row reached has pivot row m_c * e_c, which takes them mod
+    m_c.  The HNF is unique, so the result equals ``hermite_normal_form`` of
+    the generators stacked on diag(m).
     """
     k = len(m)
     work = []
     for g in gens:
         if len(g) != k:
             raise DimensionMismatch(f"generator length {len(g)} vs {k} moduli")
-        row = [v % mm for v, mm in zip(g, m)]
+        row = list(map(mod, g, m))
         if any(row):
             work.append(row)
     basis = []
     for c in range(k):
+        mc = m[c]
         pivot = [0] * k
-        pivot[c] = m[c]
+        pivot[c] = mc
         rest = range(c + 1, k)
         live = []
         for row in work:
@@ -337,14 +338,26 @@ def lattice_basis(gens: Iterable[Sequence[int]], m: ModuliVector) -> IntMatrix:
                     pivot[c] = g
                 else:
                     for j in rest:
-                        row[j] = (row[j] - q * pivot[j]) % m[j]
+                        p = pivot[j]
+                        if p:
+                            row[j] = (row[j] - q * p) % m[j]
                 row[c] = 0
                 if not any(row):
                     continue
             live.append(row)
         work = live
+        a = pivot[c]
+        if a == mc:
+            for above in basis:
+                above[c] %= mc
+        else:
+            for above in basis:
+                q = above[c] // a
+                if q:
+                    for j in range(c, k):
+                        above[j] -= q * pivot[j]
         basis.append(pivot)
-    return _reduce_above_pivots(basis, range(k))
+    return tuple(map(tuple, basis))
 
 
 def subgroup_canonical_form(gens: Iterable[Sequence[int]], m: ModuliVector) -> IntMatrix:
@@ -374,14 +387,17 @@ def subgroup_membership(x: Sequence[int], canon: Sequence[Sequence[int]], m: Mod
     substitution along its rows leaves every entry 0 mod its modulus."""
     if len(x) != len(m):
         raise DimensionMismatch(f"vector length {len(x)} vs {len(m)} moduli")
-    rem = list(x)
-    for row, c in _pivots(canon):
+    rem = x
+    c = 0
+    for row in canon:
+        while not row[c]:
+            c += 1
         q, r = divmod(rem[c], row[c])
         if r:
             return False
         if q:
             rem = [a - q * b for a, b in zip(rem, row)]
-    return not any(v % mm for v, mm in zip(rem, m))
+    return not any(map(mod, rem, m))
 
 
 def subgroup_order(canon: Sequence[Sequence[int]], m: ModuliVector) -> int:
@@ -513,18 +529,23 @@ class CongruenceSystem:
         c = len(out_moduli)
         if len(in_moduli) != r:
             raise DimensionMismatch(f"{len(in_moduli)} input moduli vs {r} rows")
+        zeros = [0] * r
+        lifted = []
         for i, row in enumerate(a):
             if len(row) != c:
                 raise DimensionMismatch(f"row length {len(row)} vs {c} output moduli")
-            for j, v in enumerate(row):
-                if (in_moduli[i] * v) % out_moduli[j]:
-                    raise ValueError(
-                        f"in_moduli[{i}]={in_moduli[i]} does not annihilate A[{i}][{j}]={v} "
-                        f"mod {out_moduli[j]}"
-                    )
+            n = in_moduli[i]
+            if any(map(mod, map(mul, row, [n] * c), out_moduli)):
+                j = next(j for j, (v, d) in enumerate(zip(row, out_moduli)) if n * v % d)
+                raise ValueError(
+                    f"in_moduli[{i}]={n} does not annihilate A[{i}][{j}]={row[j]} "
+                    f"mod {out_moduli[j]}"
+                )
+            lifted_row = [*row, *zeros]
+            lifted_row[c + i] = 1
+            lifted.append(lifted_row)
         self.out_moduli = tuple(out_moduli)
         self.in_moduli = tuple(in_moduli)
-        lifted = [list(row) + [int(t == i) for t in range(r)] for i, row in enumerate(a)]
         hnf = lattice_basis(lifted, self.out_moduli + self.in_moduli)
         # The lattice has full rank and contains diag(out_moduli, in_moduli),
         # so row i of the HNF pivots on column i: the first c rows solve, and
@@ -548,18 +569,16 @@ class CongruenceSystem:
         c = len(self.out_moduli)
         if len(b) != c:
             raise DimensionMismatch(f"rhs length {len(b)} vs {c} output moduli")
-        rem = [v % m for v, m in zip(b, self.out_moduli)]
-        x = [0] * len(self.in_moduli)
+        # Subtracting q times each solving row from b ++ 0 clears b column
+        # by column and leaves -x in the last len(in_moduli) entries.
+        rem = [*map(mod, b, self.out_moduli), *[0] * len(self.in_moduli)]
         for j, row in enumerate(self._solving):
             q, rest = divmod(rem[j], row[j])
             if rest:
                 return None
             if q:
-                for t in range(j, c):
-                    rem[t] -= q * row[t]
-                for i, v in enumerate(row[c:]):
-                    x[i] += q * v
-        return vec_mod(x, self.in_moduli)
+                rem = [v - q * w for v, w in zip(rem, row)]
+        return tuple(map(mod, map(neg, rem[c:]), self.in_moduli))
 
 
 def solve_congruence_system(

@@ -536,3 +536,50 @@ def test_sweeps_sharing_a_table_read_as_sweeps_of_fresh_groups():
             for matrix, ker_im in shared._ker_im.items():
                 assert ker_im == kernel_and_image(modules.ModuleHom(m, m, matrix)), m.name
     assert stopped >= 20 and resumed >= 20, (stopped, resumed)
+
+
+def _orbit_walk_to_the_end(g, perms):
+    """Reference: the flat matrix of each orbit representative of g, in
+    ``iter_homs`` order, by a walk that reads the odometer to its last hom."""
+    exponent = math.lcm(*g.orders)
+    units = [u for u in range(2, exponent) if math.gcd(u, exponent) == 1]
+    moduli = g.codomain.moduli * g.domain.rank
+    ahead = set()
+    for flat in g._odometer():
+        if flat in ahead:
+            ahead.remove(flat)
+            continue
+        for image in [flat, *(_permuted(flat, sigma) for sigma in perms)]:
+            ahead.add(image)
+            ahead.update(tuple(u * v % d for v, d in zip(image, moduli)) for u in units)
+        ahead.discard(flat)
+        yield flat
+
+
+def test_the_orbit_walk_meets_the_representatives_of_a_walk_to_the_end(monkeypatch):
+    """Over the corpus of the sweep-table test, for both permutation groups:
+    the walk yields every representative that a walk over all homs does, in
+    the same order, and reads the odometer no further than its last
+    representative, which on many groups comes before the last hom."""
+    corpus = _cap_corpus() + _memo_corpus() + _power_blocks()
+    ends = [hom_group(n, n) for m in corpus for n in (m, modules.direct_sum([m, m])[0])]
+    odometer = homs.HomGroup._odometer
+    reads = [0]
+
+    def counted(self):
+        for flat in odometer(self):
+            reads[0] += 1
+            yield flat
+
+    monkeypatch.setattr(homs.HomGroup, "_odometer", counted)
+    cut = 0
+    for g in dict.fromkeys(e for e in ends if e.size() <= CAP):
+        for two_sided in (True, False):
+            perms = homs.block_permutations(g.domain, two_sided)
+            want = list(_orbit_walk_to_the_end(g, perms))
+            reads[0] = 0
+            assert list(_fresh(g)._orbit_walk(tuple(perms))) == want, (g.domain.name, two_sided)
+            last = next(i for i, flat in enumerate(odometer(g)) if flat == want[-1])
+            assert reads[0] == last + 1, (g.domain.name, two_sided)
+            cut += last + 1 < g.size()
+    assert cut >= 40, cut

@@ -145,16 +145,48 @@ def lattice_cases(draw):
     return rows, m
 
 
+def _stacked_on_diagonal(rows, m):
+    return list(rows) + [[mm if j == i else 0 for j in range(len(m))] for i, mm in enumerate(m)]
+
+
 @settings(max_examples=500, deadline=None)
 @given(lattice_cases())
 def test_modular_lattice_basis_equals_integer_hnf(case):
     rows, m = case
-    k = len(m)
-    diag = [[m[i] if j == i else 0 for j in range(k)] for i in range(k)]
     basis = linalg.lattice_basis(rows, m)
-    assert basis == linalg.hermite_normal_form(list(rows) + diag, k)
+    assert basis == linalg.hermite_normal_form(_stacked_on_diagonal(rows, m), len(m))
     if math.prod(m) <= 144:
         assert brute_subgroup(basis, m) == brute_subgroup(rows, m)
+
+
+@st.composite
+def wide_lattice_cases(draw):
+    """(rows, m) shaped like the ``[A, I]`` systems ``CongruenceSystem``
+    factors: up to 16 rows over up to 160 columns, each a sparse row of A,
+    with entries negative or >= m_j, followed by e_i.  Most columns
+    of A meet no generator, and reducing the rows above a pivot leaves
+    negative entries in later columns."""
+    r = draw(st.integers(1, 16))
+    c = draw(st.integers(0, 160 - r))
+    out_m = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 9)), min_size=c, max_size=c))
+    in_m = draw(st.lists(st.sampled_from((2, 3, 4, 6, 8, 9, 12)), min_size=r, max_size=r))
+    rows = []
+    for i in range(r):
+        a = [0] * c
+        if c:
+            for j, v in draw(st.lists(st.tuples(st.integers(0, c - 1), st.integers(-40, 40)),
+                                      max_size=4)):
+                a[j] = v
+        rows.append(a + [int(t == i) for t in range(r)])
+    return rows, tuple(out_m + in_m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_lattice_cases())
+def test_modular_lattice_basis_equals_integer_hnf_on_wide_systems(case):
+    rows, m = case
+    basis = linalg.lattice_basis(rows, m)
+    assert basis == linalg.hermite_normal_form(_stacked_on_diagonal(rows, m), len(m))
 
 
 def test_modular_lattice_basis_edge_fixtures():
@@ -164,6 +196,9 @@ def test_modular_lattice_basis_edge_fixtures():
     assert linalg.lattice_basis([(5, -1)], (1, 3)) == ((1, 0), (0, 1))
     assert linalg.lattice_basis([(4, 6), (4, 6), (0, 0)], (8, 9)) == ((4, 0), (0, 3))
     assert linalg.lattice_basis([(-2, 7)], (4, 4)) == ((2, 1), (0, 2))
+    # reducing row 0 by the pivot of column 1 leaves -3 at column 2, which
+    # no generator reaches
+    assert linalg.lattice_basis([(27, -10, 1)], (2, 3, 6)) == ((1, 0, 3), (0, 1, 2), (0, 0, 6))
     with pytest.raises(linalg.DimensionMismatch):
         linalg.lattice_basis([(1,)], (2, 2))
 
@@ -354,3 +389,180 @@ def test_integer_kernel():
     assert len(ker) == 1
     x = ker[0]
     assert x[0] + x[1] == 0
+
+
+# ---------------------------------------------------------------------------
+# Kernels against their loop references
+# ---------------------------------------------------------------------------
+
+
+def _mat_mul_reference(a, b):
+    if a and b and len(a[0]) != len(b):
+        raise linalg.DimensionMismatch(
+            f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0]) if b else 0}")
+    if not b:
+        return tuple(() for _ in a)
+    cols = range(len(b[0]))
+    return tuple(tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in cols) for ra in a)
+
+
+def _vec_mat_reference(x, a):
+    if len(x) != len(a):
+        raise linalg.DimensionMismatch(f"vector length {len(x)} vs {len(a)} rows")
+    if not a:
+        return ()
+    return tuple(sum(x[k] * a[k][j] for k in range(len(a))) for j in range(len(a[0])))
+
+
+def _vec_mod_reference(x, m):
+    if len(x) != len(m):
+        raise linalg.DimensionMismatch(f"vector length {len(x)} vs {len(m)} moduli")
+    return tuple(v % mm for v, mm in zip(x, m))
+
+
+def _membership_reference(x, canon, m):
+    if len(x) != len(m):
+        raise linalg.DimensionMismatch(f"vector length {len(x)} vs {len(m)} moduli")
+    rem = list(x)
+    for row in canon:
+        c = next(j for j, v in enumerate(row) if v)
+        q, r = divmod(rem[c], row[c])
+        if r:
+            return False
+        rem = [a - q * b for a, b in zip(rem, row)]
+    return not any(v % mm for v, mm in zip(rem, m))
+
+
+class _ReferenceSystem:
+    """``CongruenceSystem`` checked entry by entry, factored by
+    ``hermite_normal_form`` of [A, I] stacked on diag(out_moduli ++
+    in_moduli), and solved by forward substitution over indices."""
+
+    def __init__(self, a, out_moduli, in_moduli):
+        r, c = len(a), len(out_moduli)
+        if len(in_moduli) != r:
+            raise linalg.DimensionMismatch(f"{len(in_moduli)} input moduli vs {r} rows")
+        for i, row in enumerate(a):
+            if len(row) != c:
+                raise linalg.DimensionMismatch(f"row length {len(row)} vs {c} output moduli")
+            for j, v in enumerate(row):
+                if (in_moduli[i] * v) % out_moduli[j]:
+                    raise ValueError(
+                        f"in_moduli[{i}]={in_moduli[i]} does not annihilate A[{i}][{j}]={v} "
+                        f"mod {out_moduli[j]}")
+        self.out_moduli, self.in_moduli = tuple(out_moduli), tuple(in_moduli)
+        lifted = [list(row) + [int(t == i) for t in range(r)] for i, row in enumerate(a)]
+        m = self.out_moduli + self.in_moduli
+        hnf = linalg.hermite_normal_form(_stacked_on_diagonal(lifted, m), len(m))
+        self._solving = hnf[:c]
+        self.homogeneous = tuple(
+            row[c:] for i, row in enumerate(hnf[c:]) if row[c + i] != in_moduli[i])
+        self.image = tuple(
+            row[:c] for i, row in enumerate(self._solving) if row[i] != out_moduli[i])
+
+    def particular(self, b):
+        c = len(self.out_moduli)
+        if len(b) != c:
+            raise linalg.DimensionMismatch(f"rhs length {len(b)} vs {c} output moduli")
+        rem = [v % m for v, m in zip(b, self.out_moduli)]
+        x = [0] * len(self.in_moduli)
+        for j, row in enumerate(self._solving):
+            q, rest = divmod(rem[j], row[j])
+            if rest:
+                return None
+            for t in range(j, c):
+                rem[t] -= q * row[t]
+            for i, v in enumerate(row[c:]):
+                x[i] += q * v
+        return tuple(v % m for v, m in zip(x, self.in_moduli))
+
+
+def _outcome(f, *args):
+    """What f returns, or the type and text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _system_outcome(cls, a, out_m, in_m, rhs):
+    """The factored system, its image and a solve of each right-hand side,
+    or the error ``cls`` raises."""
+    system = _outcome(cls, a, out_m, in_m)
+    if isinstance(system, tuple):
+        return system
+    return (system._solving, system.homogeneous, system.image,
+            [_outcome(system.particular, b) for b in rhs])
+
+
+def _matrices(rows, width):
+    entry = st.integers(-50, 50)
+    return st.lists(st.lists(entry, min_size=width, max_size=width).map(tuple),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def product_cases(draw):
+    """(a, b, x, m): a is r x n; b has n or n + 1 rows, x n or n + 1
+    entries and m n or n + 1 moduli; shapes may be empty, entries negative."""
+    r, n, c = (draw(st.integers(0, 4)) for _ in range(3))
+    a = draw(_matrices(r, n))
+    b = draw(_matrices(n + draw(st.integers(0, 1)), c))
+    x = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n + 1))
+    m = tuple(draw(st.lists(st.integers(1, 12), min_size=n, max_size=n + 1)))
+    return a, b, x, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_cases())
+def test_products_equal_their_loop_references(case):
+    a, b, x, m = case
+    assert _outcome(linalg.mat_mul, a, b) == _outcome(_mat_mul_reference, a, b)
+    assert _outcome(linalg.vec_mat, x, b) == _outcome(_vec_mat_reference, x, b)
+    assert _outcome(linalg.vec_mod, x, m) == _outcome(_vec_mod_reference, x, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(moduli_vectors(max_len=4), st.data())
+def test_membership_equals_its_loop_reference(m, data):
+    """x is a combination of the generators plus multiples of the moduli,
+    or arbitrary, with one entry too many at times."""
+    gens = data.draw(st.lists(
+        st.lists(st.integers(-6, 12), min_size=len(m), max_size=len(m)).map(tuple), max_size=3))
+    canon = linalg.subgroup_canonical_form(gens, m)
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens) + 1,
+                                    max_size=len(gens) + 1))
+        x = [coeffs[-1] * mm + sum(k * g[j] for k, g in zip(coeffs, gens)) for j, mm in enumerate(m)]
+    else:
+        x = data.draw(st.lists(st.integers(-30, 30), min_size=len(m), max_size=len(m) + 1))
+    want = _outcome(_membership_reference, x, canon, m)
+    assert _outcome(linalg.subgroup_membership, x, canon, m) == want
+
+
+@st.composite
+def any_congruence_systems(draw):
+    """(A, out_moduli, in_moduli, rhs): a system of ``congruence_systems``
+    or one with arbitrary entries, which in_moduli rarely annihilate, at
+    times with one input modulus or one entry of a row too many, and
+    right-hand sides of which some have one entry too many."""
+    if draw(st.booleans()):
+        a, out_m, in_m = draw(congruence_systems())
+    else:
+        out_m = draw(moduli_vectors(max_len=3))
+        in_m = draw(moduli_vectors(max_len=3, choices=(2, 3, 4, 6)))
+        a = draw(_matrices(len(in_m), len(out_m)))
+    if draw(st.integers(0, 5)) == 3:
+        in_m = in_m + (2,)
+    if a and draw(st.integers(0, 5)) == 3:
+        a = [a[0] + (0,)] + list(a[1:])
+    rhs = draw(st.lists(st.lists(st.integers(-9, 9), min_size=len(out_m), max_size=len(out_m) + 1),
+                        max_size=4))
+    return a, out_m, in_m, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_congruence_systems())
+def test_congruence_system_equals_its_reference(case):
+    want = _system_outcome(_ReferenceSystem, *case)
+    assert _system_outcome(linalg.CongruenceSystem, *case) == want

@@ -18,7 +18,9 @@ import pytest
 
 from endolab import homs, incidence, lab, linalg, modules, rings
 from endolab.verdicts import Caps, Verdict, undecided_on_cap
+from test_homs import _orbit_walk_to_the_end
 from test_incidence import _incend
+from test_linalg import _ReferenceSystem, _stacked_on_diagonal, _system_outcome
 from test_lab import (
     PRIMARY_LOCAL, _azumaya_per_element, _distributive_boolean_eager, _first_failure,
     _irregular_on, _irregular_orbit, _k_nonsingular_per_hom, _memoized, _observable,
@@ -609,3 +611,122 @@ def test_every_submodule_a_summand_counted_against_the_summands(monkeypatch):
 
     monkeypatch.setattr(lab.SummandLattice, "__init__", counted_against_itself)
     assert all(_observable(fast(m, CAPS)) != want for (fast, _, m), want in zip(cases, wants))
+
+
+def _lattice_basis_without_the_untouched_reduction(gens, m):
+    """``linalg.lattice_basis`` that leaves the rows above a pivot no
+    generator reached as they are, instead of reducing them mod m_c."""
+    k = len(m)
+    work = [row for row in ([v % mm for v, mm in zip(g, m)] for g in gens) if any(row)]
+    basis = []
+    for c in range(k):
+        mc = m[c]
+        pivot = [0] * k
+        pivot[c] = mc
+        rest = range(c + 1, k)
+        live = []
+        for row in work:
+            b = row[c]
+            if b:
+                a = pivot[c]
+                q, r = divmod(b, a)
+                if r:
+                    g, s, t = linalg._xgcd(a, b)
+                    u, v = a // g, b // g
+                    for j in rest:
+                        p, x = pivot[j], row[j]
+                        pivot[j] = (s * p + t * x) % m[j]
+                        row[j] = (u * x - v * p) % m[j]
+                    pivot[c] = g
+                else:
+                    for j in rest:
+                        if pivot[j]:
+                            row[j] = (row[j] - q * pivot[j]) % m[j]
+                row[c] = 0
+                if not any(row):
+                    continue
+            live.append(row)
+        work = live
+        a = pivot[c]
+        if a != mc:
+            for above in basis:
+                q = above[c] // a
+                if q:
+                    for j in range(c, k):
+                        above[j] -= q * pivot[j]
+        basis.append(pivot)
+    return tuple(map(tuple, basis))
+
+
+def test_the_reduction_above_an_untouched_pivot_dropped(monkeypatch):
+    """Over Z/2 x Z/3 x Z/6 the generator (27, -10, 1) reaches columns 0 and
+    1 only.  Reducing row 0 by the pivot of column 1 leaves -3 at column 2,
+    which only the untouched pivot 6·e_2 brings back to 3."""
+    gens, m = [(27, -10, 1)], (2, 3, 6)
+    want = linalg.hermite_normal_form(_stacked_on_diagonal(gens, m), len(m))
+    assert linalg.lattice_basis(gens, m) == want
+    monkeypatch.setattr(linalg, "lattice_basis", _lattice_basis_without_the_untouched_reduction)
+    assert linalg.lattice_basis(gens, m) != want
+
+
+def _system_without_the_annihilation_check(self, a, out_moduli, in_moduli):
+    """``CongruenceSystem.__init__`` that accepts any input moduli."""
+    r, c = len(a), len(out_moduli)
+    if len(in_moduli) != r:
+        raise linalg.DimensionMismatch(f"{len(in_moduli)} input moduli vs {r} rows")
+    lifted = []
+    for i, row in enumerate(a):
+        if len(row) != c:
+            raise linalg.DimensionMismatch(f"row length {len(row)} vs {c} output moduli")
+        lifted.append([*row, *(int(t == i) for t in range(r))])
+    self.out_moduli = tuple(out_moduli)
+    self.in_moduli = tuple(in_moduli)
+    hnf = linalg.lattice_basis(lifted, self.out_moduli + self.in_moduli)
+    self._solving = hnf[:c]
+    self.homogeneous = tuple(
+        row[c:] for i, row in enumerate(hnf[c:]) if row[c + i] != in_moduli[i])
+
+
+def test_a_non_annihilating_input_modulus_accepted(monkeypatch):
+    """x = 1 in Z/2 sent to 1 in Z/4 is no map, since 2·1 is not 0 mod 4.
+    The reference refuses it; with the check dropped, the system answers
+    x = 1 for b = 1 and x = 0 for b = 2, though 0 maps to 0, not 2."""
+    case = ([(1,)], (4,), (2,), [(1,), (2,)])
+    want = _system_outcome(_ReferenceSystem, *case)
+    assert want[0] is ValueError
+    assert _system_outcome(linalg.CongruenceSystem, *case) == want
+    monkeypatch.setattr(linalg.CongruenceSystem, "__init__", _system_without_the_annihilation_check)
+    assert _system_outcome(linalg.CongruenceSystem, *case) != want
+
+
+def _orbit_walk_stopping_one_hom_early(self, perms):
+    """``HomGroup._orbit_walk`` that ends once every hom not yet reached but
+    one is ahead."""
+    exponent = math.lcm(*self.orders)
+    units = [u for u in range(2, exponent) if math.gcd(u, exponent) == 1]
+    moduli = self.codomain.moduli * self.domain.rank
+    size = self.size()
+    ahead = set()
+    for reached, flat in enumerate(self._odometer(), 1):
+        if flat in ahead:
+            ahead.remove(flat)
+            continue
+        for image in [flat, *(tuple(flat[i] for i in sigma) for sigma in perms)]:
+            ahead.add(image)
+            ahead.update(tuple(u * v % d for v, d in zip(image, moduli)) for u in units)
+        ahead.discard(flat)
+        yield flat
+        if len(ahead) >= size - reached - 1:
+            return
+
+
+def test_the_orbit_walk_stopped_one_hom_early(unmemoized):
+    """End(Z/2 ⊕ Z/2) = M2(F2) has no unit but 1, so with no permutation
+    every hom is its own orbit, and a walk that stops one hom early never
+    meets the last one."""
+    m = plane()
+    want = list(_orbit_walk_to_the_end(homs.hom_group(m, m), ()))
+    assert len(want) == 16
+    assert list(homs.hom_group(m, m)._orbit_walk(())) == want
+    unmemoized.setattr(homs.HomGroup, "_orbit_walk", _orbit_walk_stopping_one_hom_early)
+    assert list(homs.hom_group(m, m)._orbit_walk(())) != want
