@@ -9,6 +9,7 @@ line on stdout.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import sys
 from typing import Optional, Sequence
@@ -114,7 +115,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _run_suite(args: argparse.Namespace, corpora: dict[str, list[lab.CorpusMember]],
                caps: Caps, with_families: bool = True) -> int:
     any_failure = False
-    counts = {"pass": 0, "fail": 0, "skip": 0}
+    counts = collections.Counter()
     for name, members in corpora.items():
         families = workspace.same_ring_families(members) if with_families else []
         try:
@@ -126,13 +127,11 @@ def _run_suite(args: argparse.Namespace, corpora: dict[str, list[lab.CorpusMembe
             if args.json:
                 print(json.dumps({"corpus": name, **workspace.record_to_json(r)},
                                  ensure_ascii=False))
-            counts[r.status] += 1
-            if r.status == "fail":
-                any_failure = True
-                if not args.json:
-                    print(f"FAIL {name}/{r.object_id} {r.check_id}: {r.detail}")
-            elif r.status == "skip" and not args.json:
-                print(f"skip {name}/{r.object_id} {r.check_id}: {r.detail}")
+            elif r.status != "pass":
+                label = "FAIL" if r.status == "fail" else "skip"
+                print(f"{label} {name}/{r.object_id} {r.check_id}: {r.detail}")
+        counts.update(report.counts())
+        any_failure = any_failure or report.failed
     if not args.json:
         print(f"{counts['pass']} passed, {counts['fail']} failed, "
               f"{counts['skip']} skipped")

@@ -248,37 +248,11 @@ class HomGroup:
         None, found by sweeping the orbit representatives of
         ``iter_orbit_representatives(perms)``.
 
-        ``pred`` must be constant on the orbits of the unit scalars and
-        ``perms``.  Any predicate of (Ker f, Im f) is constant on the unit
-        orbits.  For an endomorphism group of N = B^k,
-        ``block_permutations(N, two_sided)`` gives permutation groups: each
-        block permutation P is an automorphism of N, Ker(P·f·Q) =
-        (Ker f)·P⁻¹ and Im(P·f·Q) = (Im f)·Q.  Automorphisms keep summands,
-        so "Ker f and Im f are summands" is constant on the two-sided orbits
-        f -> P·f·Q.  The other two predicates below compare Ker f with Im f,
-        so they need the same automorphism on both sides: they are constant
-        on the conjugates P·f·P⁻¹ only.
-
-        ``pred`` must also be primary-local: when it fails at f, it fails at
-        e_p·f for some prime p.  Here e is the exponent of the codomain and
-        e_p the CRT idempotent integer, e_p ≡ 1 mod p^k and 0 mod e/p^k.
-        Homs preserve primary components, so Ker(e_p·f) = (Ker f)_p ⊕ M_p′
-        and Im(e_p·f) = (Im f)_p, where M_p′ is the sum of the other primary
-        components of the domain M.  A submodule is a summand iff each of
-        its primary components is one, and orders, sums and intersections
-        split by primes as well.  So, for an endomorphism f of M, each of
-        these predicates holds for f exactly when it holds for e_p·f at
-        every prime p, which is more than primary-local asks:
-
-        * Ker f and Im f are summands: (Ker f)_p ⊕ M_p′ is a summand iff
-          (Ker f)_p is, and (Im f)_p is one iff it is one of M_p;
-        * |Ker f|·|Im f| = |M| and Ker f ∩ Im f = 0: |Ker(e_p·f)|·|Im(e_p·f)|
-          = |M| iff |(Ker f)_p|·|(Im f)_p| = |M_p|, and
-          Ker(e_p·f) ∩ Im(e_p·f) = (Ker f ∩ Im f)_p;
-        * Ker f + Im f = M: Ker(e_p·f) + Im(e_p·f) = (Ker f + Im f)_p ⊕ M_p′.
-
-        The agreement swept by ``lab.azumaya_agreement`` is primary-local in
-        the weaker sense only; its docstring gives both proofs for it.
+        The caller vouches for two conditions on ``pred``.  It is constant
+        on the orbits of the unit scalars and ``perms``.  It is
+        primary-local: when it fails at f, it fails at e_p·f for some prime
+        p, where e is the exponent of the codomain and e_p the CRT
+        idempotent integer, e_p ≡ 1 mod p^k and 0 mod e/p^k.
 
         As f runs over H, e_p·f runs over H_p = e_p·H, the parts of
         ``primary_parts`` (e_p·f = 0 for every f when p does not divide the
@@ -437,17 +411,15 @@ def kernel_and_image(h: ModuleHom) -> tuple[Submodule, Submodule]:
 class EndRingBundle:
     """End_R(M) as a FiniteRing plus exact dictionaries to/from matrix homs.
 
-    Ring multiplication is composition: the product x*y maps to the
-    endomorphism "apply to_hom(y) first, then to_hom(x)", matching the usual
-    left-action composition (x∘y)(m) = x(y(m)).
+    Ring multiplication is composition: with h(x) =
+    ``homs.from_coords(x.coords)``, the product x*y maps to the endomorphism
+    "apply h(y) first, then h(x)", matching the usual left-action
+    composition (x∘y)(m) = x(y(m)).
     """
 
     module: FiniteModule
     ring: FiniteRing
     homs: HomGroup
-
-    def to_hom(self, x: RingElement) -> ModuleHom:
-        return self.homs.from_coords(x.coords)
 
     def from_hom(self, h: ModuleHom) -> RingElement:
         return self.ring.element(self.homs.coords_of(h))

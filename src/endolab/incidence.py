@@ -42,9 +42,6 @@ class Preorder:
     elements: tuple[str, ...]
     relation: tuple[tuple[bool, ...], ...]
 
-    def leq(self, x: str, y: str) -> bool:
-        return self.relation[self.elements.index(x)][self.elements.index(y)]
-
     def pairs(self) -> list[tuple[int, int]]:
         """Comparable index pairs in row-major order: the algebra basis."""
         n = len(self.elements)
@@ -76,13 +73,18 @@ def preorder_from_pairs(
         if x not in index or y not in index:
             raise ValueError(f"relation pair ({x}, {y}) names an unknown element")
         rel[index[x]][index[y]] = True
-    for i, k, j in itertools.product(range(n), repeat=3):
-        if rel[i][k] and rel[k][j] and not rel[i][j]:
-            raise ValueError(
-                f"relation is not transitive: {names[i]} R {names[k]} R {names[j]} "
-                f"but not {names[i]} R {names[j]}"
-            )
+    broken = _intransitive_triple(rel)
+    if broken is not None:
+        i, k, j = (names[t] for t in broken)
+        raise ValueError(f"relation is not transitive: {i} R {k} R {j} but not {i} R {j}")
     return Preorder(names, tuple(tuple(r) for r in rel))
+
+
+def _intransitive_triple(rel: Sequence[Sequence[bool]]) -> Optional[tuple[int, int, int]]:
+    """The first (i, k, j) with i R k and k R j but not i R j, or None."""
+    triples = itertools.product(range(len(rel)), repeat=3)
+    return next(((i, k, j) for i, k, j in triples if rel[i][k] and rel[k][j] and not rel[i][j]),
+                None)
 
 
 def validate_preorder(x: Preorder) -> bool:
@@ -91,20 +93,7 @@ def validate_preorder(x: Preorder) -> bool:
         return False
     if any(not x.relation[i][i] for i in range(n)):
         return False
-    for i, k, j in itertools.product(range(n), repeat=3):
-        if x.relation[i][k] and x.relation[k][j] and not x.relation[i][j]:
-            return False
-    return True
-
-
-def interval(x: Preorder, lo: str, hi: str) -> list[str]:
-    """The segment {y : lo R y R hi}."""
-    i, j = x.elements.index(lo), x.elements.index(hi)
-    return [
-        x.elements[k]
-        for k in range(len(x.elements))
-        if x.relation[i][k] and x.relation[k][j]
-    ]
+    return _intransitive_triple(x.relation) is None
 
 
 @dataclass(frozen=True)
@@ -113,9 +102,6 @@ class IncidenceAlgebraBundle:
     base: FiniteRing
     preorder: Preorder
     pair_index: tuple[tuple[int, int], ...]
-
-    def basis_position(self, pair: tuple[int, int], t: int) -> int:
-        return self.pair_index.index(pair) * self.base.basis_count + t
 
 
 def build_incidence_algebra(x: Preorder, a: FiniteRing) -> IncidenceAlgebraBundle:

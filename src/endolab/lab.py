@@ -120,19 +120,46 @@ def _endoregular_via_ring(m: FiniteModule, caps: Caps) -> Verdict:
     return rings.is_regular(end_ring(m).ring, caps.homs)
 
 
-@memo
 @undecided_on_cap
+def _sweep_ker_im(m: FiniteModule, caps: Caps, pred: Callable[[Submodule, Submodule], bool],
+                  two_sided: bool, reason: str) -> Verdict:
+    """"No" with the first endomorphism f, in ``iter_homs`` order, with
+    ``pred(Ker f, Im f)`` false, else "yes": one ``HomGroup.first_failing``
+    sweep of End(m) by ``block_permutations(m, two_sided)``.
+
+    Each predicate passed here meets both conditions of ``first_failing``.
+    Constant on the orbits: any predicate of (Ker f, Im f) is constant on
+    the unit scalars.  For m = B^k each block permutation P is an
+    automorphism of m, Ker(P·f·Q) = (Ker f)·P⁻¹ and Im(P·f·Q) = (Im f)·Q.
+    Automorphisms keep summands, so ``_both_summands`` is constant on the
+    two-sided orbits f -> P·f·Q.  ``_ker_im_complementary`` and
+    ``_ker_im_span`` compare Ker f with Im f, so they need the same
+    automorphism on both sides and are constant on the conjugates P·f·P⁻¹.
+
+    Primary-local, with e_p as in ``first_failing``: homs preserve primary
+    components, so Ker(e_p·f) = (Ker f)_p ⊕ m_p′ and Im(e_p·f) = (Im f)_p,
+    where m_p′ is the sum of the other primary components of m.  Being a
+    summand, orders, sums and intersections all split by primes, so each
+    predicate holds at f iff it holds at e_p·f for every prime p, which is
+    more than primary-local asks.  For ``_both_summands``, (Ker f)_p ⊕ m_p′
+    is a summand iff (Ker f)_p is, and (Im f)_p is one iff it is one of m_p.
+    For ``_ker_im_complementary``, |Ker(e_p·f)|·|Im(e_p·f)| = |m| iff
+    |(Ker f)_p|·|(Im f)_p| = |m_p|, and Ker(e_p·f) ∩ Im(e_p·f) =
+    (Ker f ∩ Im f)_p.  For ``_ker_im_span``, Ker(e_p·f) + Im(e_p·f) =
+    (Ker f + Im f)_p ⊕ m_p′.
+    """
+    homs = end_homs(m, caps.homs)
+    phi = homs.first_failing(
+        lambda f: pred(*homs.kernel_and_image(f)), block_permutations(m, two_sided))
+    return Verdict.yes() if phi is None else Verdict.no(witness=phi, reason=reason)
+
+
+@memo
 def _endoregular_via_summands(m: FiniteModule, caps: Caps) -> Verdict:
     """Every endomorphism has summand kernel and image.  Memoized because
     ``check_ker_im_summands_in_powers`` asks it of M ⊕ M, which is also the
     sum of a family (M, M)."""
-    homs = end_homs(m, caps.homs)
-    phi = homs.first_failing(
-        lambda f: _both_summands(*homs.kernel_and_image(f)),
-        block_permutations(m, two_sided=True))
-    if phi is not None:
-        return Verdict.no(witness=phi, reason="kernel or image not a summand")
-    return Verdict.yes()
+    return _sweep_ker_im(m, caps, _both_summands, True, "kernel or image not a summand")
 
 
 def _both_summands(ker: Submodule, im: Submodule) -> bool:
@@ -211,15 +238,8 @@ def abelian_route_end_ring(m: FiniteModule, caps: Caps) -> Verdict:
     return rings.is_abelian_regular(end_ring(m).ring, caps.homs)
 
 
-@undecided_on_cap
 def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
-    homs = end_homs(m, caps.homs)
-    phi = homs.first_failing(
-        lambda f: _ker_im_complementary(*homs.kernel_and_image(f)),
-        block_permutations(m, two_sided=False))
-    if phi is not None:
-        return Verdict.no(witness=phi, reason="M != Ker ⊕ Im")
-    return Verdict.yes()
+    return _sweep_ker_im(m, caps, _ker_im_complementary, False, "M != Ker ⊕ Im")
 
 
 def _ker_im_complementary(ker: Submodule, im: Submodule) -> bool:
@@ -446,16 +466,9 @@ def five_way_conditions(m: FiniteModule, caps: Caps = Caps()) -> tuple[Verdict, 
 # ---------------------------------------------------------------------------
 
 
-@undecided_on_cap
 def im_plus_ker_always_full(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Im φ + Ker φ = M for every endomorphism φ."""
-    homs = end_homs(m, caps.homs)
-    phi = homs.first_failing(
-        lambda f: _ker_im_span(*homs.kernel_and_image(f)),
-        block_permutations(m, two_sided=False))
-    if phi is not None:
-        return Verdict.no(witness=phi, reason="Im + Ker proper")
-    return Verdict.yes()
+    return _sweep_ker_im(m, caps, _ker_im_span, False, "Im + Ker proper")
 
 
 def _ker_im_span(ker: Submodule, im: Submodule) -> bool:
@@ -536,19 +549,6 @@ def spec_of(m: FiniteModule, caps: Caps = Caps()) -> list[Submodule]:
     """All prime submodules of m, read from one product table."""
     table = ProductTable(m, caps)
     return [n for n in table.fi if not n.is_full() and table.prime_failure(n) is None]
-
-
-def is_prime_module(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
-    """0 is prime in m (m nonzero)."""
-    if m.size() == 1:
-        return Verdict.no(reason="zero module is not prime")
-    return is_prime_in(zero_submodule(m), caps)
-
-
-def is_semiprime_module(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
-    if m.size() == 1:
-        return Verdict.no(reason="zero module is not semiprime")
-    return is_semiprime_in(zero_submodule(m), caps)
 
 
 # ---------------------------------------------------------------------------

@@ -54,12 +54,6 @@ class FiniteModule:
                     orow[j] += coeff * row[j]
         return tuple(linalg.vec_mod(row, self.moduli) for row in out)
 
-    def act(self, x: Sequence[int], r: Sequence[int]) -> IntVector:
-        return linalg.vec_mod(linalg.vec_mat(x, self.rho(r)), self.moduli)
-
-    def reduce(self, x: Sequence[int]) -> IntVector:
-        return linalg.vec_mod(x, self.moduli)
-
     def zero(self) -> IntVector:
         return (0,) * self.rank
 
@@ -109,21 +103,6 @@ class ModuleHom:
 
 def identity_hom(m: FiniteModule) -> ModuleHom:
     return ModuleHom(m, m, linalg.identity_matrix(m.rank))
-
-
-def is_module_hom(h: ModuleHom) -> bool:
-    """Well-defined mod codomain moduli and commutes with every action matrix."""
-    dm, cm = h.domain.moduli, h.codomain.moduli
-    for i in range(h.domain.rank):
-        for j in range(h.codomain.rank):
-            if (dm[i] * h.matrix[i][j]) % cm[j]:
-                return False
-    for t in range(h.domain.ring.basis_count):
-        lhs = linalg.mat_mod(linalg.mat_mul(h.domain.action[t], h.matrix), cm)
-        rhs = linalg.mat_mod(linalg.mat_mul(h.matrix, h.codomain.action[t]), cm)
-        if lhs != rhs:
-            return False
-    return True
 
 
 def validate_module(m: FiniteModule) -> tuple[bool, str]:

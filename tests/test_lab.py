@@ -4,9 +4,12 @@ import ast
 import collections
 import glob
 import itertools
+import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -129,9 +132,7 @@ def test_prime_errors():
 
 def test_zero_prime_in_simple():
     m = reg(3)
-    assert lab.is_prime_module(m, CAPS).value is True
-    zero = zero_module(z(2))
-    assert lab.is_prime_module(zero, CAPS).value is False
+    assert lab.is_prime_in(modules.zero_submodule(m), CAPS).value is True
 
 
 def test_duo_fixtures():
@@ -300,10 +301,15 @@ def _spec_or_cap(spec, m, caps):
 @pytest.mark.parametrize("caps", (CAPS,) + TIGHT_CAPS, ids=str)
 def test_prime_and_semiprime_equal_the_eager_loops(caps):
     module_pairs = (
-        (lab.is_prime_module, _prime_module_eager),
-        (lab.is_semiprime_module, _semiprime_module_eager),
         (lab.check_fi_maximal_is_prime, _fi_maximal_is_prime_eager),
         (lab.check_prime_quotients, _prime_quotients_eager),
+    )
+    # A nonzero module is prime (semiprime) when its zero submodule is.
+    zero_pairs = (
+        (lambda m, c: lab.is_prime_in(modules.zero_submodule(m), c),
+         lambda m, c: _prime_in_eager(modules.zero_submodule(m), c)),
+        (lambda m, c: lab.is_semiprime_in(modules.zero_submodule(m), c),
+         lambda m, c: _semiprime_in_eager(modules.zero_submodule(m), c)),
     )
     failures = collections.Counter()
     primes = 0
@@ -311,7 +317,7 @@ def test_prime_and_semiprime_equal_the_eager_loops(caps):
         spec = _spec_or_cap(lab.spec_of, m, caps)
         assert spec == _spec_or_cap(_spec_eager, m, caps), m.name
         primes += isinstance(spec, list) and len(spec)
-        for fast, reference in module_pairs:
+        for fast, reference in module_pairs + (zero_pairs if m.size() > 1 else ()):
             got = fast(m, caps)
             assert _observable(got) == _observable(reference(m, caps)), (fast.__name__, m.name)
             failures[fast.__name__] += got.value is False
@@ -330,9 +336,8 @@ def test_prime_and_semiprime_equal_the_eager_loops(caps):
                 assert _observable(got) == _observable(reference(n, caps)), (
                     fast.__name__, m.name, n.gens)
                 failures[fast.__name__] += got.value is False
-    # The two checks are theorems and pass; the four predicates fail somewhere.
-    predicates = (
-        lab.is_prime_in, lab.is_semiprime_in, lab.is_prime_module, lab.is_semiprime_module)
+    # The two checks are theorems and pass; the two predicates fail somewhere.
+    predicates = (lab.is_prime_in, lab.is_semiprime_in)
     assert caps != CAPS or primes > 20 and all(failures[f.__name__] for f in predicates), failures
 
 
@@ -913,6 +918,39 @@ def test_memo_keeps_equal_modules_with_different_names_apart():
             assert v.value is None
             assert f"({m.name})" in v.reason
             assert other.name not in v.reason
+
+
+# In a fresh process, analyze (Z/3)^3 and then (Z/3)^2 of the end-rings
+# workspace, and print the details and witnesses of the (Z/3)^2 properties.
+_ANALYZE_AFTER_A_LARGER_POWER = """
+import json, sys
+from endolab import lab, workspace
+ws = workspace.parse_workspace(sys.argv[1])
+for mid in ("(Z/3)^3", "(Z/3)^2"):
+    report = lab.analyze(mid, ws.member(mid).module, ws.caps)
+print(json.dumps([[v.reason, workspace.to_jsonable(v.witness)]
+                  for v in report.properties.values()], ensure_ascii=False))
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "hom_group, end_ring, summand_test, is_m_generated, is_fully_invariant, "
+    "enumerate_submodules and extract are cached by value, ignoring names, so "
+    "they return objects named after an equal module that was analyzed first"))
+def test_analyze_names_only_its_own_module():
+    """The (Z/3)^2 report must not name (Z/3)^3, whose submodules extract to
+    modules equal to (Z/3)^2.  The report of a fresh process names it 0
+    times; after (Z/3)^3, 5 times."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workspaces",
+                        "end-rings.json")
+    src = os.path.dirname(os.path.dirname(lab.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _ANALYZE_AFTER_A_LARGER_POWER, path],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    if len(json.loads(out)) != len(lab.PROPERTY_FUNCS):
+        pytest.fail("the report does not list every property")
+    assert "(Z/3)^3" not in out
 
 
 def test_memo_keys_on_caps():
