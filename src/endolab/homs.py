@@ -27,17 +27,20 @@ from .modules import (
     extract,
     identity_hom,
 )
-from .rings import FiniteRing, RingElement
+from .rings import FiniteRing
 from .verdicts import CapExceeded, InternalInconsistency
 
 
-@dataclass
-class _Walk:
-    """The orbit representatives one permutation group's walk has met so
-    far, as flat matrices, and the paused walk that meets the rest."""
+def _flatten(h: ModuleHom) -> IntVector:
+    """The flat layout of a hom: its matrix row by row, as one vector whose
+    entries take the codomain's moduli once per domain row."""
+    return tuple(v for row in h.matrix for v in row)
 
-    found: list[IntVector]
-    rest: Iterator[IntVector]
+
+def _unflatten(dom: FiniteModule, cod: FiniteModule, flat: Sequence[int]) -> ModuleHom:
+    """The hom dom -> cod whose flat layout is ``flat``."""
+    nc = cod.rank
+    return ModuleHom(dom, cod, tuple(tuple(flat[r * nc:(r + 1) * nc]) for r in range(dom.rank)))
 
 
 @dataclass(frozen=True)
@@ -63,30 +66,29 @@ class HomGroup:
     def size(self) -> int:
         return prod(self.orders)
 
+    @cached_property
+    def _flat(self) -> tuple[tuple[IntVector, ...], tuple[int, ...]]:
+        """The generators in the flat layout, and the moduli of its entries."""
+        return tuple(_flatten(g) for g in self.gens), self.codomain.moduli * self.domain.rank
+
     def from_coords(self, coords: Sequence[int]) -> ModuleHom:
-        rows = [[0] * self.codomain.rank for _ in range(self.domain.rank)]
-        for c, g in zip(coords, self.gens):
-            if not c:
-                continue
-            for i in range(self.domain.rank):
-                grow = g.matrix[i]
-                row = rows[i]
-                for j in range(self.codomain.rank):
-                    row[j] += c * grow[j]
-        mat = tuple(linalg.vec_mod(r, self.codomain.moduli) for r in rows)
-        return ModuleHom(self.domain, self.codomain, mat)
+        gens, moduli = self._flat
+        flat = [0] * len(moduli)
+        for c, g in zip(coords, gens):
+            if c:
+                for x, v in enumerate(g):
+                    flat[x] += c * v
+        return _unflatten(self.domain, self.codomain, linalg.vec_mod(flat, moduli))
 
     @cached_property
     def _coordinates(self) -> linalg.CongruenceSystem:
         """The generators' coordinate system, factored once per hom group."""
-        flat_gens = tuple(tuple(v for row in g.matrix for v in row) for g in self.gens)
-        flat_moduli = self.codomain.moduli * self.domain.rank
-        return coordinate_system(flat_gens, self.orders, flat_moduli)
+        gens, moduli = self._flat
+        return coordinate_system(gens, self.orders, moduli)
 
     def coords_of(self, h: ModuleHom) -> IntVector:
         """Unique coefficient vector of a hom over the generators."""
-        flat_target = tuple(v for row in h.matrix for v in row)
-        return coordinates_in_subgroup(flat_target, self._coordinates)
+        return coordinates_in_subgroup(_flatten(h), self._coordinates)
 
     def _odometer(self) -> Iterator[IntVector]:
         """The flattened matrix of every hom, coordinates in lexicographic
@@ -97,8 +99,7 @@ class HomGroup:
         the add still happens: o_i * g_i = 0, so the sum returns to c_i = 0
         and the carry moves on to coordinate i - 1.
         """
-        moduli = self.codomain.moduli * self.domain.rank
-        flat_gens = [[v for row in g.matrix for v in row] for g in self.gens]
+        flat_gens, moduli = self._flat
         orders = self.orders
         coords = [0] * len(orders)
         flat = (0,) * len(moduli)
@@ -115,16 +116,11 @@ class HomGroup:
             if i < 0:
                 return
 
-    def _from_flat(self, flat: Sequence[int]) -> ModuleHom:
-        nc = self.codomain.rank
-        rows = tuple(tuple(flat[r * nc:(r + 1) * nc]) for r in range(self.domain.rank))
-        return ModuleHom(self.domain, self.codomain, rows)
-
     def iter_homs(self) -> Iterator[ModuleHom]:
         """Every hom: ``from_coords`` of each coordinate vector in
         ``itertools.product`` order, built by the odometer walk."""
         for flat in self._odometer():
-            yield self._from_flat(flat)
+            yield _unflatten(self.domain, self.codomain, flat)
 
     def iter_orbit_representatives(self, perms: Sequence[IntVector] = ()) -> Iterator[ModuleHom]:
         """The first hom, in ``iter_homs`` order, of each orbit of the
@@ -154,25 +150,24 @@ class HomGroup:
         there, and only a sweep that reads past them resumes the walk, so a
         sweep that stops early walks no further than it reads.
         """
-        walk = self._walk(tuple(perms))
-        for i in itertools.count():
-            if i == len(walk.found):
-                flat = next(walk.rest, None)
-                if flat is None:
-                    return
-                walk.found.append(flat)
-            yield self._from_flat(walk.found[i])
-
-    @cached_property
-    def _walks(self) -> dict[tuple[IntVector, ...], _Walk]:
-        return {}
-
-    def _walk(self, perms: tuple[IntVector, ...]) -> _Walk:
-        """The table entry of one permutation group, made on first use."""
+        perms = tuple(perms)
         walk = self._walks.get(perms)
         if walk is None:
-            walk = self._walks[perms] = _Walk([], self._orbit_walk(perms))
-        return walk
+            walk = self._walks[perms] = ([], self._orbit_walk(perms))
+        found, rest = walk
+        for i in itertools.count():
+            if i == len(found):
+                flat = next(rest, None)
+                if flat is None:
+                    return
+                found.append(flat)
+            yield _unflatten(self.domain, self.codomain, found[i])
+
+    @cached_property
+    def _walks(self) -> dict[tuple[IntVector, ...], tuple[list[IntVector], Iterator[IntVector]]]:
+        """Per permutation group, the orbit representatives met so far, as
+        flat matrices, and the paused walk that meets the rest."""
+        return {}
 
     def _orbit_walk(self, perms: tuple[IntVector, ...]) -> Iterator[IntVector]:
         """The flat matrix of each orbit representative, in ``iter_homs``
@@ -184,7 +179,7 @@ class HomGroup:
         """
         exponent = lcm(*self.orders)
         units = [u for u in range(2, exponent) if gcd(u, exponent) == 1]
-        moduli = self.codomain.moduli * self.domain.rank
+        moduli = self._flat[1]
         size = self.size()
         ahead: set[IntVector] = set()
         for reached, flat in enumerate(self._odometer(), 1):
@@ -332,38 +327,25 @@ def block_permutations(m: FiniteModule, two_sided: bool) -> list[IntVector]:
 
 
 def _hom_system(dom: FiniteModule, cod: FiniteModule) -> tuple[list[list[int]], tuple[int, ...], tuple[int, ...]]:
-    """Linear system whose solutions (flattened F) are exactly the R-maps."""
+    """Linear system whose solutions (flattened F) are exactly the R-maps.
+
+    Row i·nc + j holds the coefficients of the unknown F[i][j]: first in
+    ρ_dom·F = F·ρ_cod, entry by entry for each basis element, then in
+    dom.moduli[i]·F[i][j] = 0, for each (i, j).
+    """
     nd, nc = dom.rank, cod.rank
-    unknowns = nd * nc
-    idx = lambda i, j: i * nc + j
-    columns: list[list[int]] = []
-    out_moduli: list[int] = []
-
-    def new_eq(modulus: int) -> list[int]:
-        col = [0] * unknowns
-        columns.append(col)
-        out_moduli.append(modulus)
-        return col
-
-    for t in range(dom.ring.basis_count):
-        rho_d = dom.action[t]
-        rho_c = cod.action[t]
-        for u in range(nd):
-            for v in range(nc):
-                eq = new_eq(cod.moduli[v])
-                for i in range(nd):
-                    eq[idx(i, v)] += rho_d[u][i]
-                for j in range(nc):
-                    eq[idx(u, j)] -= rho_c[j][v]
+    rows = []
     for i in range(nd):
         for j in range(nc):
-            eq = new_eq(cod.moduli[j])
-            eq[idx(i, j)] = dom.moduli[i]
-
-    # transpose: unknowns index rows, equations index columns
-    a = [[columns[e][x] for e in range(len(columns))] for x in range(unknowns)]
-    in_moduli = tuple(cod.moduli[j] for i in range(nd) for j in range(nc))
-    return a, tuple(out_moduli), in_moduli
+            commutes = [
+                (rho_d[u][i] if v == j else 0) - (rho_c[j][v] if u == i else 0)
+                for rho_d, rho_c in zip(dom.action, cod.action)
+                for u in range(nd) for v in range(nc)
+            ]
+            well_defined = [dom.moduli[i] if x == i * nc + j else 0 for x in range(nd * nc)]
+            rows.append(commutes + well_defined)
+    in_moduli = cod.moduli * nd
+    return rows, in_moduli * (len(dom.action) + 1), in_moduli
 
 
 @lru_cache(maxsize=None)
@@ -371,17 +353,12 @@ def hom_group(dom: FiniteModule, cod: FiniteModule) -> HomGroup:
     """Compute Hom_R(M, N) exactly (no caps involved)."""
     if dom.ring != cod.ring:
         raise ValueError("hom_group requires modules over the same ring")
-    nd, nc = dom.rank, cod.rank
-    if nd == 0 or nc == 0:
+    if dom.rank == 0 or cod.rank == 0:
         return HomGroup(dom, cod, (), ())
     a, out_moduli, in_moduli = _hom_system(dom, cod)
     solutions = linalg.kernel_subgroup(a, out_moduli, in_moduli)
     gens, orders = linalg.subgroup_structure(solutions, in_moduli)
-    hom_gens = tuple(
-        ModuleHom(dom, cod, tuple(tuple(flat[i * nc:(i + 1) * nc]) for i in range(nd)))
-        for flat in gens
-    )
-    return HomGroup(dom, cod, hom_gens, orders)
+    return HomGroup(dom, cod, tuple(_unflatten(dom, cod, flat) for flat in gens), orders)
 
 
 def kernel(h: ModuleHom) -> Submodule:
@@ -407,27 +384,17 @@ def kernel_and_image(h: ModuleHom) -> tuple[Submodule, Submodule]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EndRingBundle:
-    """End_R(M) as a FiniteRing plus exact dictionaries to/from matrix homs.
-
-    Ring multiplication is composition: with h(x) =
-    ``homs.from_coords(x.coords)``, the product x*y maps to the endomorphism
-    "apply h(y) first, then h(x)", matching the usual left-action
-    composition (x∘y)(m) = x(y(m)).
-    """
-
-    module: FiniteModule
-    ring: FiniteRing
-    homs: HomGroup
-
-    def from_hom(self, h: ModuleHom) -> RingElement:
-        return self.ring.element(self.homs.coords_of(h))
-
-
 @lru_cache(maxsize=None)
-def end_ring(m: FiniteModule) -> EndRingBundle:
-    """Build End_R(M) with structure constants from composing generators."""
+def end_ring(m: FiniteModule) -> FiniteRing:
+    """End_R(M) as a FiniteRing on the generators of ``hom_group(m, m)``,
+    with structure constants from composing them.
+
+    The element with coordinates c is the endomorphism
+    ``hom_group(m, m).from_coords(c)``, and a hom h is the element
+    ``ring.element(hom_group(m, m).coords_of(h))``.  Multiplication is
+    composition: x*y is "apply y first, then x", matching the usual
+    left-action composition (x∘y)(m) = x(y(m)).
+    """
     homs = hom_group(m, m)
     k = len(homs.gens)
     mul = []
@@ -439,11 +406,10 @@ def end_ring(m: FiniteModule) -> EndRingBundle:
             row.append(homs.coords_of(composed))
         mul.append(tuple(row))
     one = homs.coords_of(identity_hom(m)) if k else ()
-    ring = FiniteRing(
+    return FiniteRing(
         moduli=homs.orders, mul=tuple(mul), one=one,
         name=f"End({m.name})" if m.name else "End",
     )
-    return EndRingBundle(module=m, ring=ring, homs=homs)
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +484,9 @@ def summand_test(n: Submodule) -> Optional[ModuleHom]:
         return identity_hom(m)
     inner, inc = extract(n)
     homs = hom_group(m, inner)
-    rows = [
-        tuple(v for row in inc.then(g).matrix for v in row) for g in homs.gens
-    ]
-    target = tuple(v for row in identity_hom(inner).matrix for v in row)
-    out_moduli = tuple(d for _ in range(inner.rank) for d in inner.moduli)
-    solved = linalg.solve_congruence_system(rows, target, out_moduli, homs.orders)
+    rows = [_flatten(inc.then(g)) for g in homs.gens]
+    target = _flatten(identity_hom(inner))
+    solved = linalg.solve_congruence_system(rows, target, inner.moduli * inner.rank, homs.orders)
     if solved is None:
         return None
     particular, _ = solved

@@ -27,7 +27,6 @@ from .homs import (
     product_submodules,
     summand_test,
 )
-from .linalg import IntMatrix
 from .modules import (
     FiniteModule,
     ModuleHom,
@@ -74,29 +73,22 @@ def end_homs(m: FiniteModule, cap: int) -> HomGroup:
     return homs
 
 
-def essential_kernel_coords(homs: HomGroup, cap: int) -> IntMatrix:
-    """Canonical subgroup of the coordinates of the homs f in Hom(K, N)
-    whose kernel is essential in K.
+def first_essential_kernel_hom(homs: HomGroup, cap: int) -> Optional[ModuleHom]:
+    """The first nonzero hom in ``iter_homs`` order whose kernel is
+    essential, or None.
 
     A finite module's socle is its least essential submodule, so Ker f is
     essential iff f vanishes on Soc K: s @ f = 0 for every socle generator
     s, a congruence system linear in f's coordinates over the generators.
-    """
-    soc = socle(homs.domain, cap)
-    rows = [tuple(v for s in soc.gens for v in g.apply(s)) for g in homs.gens]
-    return linalg.kernel_subgroup(rows, homs.codomain.moduli * len(soc.gens), homs.orders)
-
-
-def first_essential_kernel_hom(homs: HomGroup, cap: int) -> Optional[ModuleHom]:
-    """The first nonzero hom in ``iter_homs`` order whose kernel is
-    essential, or None.
 
     ``iter_homs`` runs through the coordinates lexicographically.  The least
     nonzero member of a subgroup in that order is the last row of its
     canonical form: every member is zero before that row's pivot column, and
     there the least positive value is the pivot, taken by the row alone.
     """
-    canon = essential_kernel_coords(homs, cap)
+    soc = socle(homs.domain, cap)
+    rows = [tuple(v for s in soc.gens for v in g.apply(s)) for g in homs.gens]
+    canon = linalg.kernel_subgroup(rows, homs.codomain.moduli * len(soc.gens), homs.orders)
     return homs.from_coords(canon[-1]) if canon else None
 
 
@@ -117,7 +109,7 @@ def is_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
 
 
 def _endoregular_via_ring(m: FiniteModule, caps: Caps) -> Verdict:
-    return rings.is_regular(end_ring(m).ring, caps.homs)
+    return rings.is_regular(end_ring(m), caps.homs)
 
 
 @undecided_on_cap
@@ -191,18 +183,18 @@ def azumaya_agreement(m: FiniteModule, caps: Caps) -> Verdict:
     regularity and the summand test agree prime by prime, and so they agree
     at φ: a disagreement of φ shows at some e_p·φ.
     """
-    bundle = end_ring(m)
-    if bundle.homs.size() > caps.homs:
-        return Verdict.undecided(f"|End| = {bundle.homs.size()} exceeds hom cap {caps.homs}")
+    ring, homs = end_ring(m), hom_group(m, m)
+    if homs.size() > caps.homs:
+        return Verdict.undecided(f"|End| = {homs.size()} exceeds hom cap {caps.homs}")
 
     def agrees(phi: ModuleHom) -> bool:
-        regular = rings.regularity_witness(bundle.from_hom(phi)) is not None
-        return regular == _both_summands(*bundle.homs.kernel_and_image(phi))
+        regular = rings.regularity_witness(ring.element(homs.coords_of(phi))) is not None
+        return regular == _both_summands(*homs.kernel_and_image(phi))
 
-    phi = bundle.homs.first_failing(agrees, block_permutations(m, two_sided=True))
+    phi = homs.first_failing(agrees, block_permutations(m, two_sided=True))
     if phi is None:
         return Verdict.yes()
-    summands = _both_summands(*bundle.homs.kernel_and_image(phi))
+    summands = _both_summands(*homs.kernel_and_image(phi))
     return Verdict.no(
         witness=phi,
         reason=f"quasi-inverse {'missing' if summands else 'exists'} but "
@@ -235,7 +227,7 @@ def abelian_endoregular_routes(m: FiniteModule, caps: Caps) -> tuple[Verdict, Ve
 
 
 def abelian_route_end_ring(m: FiniteModule, caps: Caps) -> Verdict:
-    return rings.is_abelian_regular(end_ring(m).ring, caps.homs)
+    return rings.is_abelian_regular(end_ring(m), caps.homs)
 
 
 def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
@@ -259,7 +251,7 @@ def abelian_route_fully_invariant(m: FiniteModule, caps: Caps) -> Verdict:
 
 
 def is_unit_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
-    return rings.is_unit_regular(end_ring(m).ring, caps.homs)
+    return rings.is_unit_regular(end_ring(m), caps.homs)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +313,22 @@ class SummandLattice:
                     yield i, j, k
 
 
+def _pairs_combine_to_summands(m: FiniteModule, caps: Caps,
+                               combine: Callable[[SummandLattice, int, int], Submodule],
+                               reason: str) -> Verdict:
+    """"No" with the first incomparable pair of summands whose ``combine``
+    is not a summand, else "yes", which it is at once when every submodule
+    is a summand."""
+    lattice = SummandLattice(m, caps)
+    if lattice.every_submodule:
+        return Verdict.yes()
+    for i, j in lattice.incomparable_pairs():
+        if summand_test(combine(lattice, i, j)) is None:
+            a, b = lattice.summands[i], lattice.summands[j]
+            return Verdict.no(witness=(a, b), reason=reason)
+    return Verdict.yes()
+
+
 @undecided_on_cap
 def has_ssp(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """Sum of any two direct summands is a direct summand.
@@ -330,14 +338,7 @@ def has_ssp(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     one as its sum, a summand already, so only incomparable pairs are
     summed.
     """
-    lattice = SummandLattice(m, caps)
-    if lattice.every_submodule:
-        return Verdict.yes()
-    for i, j in lattice.incomparable_pairs():
-        if summand_test(lattice.join(i, j)) is None:
-            a, b = lattice.summands[i], lattice.summands[j]
-            return Verdict.no(witness=(a, b), reason="sum of summands not a summand")
-    return Verdict.yes()
+    return _pairs_combine_to_summands(m, caps, SummandLattice.join, "sum of summands not a summand")
 
 
 @undecided_on_cap
@@ -349,14 +350,8 @@ def has_sip(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     smaller one as its intersection, a summand already, so only
     incomparable pairs are intersected.
     """
-    lattice = SummandLattice(m, caps)
-    if lattice.every_submodule:
-        return Verdict.yes()
-    for i, j in lattice.incomparable_pairs():
-        if summand_test(lattice.meet(i, j)) is None:
-            a, b = lattice.summands[i], lattice.summands[j]
-            return Verdict.no(witness=(a, b), reason="intersection of summands not a summand")
-    return Verdict.yes()
+    return _pairs_combine_to_summands(
+        m, caps, SummandLattice.meet, "intersection of summands not a summand")
 
 
 @undecided_on_cap
@@ -616,7 +611,7 @@ def is_polyform(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
 
 @undecided_on_cap
 def idempotents_central_in_end(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
-    for e in rings.idempotents(end_ring(m).ring, caps.homs):
+    for e in rings.idempotents(end_ring(m), caps.homs):
         if not rings.is_central(e):
             return Verdict.no(witness=e, reason="non-central idempotent in End")
     return Verdict.yes()
@@ -1050,6 +1045,6 @@ def analyze(module_id: str, m: FiniteModule, caps: Caps = Caps()) -> PropertyRep
         socle_order=unless_capped("socle_order", lambda: socle(m, caps.submodules).order()),
         summand_count=unless_capped("summand_count", lambda: len(direct_summands(m, caps))),
         spec=unless_capped("spec", lambda: spec_of(m, caps)),
-        end_size=end_ring(m).homs.size(),
+        end_size=hom_group(m, m).size(),
         undecided=undecided,
     )

@@ -81,15 +81,6 @@ class ModuleHom:
         mat = linalg.mat_mod(linalg.mat_mul(self.matrix, nxt.matrix), nxt.codomain.moduli)
         return ModuleHom(self.domain, nxt.codomain, mat)
 
-    def __add__(self, other: "ModuleHom") -> "ModuleHom":
-        if (self.domain, self.codomain) != (other.domain, other.codomain):
-            raise ValueError("hom addition mismatch")
-        mat = tuple(
-            linalg.vec_mod([a + b for a, b in zip(r1, r2)], self.codomain.moduli)
-            for r1, r2 in zip(self.matrix, other.matrix)
-        )
-        return ModuleHom(self.domain, self.codomain, mat)
-
     def scale(self, k: int) -> "ModuleHom":
         mat = tuple(
             linalg.vec_mod([k * v for v in row], self.codomain.moduli)

@@ -52,12 +52,6 @@ class FiniteRing:
     def element(self, coords: Sequence[int]) -> "RingElement":
         return RingElement(linalg.vec_mod(tuple(coords), self.moduli), self)
 
-    def zero(self) -> "RingElement":
-        return self.element((0,) * self.basis_count)
-
-    def add_coords(self, x: Sequence[int], y: Sequence[int]) -> IntVector:
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
-
     def mul_coords(self, x: Sequence[int], y: Sequence[int]) -> IntVector:
         k = self.basis_count
         out = [0] * k
@@ -133,15 +127,10 @@ class RingElement:
     ring: FiniteRing
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        return RingElement(self.ring.add_coords(self.coords, other.coords), self.ring)
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(
-            tuple((-c) % m for c, m in zip(self.coords, self.ring.moduli)), self.ring
-        )
+        return self.ring.element([a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
+        return self.ring.element([a - b for a, b in zip(self.coords, other.coords)])
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         return RingElement(self.ring.mul_coords(self.coords, other.coords), self.ring)

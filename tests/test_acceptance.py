@@ -85,7 +85,7 @@ def test_acceptance_1_corner_module_regression(e1R):
     start = time.time()
     from endolab.homs import end_ring
 
-    end_size = end_ring(e1R).homs.size()
+    end_size = end_ring(e1R).size()
     abelian = lab.is_abelian_endoregular(e1R, CAPS)
     rad = modules.radical(e1R, CAPS.submodules)
     subdirect = lab.is_subdirect_of_simples(e1R, CAPS)

@@ -97,20 +97,20 @@ def test_kernel_and_image_equal_the_separate_computations():
 
 def test_end_ring_is_a_ring_and_matches_composition():
     for m in (reg(6), plane(), e1R()):
-        bundle = end_ring(m)
-        ok, msg = rings.validate_ring(bundle.ring)
+        ring, ends = end_ring(m), hom_group(m, m)
+        ok, msg = rings.validate_ring(ring)
         assert ok, msg
-        elems = rings.enumerate_elements(bundle.ring, CAP)
+        elems = rings.enumerate_elements(ring, CAP)
         for x in elems:
             for y in elems:
-                lhs = bundle.homs.from_coords((x * y).coords)
-                rhs = bundle.homs.from_coords(y.coords).then(bundle.homs.from_coords(x.coords))
+                lhs = ends.from_coords((x * y).coords)
+                rhs = ends.from_coords(y.coords).then(ends.from_coords(x.coords))
                 assert lhs.matrix == rhs.matrix
 
 
 def test_end_ring_size_pin():
-    assert end_ring(e1R()).homs.size() == 2
-    assert end_ring(plane()).homs.size() == 16
+    assert end_ring(e1R()).size() == 2
+    assert end_ring(plane()).size() == 16
 
 
 def test_trace_is_fully_invariant():
@@ -191,8 +191,7 @@ def test_azumaya_fixture_z4():
     # multiplication by 2 has no quasi-inverse and non-summand kernel
     m = reg(4)
     h = modules.ModuleHom(m, m, ((2,),))
-    bundle = end_ring(m)
-    x = bundle.from_hom(h)
+    x = end_ring(m).element(hom_group(m, m).coords_of(h))
     assert rings.regularity_witness(x) is None
     assert summand_test(kernel(h)) is None
 
@@ -584,3 +583,51 @@ def test_the_orbit_walk_meets_the_representatives_of_a_walk_to_the_end(monkeypat
             assert reads[0] == last + 1, (g.domain.name, two_sided)
             cut += last + 1 < g.size()
     assert cut >= 40, cut
+
+
+# ---------------------------------------------------------------------------
+# The hom system, against the column-then-transpose builder
+# ---------------------------------------------------------------------------
+
+
+def _hom_system_by_columns(dom, cod):
+    """Reference: the hom system built one equation (a column) at a time,
+    then transposed so that the unknowns F[i][j] index the rows."""
+    nd, nc = dom.rank, cod.rank
+    columns, out_moduli = [], []
+    for t in range(dom.ring.basis_count):
+        for u in range(nd):
+            for v in range(nc):
+                col = [0] * (nd * nc)
+                for i in range(nd):
+                    col[i * nc + v] += dom.action[t][u][i]
+                for j in range(nc):
+                    col[u * nc + j] -= cod.action[t][j][v]
+                columns.append(col)
+                out_moduli.append(cod.moduli[v])
+    for i in range(nd):
+        for j in range(nc):
+            col = [0] * (nd * nc)
+            col[i * nc + j] = dom.moduli[i]
+            columns.append(col)
+            out_moduli.append(cod.moduli[j])
+    rows = [[col[x] for col in columns] for x in range(nd * nc)]
+    in_moduli = tuple(cod.moduli[j] for i in range(nd) for j in range(nc))
+    return rows, tuple(out_moduli), in_moduli
+
+
+def test_hom_system_equals_the_column_then_transpose_builder():
+    """Every same-ring pair (336 of them) of the demo and benchmark
+    workspace modules and corpus members and 120 random modules of seed 7."""
+    found = []
+    for path in ("workspaces/demo.json", "perfbench/workspaces/families.json",
+                 "perfbench/workspaces/search.json", "perfbench/workspaces/end-rings.json"):
+        ws = workspace.parse_workspace(os.path.join(ROOT, path))
+        found += list(ws.modules.values())
+        found += [mem.module for corpus in ws.corpora.values() for mem in corpus]
+    found += [mem.module for mem in workspace.random_modules(120, 7, Caps())]
+    pairs = [(a, b) for a, b in itertools.product(dict.fromkeys(found), repeat=2)
+             if a.ring == b.ring]
+    for a, b in pairs:
+        assert homs._hom_system(a, b) == _hom_system_by_columns(a, b), (a.name, b.name)
+    assert len(pairs) >= 300, len(pairs)

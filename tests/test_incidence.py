@@ -123,7 +123,7 @@ def _incend_check_per_hom(m, bundle, caps=CAPS):
     if not incidence.is_cyclic(m, caps.elements):
         raise incidence.NotCyclic("the coefficient module is not cyclic")
     mx = incidence.build_mx(m, bundle)
-    left, right = homs.end_ring(m).homs, homs.end_ring(mx).homs
+    left, right = homs.hom_group(m, m), homs.hom_group(mx, mx)
     if left.size() > caps.homs or right.size() > caps.homs:
         raise CapExceeded(max(left.size(), right.size()), caps.homs, "endomorphisms")
     nx, rank = len(bundle.preorder.elements), m.rank

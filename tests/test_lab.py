@@ -670,12 +670,12 @@ def test_ker_im_routes_equal_the_plain_sweep(caps):
 
 def _azumaya_per_element(m, caps):
     """Reference: every element of End(m) in coordinate order."""
-    bundle = homs.end_ring(m)
-    if bundle.homs.size() > caps.homs:
-        return Verdict.undecided(f"|End| = {bundle.homs.size()} exceeds hom cap {caps.homs}")
-    for coords in itertools.product(*(range(o) for o in bundle.homs.orders)):
-        phi = bundle.homs.from_coords(coords)
-        witness = rings.regularity_witness(bundle.ring.element(coords)) is not None
+    ring, ends = homs.end_ring(m), homs.hom_group(m, m)
+    if ends.size() > caps.homs:
+        return Verdict.undecided(f"|End| = {ends.size()} exceeds hom cap {caps.homs}")
+    for coords in itertools.product(*(range(o) for o in ends.orders)):
+        phi = ends.from_coords(coords)
+        witness = rings.regularity_witness(ring.element(coords)) is not None
         summands = lab._both_summands(*homs.kernel_and_image(phi))
         if witness != summands:
             return Verdict.no(
@@ -702,10 +702,10 @@ def _irregular_orbit(m, coords):
     """The nonzero e_p·u·P·x·Q in End(m), as coordinates: x has the given
     coordinates, u runs over the units and e_p over the CRT idempotents of
     the exponent of End(m), and P, Q over the block permutations of m."""
-    g = homs.end_ring(m).homs
+    g = homs.hom_group(m, m)
     flat = [v for row in g.from_coords(coords).matrix for v in row]
     sigmas = [range(len(flat)), *homs.block_permutations(m, two_sided=True)]
-    images = [g.coords_of(g._from_flat([flat[i] for i in sigma])) for sigma in sigmas]
+    images = [g.coords_of(homs._unflatten(m, m, [flat[i] for i in sigma])) for sigma in sigmas]
     e = math.lcm(*g.orders)
     scalars = {u * ep % e for u in range(1, e + 1) if math.gcd(u, e) == 1
                for ep in _crt_idempotents(e)}
@@ -748,7 +748,7 @@ def test_azumaya_agreement_equals_the_per_element_loop(caps):
         assert _observable(got) == _observable(_azumaya_per_element(m, caps)), m.name
     moved = 0
     for m in corpus:
-        ring = homs.end_ring(m).ring
+        ring = homs.end_ring(m)
         if ring.size() > caps.homs or ring.size() == 1:
             continue
         e = [e for e in rings.idempotents(ring, ring.size()) if not e.is_zero()][-1]
@@ -758,7 +758,7 @@ def test_azumaya_agreement_equals_the_per_element_loop(caps):
             got = lab.azumaya_agreement(m, caps)
             assert _observable(got) == _observable(_azumaya_per_element(m, caps)), m.name
         assert got.value is False, m.name
-        moved += homs.end_ring(m).from_hom(got.witness).coords != e.coords
+        moved += ring.element(homs.hom_group(m, m).coords_of(got.witness)).coords != e.coords
     assert caps.homs < 16 or moved >= 5, moved
 
 
@@ -772,16 +772,16 @@ def test_azumaya_sides_keep_to_orbits_and_split_by_primes():
     some e_p·φ."""
     seen = collections.Counter()
     for m in _powers(_cap_corpus() + _memo_corpus() + _power_blocks(), 256):
-        bundle = homs.end_ring(m)
-        exponent = math.lcm(*bundle.homs.orders)
+        ring, ends = homs.end_ring(m), homs.hom_group(m, m)
+        exponent = math.lcm(*ends.orders)
         primes = list(linalg.prime_divisors(exponent))
         power = homs.block_power(m)
         if power < 2 and exponent in (1, *primes):
             continue
         sides = {
-            f.matrix: (rings.regularity_witness(bundle.from_hom(f)) is not None,
+            f.matrix: (rings.regularity_witness(ring.element(ends.coords_of(f))) is not None,
                        lab._both_summands(*homs.kernel_and_image(f)))
-            for f in bundle.homs.iter_homs()
+            for f in ends.iter_homs()
         }
         n = m.rank
         for matrix, got in sides.items():
@@ -802,7 +802,7 @@ def test_azumaya_sides_keep_to_orbits_and_split_by_primes():
 def _idempotents_commute_with_units(m, caps):
     """Reference: every idempotent of End(M) against every unit, each unit
     found by ``rings.is_unit``."""
-    ring = homs.end_ring(m).ring
+    ring = homs.end_ring(m)
     units = [u for u in rings.enumerate_elements(ring, caps.homs) if rings.is_unit(u)]
     for e in rings.idempotents(ring, caps.homs):
         for u in units:
@@ -898,7 +898,7 @@ def test_memo_answers_equal_fresh_computation_in_either_order():
         for m in order:
             for f in module_routes:
                 assert _observable(f(m, CAPS)) == _observable(f.__wrapped__(m, CAPS)), f
-            ring = homs.end_ring(m).ring
+            ring = homs.end_ring(m)
             for f in ring_routes:
                 got = f(ring, CAPS.homs)
                 assert _observable(got) == _observable(f.__wrapped__(ring, CAPS.homs)), f

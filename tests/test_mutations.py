@@ -11,6 +11,7 @@ patch drops the cached hom groups (``FreshTables``), so no sweep table
 filled by an unbroken run hides a break.
 """
 
+import functools
 import itertools
 import math
 
@@ -18,6 +19,7 @@ import pytest
 
 from endolab import homs, incidence, lab, linalg, modules, rings
 from endolab.verdicts import Caps, Verdict, undecided_on_cap
+from support import is_module_hom
 from test_homs import _orbit_walk_to_the_end
 from test_incidence import _incend
 from test_linalg import _ReferenceSystem, _stacked_on_diagonal, _system_outcome
@@ -91,7 +93,7 @@ def test_a_non_unit_in_the_orbit_unit_list(unmemoized):
 @undecided_on_cap
 def _central_idempotents_by_elements(m, caps):
     """Reference: each idempotent of End(M) against every element."""
-    ring = homs.end_ring(m).ring
+    ring = homs.end_ring(m)
     elements = rings.enumerate_elements(ring, caps.homs)
     for e in rings.idempotents(ring, caps.homs):
         if any((e * x).coords != (x * e).coords for x in elements):
@@ -147,7 +149,7 @@ def test_the_odometer_wrap_around_dropped(unmemoized):
     z4 = reg(4)
     z2, _ = modules.quotient(z4, modules.submodule_generated(z4, [(2,)]))
     m, _, _ = modules.direct_sum([z2, z4])
-    ring = homs.end_ring(m).ring
+    ring = homs.end_ring(m)
     moved = 0
     for e in rings.idempotents(ring, CAPS.homs):
         orbit = _irregular_orbit(m, e.coords)
@@ -253,7 +255,7 @@ def test_is_semisimple_flipped_on_one_module(unmemoized):
     the ring route while 2 has a kernel that is no summand."""
     m = reg(4)
     assert _inconsistencies(m) == []
-    end = homs.end_ring(m).ring
+    end = homs.end_ring(m)
     semisimple = rings.is_semisimple
     unmemoized.setattr(rings, "is_semisimple",
                        lambda ring: not semisimple(ring) if ring == end else semisimple(ring))
@@ -355,9 +357,9 @@ def test_a_primary_part_dropped(monkeypatch):
 def _irregular_at(m, matrix):
     """``rings.regularity_witness`` with the endomorphism of m of the given
     matrix made irregular, with its orbit, by ``_irregular_on``."""
-    bundle = homs.end_ring(m)
-    e = bundle.from_hom(modules.ModuleHom(m, m, matrix))
-    return _irregular_on(bundle.ring, _irregular_orbit(m, e.coords))
+    ring = homs.end_ring(m)
+    e = ring.element(homs.hom_group(m, m).coords_of(modules.ModuleHom(m, m, matrix)))
+    return _irregular_on(ring, _irregular_orbit(m, e.coords))
 
 
 def test_the_azumaya_sweep_drops_the_last_primary_part(unmemoized):
@@ -535,14 +537,16 @@ def test_the_two_sided_group_for_ker_im_complementary(unmemoized):
     assert _route_disagrees("complementary", m)
 
 
-def _walk_keyed_without_the_permutations(self, perms):
-    """``HomGroup._walk`` keeping one table entry for every permutation
+class _WalksKeyedWithoutThePermutations(dict):
+    """``HomGroup._walks`` keeping one table entry for every permutation
     group, so a sweep reads the representatives of whichever group walked
     first."""
-    walk = self._walks.get(())
-    if walk is None:
-        walk = self._walks[()] = homs._Walk([], self._orbit_walk(perms))
-    return walk
+
+    def get(self, perms, default=None):
+        return super().get((), default)
+
+    def __setitem__(self, perms, walk):
+        super().__setitem__((), walk)
 
 
 def test_the_sweep_table_keyed_without_the_permutation_group(unmemoized):
@@ -554,7 +558,9 @@ def test_the_sweep_table_keyed_without_the_permutation_group(unmemoized):
     m = plane()
     assert lab._endoregular_via_summands(m, CAPS).value is True
     assert not _route_disagrees("complementary", m)
-    unmemoized.setattr(homs.HomGroup, "_walk", _walk_keyed_without_the_permutations)
+    walks = functools.cached_property(lambda self: _WalksKeyedWithoutThePermutations())
+    walks.__set_name__(homs.HomGroup, "_walks")
+    unmemoized.setattr(homs.HomGroup, "_walks", walks)
     assert lab._endoregular_via_summands(m, CAPS).value is True
     assert _route_disagrees("complementary", m)
 
@@ -730,3 +736,26 @@ def test_the_orbit_walk_stopped_one_hom_early(unmemoized):
     assert list(homs.hom_group(m, m)._orbit_walk(())) == want
     unmemoized.setattr(homs.HomGroup, "_orbit_walk", _orbit_walk_stopping_one_hom_early)
     assert list(homs.hom_group(m, m)._orbit_walk(())) != want
+
+
+_hom_system = homs._hom_system
+
+
+def _hom_system_without_well_definedness(dom, cod):
+    """``homs._hom_system`` without its last rank(dom)·rank(cod) equations,
+    dom.moduli[i]·F[i][j] = 0 mod cod.moduli[j]."""
+    rows, out_moduli, in_moduli = _hom_system(dom, cod)
+    kept = len(out_moduli) - dom.rank * cod.rank
+    return [row[:kept] for row in rows], out_moduli[:kept], in_moduli
+
+
+def test_the_hom_system_without_well_definedness(monkeypatch):
+    """Z/2 and Z/3, the submodules of Z/6, have only the zero hom between
+    them.  Without 2·F = 0 mod 3 every 1×1 matrix commutes with the action,
+    so the map 1 -> 1, which is not well defined, joins the group."""
+    m6 = reg(6)
+    s2, _ = modules.extract(modules.submodule_generated(m6, [(3,)]))
+    s3, _ = modules.extract(modules.submodule_generated(m6, [(2,)]))
+    assert all(is_module_hom(h) for h in homs.hom_group(s2, s3).iter_homs())
+    monkeypatch.setattr(homs, "_hom_system", _hom_system_without_well_definedness)
+    assert not all(is_module_hom(h) for h in homs.hom_group(s2, s3).iter_homs())

@@ -185,7 +185,7 @@ def _end_rings():
         found += _workspace_modules(path)
     for seed in (7, 11):
         found += [mem.module for mem in workspace.random_modules(40, seed, Caps())]
-    return [homs.end_ring(m).ring for m in found]
+    return [homs.end_ring(m) for m in found]
 
 
 @pytest.fixture(scope="module")
@@ -300,7 +300,7 @@ def _has_unit_witness(x, is_unit):
     if solved is None:
         return False
     particular, homogeneous = solved
-    return any(is_unit(x.ring.element(x.ring.add_coords(particular, h)))
+    return any(is_unit(x.ring.element(linalg.vec_mod([a + b for a, b in zip(particular, h)], x.ring.moduli)))
                for h in linalg.enumerate_subgroup(homogeneous, x.ring.moduli))
 
 
