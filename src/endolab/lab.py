@@ -9,6 +9,7 @@ suites report as skips, never as passes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -54,6 +55,7 @@ from .verdicts import (
     Verdict,
     agree,
     assuming,
+    both,
     implies,
     memo,
     undecided_on_cap,
@@ -244,8 +246,8 @@ def abelian_route_fully_invariant(m: FiniteModule, caps: Caps) -> Verdict:
     endo = is_endoregular(m, caps)
     if not endo.require():
         return Verdict.no(witness=endo.witness, reason="not endoregular")
-    for n in enumerate_submodules(m, caps.submodules):
-        if is_m_generated(n) and not is_fully_invariant(n):
+    for n in m_generated_submodules(m, caps):
+        if not is_fully_invariant(n):
             return Verdict.no(witness=n, reason="movable M-generated submodule")
     return Verdict.yes()
 
@@ -356,14 +358,13 @@ def has_sip(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
 
 @undecided_on_cap
 def is_distributive_boolean(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
-    """Summand lattice distributive (then complemented, hence Boolean).
+    """Summand lattice distributive (it is always complemented, so then
+    Boolean): A ∩ (B + C) = (A ∩ B) + (A ∩ C) on every triple of summands.
 
-    Checks that every summand has a complement, then
-    A ∩ (B + C) = (A ∩ B) + (A ∩ C) on every triple of summands.
-
-    B complements A iff |A|·|B| = |M| and A ∩ B = 0, since A ∩ B = 0 makes
-    |A + B| = |A|·|B|.  So a candidate is filtered by its order and then
-    takes one intersection, and no sum.
+    No complement is searched, since every summand A has one among the
+    summands: ``summand_test(A)`` gives a projection p onto A, and
+    B = Ker p = Im(1 − p) is a direct summand with M = A ⊕ B, that is
+    |A|·|B| = |M| and A ∩ B = 0.
 
     The identity holds on every triple in which one summand contains
     another, so only pairwise incomparable triples are computed:
@@ -380,13 +381,7 @@ def is_distributive_boolean(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     the incomparable triples with B before C find that same triple first.
     """
     lattice = SummandLattice(m, caps)
-    summands, orders, size = lattice.summands, lattice.orders, m.size()
-    for i, a in enumerate(summands):
-        if not any(
-            orders[i] * orders[j] == size and lattice.meet(i, j).is_zero()
-            for j in range(len(summands))
-        ):
-            return Verdict.no(witness=a, reason="summand without complement")
+    summands = lattice.summands
     for i, j, k in lattice.incomparable_triples():
         lhs = submodule_intersect(summands[i], lattice.join(j, k))
         rhs = submodule_sum(lattice.meet(i, j), lattice.meet(i, k))
@@ -402,8 +397,9 @@ def is_distributive_boolean(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def m_generated_submodules(m: FiniteModule, caps: Caps) -> list[Submodule]:
-    return [n for n in enumerate_submodules(m, caps.submodules) if is_m_generated(n)]
+def m_generated_submodules(m: FiniteModule, caps: Caps) -> Iterator[Submodule]:
+    """Tested lazily: a caller that stops early tests no further submodule."""
+    return (n for n in enumerate_submodules(m, caps.submodules) if is_m_generated(n))
 
 
 @undecided_on_cap
@@ -662,8 +658,13 @@ class SuiteReport:
         return any(r.status == "fail" for r in self.records)
 
 
-def _record(object_id: str, check_id: str, v: Verdict) -> ResultRecord:
-    """Theorem checks phrase the claim so that True means the theorem holds."""
+def _record(object_id: str, check_id: str, check: Callable[[], Verdict]) -> ResultRecord:
+    """Run one theorem check.  Checks phrase the claim so that True means the
+    theorem holds; a check that raises InternalInconsistency fails."""
+    try:
+        v = check()
+    except InternalInconsistency as exc:
+        return ResultRecord(object_id, check_id, "fail", str(exc))
     if v.value is True:
         return ResultRecord(object_id, check_id, "pass", v.reason)
     if v.value is False:
@@ -683,17 +684,7 @@ def check_route_agreement(m: FiniteModule, caps: Caps) -> Verdict:
 @assuming(lambda m, caps: is_endoregular(m, caps))
 def check_ssp_sip(m: FiniteModule, caps: Caps) -> Verdict:
     """Endoregular modules have both summand-closure properties."""
-    return _both(has_ssp(m, caps), has_sip(m, caps))
-
-
-def _both(a: Verdict, b: Verdict) -> Verdict:
-    if a.value is False:
-        return a
-    if b.value is False:
-        return b
-    if a.value is True and b.value is True:
-        return Verdict.yes()
-    return Verdict.undecided(a.reason or b.reason)
+    return both(has_ssp(m, caps), has_sip(m, caps))
 
 
 @undecided_on_cap
@@ -746,7 +737,7 @@ def check_ker_im_summands_in_powers(m: FiniteModule, caps: Caps) -> Verdict:
 
 
 @undecided_on_cap
-@assuming(lambda m, caps: _both(is_quasi_duo(m, caps), is_subdirect_of_simples(m, caps)))
+@assuming(lambda m, caps: both(is_quasi_duo(m, caps), is_subdirect_of_simples(m, caps)))
 def check_central_idempotents_from_subdirect(m: FiniteModule, caps: Caps) -> Verdict:
     """A quasi-duo subdirect product of simples has central idempotents in
     its endomorphism ring; with endoregularity it is abelian endoregular."""
@@ -762,8 +753,8 @@ def check_subdirect_characterization(m: FiniteModule, caps: Caps, projective: bo
     """Quasi-duo endoregular with zero radical implies abelian endoregular
     with zero radical; the converse holds for projective members."""
     rad_zero = is_subdirect_of_simples(m, caps)
-    cond1 = _both(_both(is_quasi_duo(m, caps), is_endoregular(m, caps)), rad_zero)
-    cond2 = _both(is_abelian_endoregular(m, caps), rad_zero)
+    cond1 = both(is_quasi_duo(m, caps), is_endoregular(m, caps), rad_zero)
+    cond2 = both(is_abelian_endoregular(m, caps), rad_zero)
     forward = implies(cond1, lambda: cond2)
     if forward.value is not True or not projective:
         return forward
@@ -935,9 +926,7 @@ def check_direct_sum_family(members: Sequence[CorpusMember], caps: Caps) -> Verd
             Verdict.yes() if is_fully_invariant(sub)
             else Verdict.no(witness=sub, reason="factor not fully invariant in sum")
         )
-    rhs = Verdict.yes()
-    for v in factor_checks:
-        rhs = _both(rhs, v)
+    rhs = both(*factor_checks)
     if lhs.require() == rhs.require():
         return Verdict.yes()
     return Verdict.no(
@@ -951,26 +940,16 @@ def theorem_suites(
     caps: Caps = Caps(),
     families: Sequence[Sequence[CorpusMember]] = (),
 ) -> SuiteReport:
-    """Run every theorem check over each corpus member, then the direct-sum
-    characterization over the given families (of at most 3 members)."""
-    records: list[ResultRecord] = []
-    for mem in corpus:
-        for check_id, fn in MEMBER_CHECKS:
-            try:
-                v = fn(mem.module, caps, mem.projective)
-            except InternalInconsistency as exc:
-                records.append(ResultRecord(mem.id, check_id, "fail", str(exc)))
-                continue
-            records.append(_record(mem.id, check_id, v))
-    for fam in families:
-        fam_id = "+".join(mem.id for mem in fam)
-        try:
-            v = check_direct_sum_family(fam, caps)
-        except InternalInconsistency as exc:
-            records.append(ResultRecord(fam_id, "direct-sum-characterization", "fail", str(exc)))
-            continue
-        records.append(_record(fam_id, "direct-sum-characterization", v))
-    return SuiteReport(records)
+    """Run each of ``MEMBER_CHECKS`` over each corpus member, then
+    ``check_direct_sum_family`` over the given families (of at most 3
+    members).  Both names are read on each call, so a tracer may rebind them."""
+    checks = itertools.chain(
+        ((mem.id, check_id, functools.partial(fn, mem.module, caps, mem.projective))
+         for mem in corpus for check_id, fn in MEMBER_CHECKS),
+        (("+".join(mem.id for mem in fam), "direct-sum-characterization",
+          functools.partial(check_direct_sum_family, fam, caps)) for fam in families),
+    )
+    return SuiteReport([_record(*check) for check in checks])
 
 
 # ---------------------------------------------------------------------------

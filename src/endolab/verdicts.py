@@ -3,9 +3,9 @@
 A Verdict is True, False (with an optional witness), or undecided when an
 enumeration cap was hit.  Suites must treat undecided as "skip with notice",
 never as a pass.  Each verdict policy has one home here: ``agree`` merges
-routes, ``undecided_on_cap`` turns a cap hit or an undecided part
-(``Verdict.require``) into undecided, and ``implies`` passes a theorem check
-vacuously when its hypothesis is false.
+routes, ``both`` conjoins the parts of a claim, ``undecided_on_cap`` turns a
+cap hit or an undecided part (``Verdict.require``) into undecided, and
+``implies`` passes a theorem check vacuously when its hypothesis is false.
 """
 
 from __future__ import annotations
@@ -94,6 +94,15 @@ def agree(name: str, *verdicts: Verdict) -> Verdict:
             + ", ".join(v.describe() for v in verdicts)
         )
     return decided[0]
+
+
+def both(*verdicts: Verdict) -> Verdict:
+    """The conjunction policy: the first false verdict itself, else yes when
+    every verdict is true, else undecided with the first undecided reason."""
+    for v in verdicts:
+        if v.value is False:
+            return v
+    return next((Verdict.undecided(v.reason) for v in verdicts if not v.decided), Verdict.yes())
 
 
 @dataclass(frozen=True)

@@ -171,17 +171,20 @@ def _summand_oracle_modules():
 
 
 def test_summand_test_matches_complement_search():
-    # N is a summand iff some submodule K has N ∩ K = 0 and N + K = M.
+    # N is a summand iff some submodule K has N ∩ K = 0 and N + K = M; then
+    # M = N ⊕ K, so each such K is a summand too.
     for m in _summand_oracle_modules():
         subs = modules.enumerate_submodules(m, 512)
         for n in subs:
-            has_complement = any(
-                modules.submodule_intersect(n, k).is_zero()
+            complements = [
+                k for k in subs
+                if modules.submodule_intersect(n, k).is_zero()
                 and modules.submodule_sum(n, k).is_full()
-                for k in subs
-            )
+            ]
             proj = summand_test(n)
-            assert (proj is not None) == has_complement, (m.name, n.gens)
+            assert (proj is not None) == bool(complements), (m.name, n.gens)
+            for k in complements:
+                assert summand_test(k) is not None, (m.name, n.gens, k.gens)
             if proj is not None:
                 assert proj.then(proj).matrix == proj.matrix
                 assert image(proj).gens == n.gens

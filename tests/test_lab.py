@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import functools
 import glob
 import itertools
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from endolab import homs, lab, linalg, modules, rings, workspace
 from endolab.verdicts import (
-    CapExceeded, Caps, InternalInconsistency, Verdict, assuming, undecided_on_cap)
+    CapExceeded, Caps, InternalInconsistency, Verdict, assuming, both, undecided_on_cap)
 from support import zero_module
 
 CAPS = Caps()
@@ -975,16 +976,50 @@ def test_memo_does_not_cache_exceptions(monkeypatch):
     assert calls == ["inconsistency-probe"] * 2
 
 
+def _both(a, b):
+    """Reference: the two-verdict conjunction that ``both`` replaced."""
+    if a.value is False:
+        return a
+    if b.value is False:
+        return b
+    if a.value is True and b.value is True:
+        return Verdict.yes()
+    return Verdict.undecided(a.reason or b.reason)
+
+
+def test_both_equals_the_pairwise_fold():
+    pool = (Verdict.yes(), Verdict.no("w1", "r1"), Verdict.no("w2", "r2"),
+            Verdict.undecided("a"), Verdict.undecided("b"))
+    checked = 0
+    for length in range(1, 5):
+        for vs in itertools.product(pool, repeat=length):
+            got, want = both(*vs), functools.reduce(_both, vs, Verdict.yes())
+            assert (got.value, got.witness, got.reason) == (want.value, want.witness, want.reason), vs
+            checked += 1
+    assert checked == 5 + 25 + 125 + 625
+    # a true part's reason is not an undecided conjunction's reason
+    assert both(Verdict.yes("hypothesis fails"), Verdict.undecided("a")).reason == "a"
+
+
 def test_route_disagreement_fails_with_its_message(monkeypatch):
     monkeypatch.setattr(
         lab, "abelian_route_ker_im", lambda m, caps: Verdict.no(reason="forced disagreement"))
     m = modules.regular_module(z(6), name="disagreement-probe")
-    report = lab.theorem_suites([lab.CorpusMember("probe", m)], CAPS)
+    probe = lab.CorpusMember("probe", m)
+    members_only = lab.theorem_suites([probe], CAPS).records
+    report = lab.theorem_suites([probe], CAPS, families=[(probe, probe)])
     by_check = {r.check_id: r for r in report.records}
     for check_id in ("abelian-route-agreement", "five-way-agreement", "unit-converses"):
         rec = by_check[check_id]
         assert rec.status == "fail", check_id
         assert "independent routes disagree" in rec.detail, (check_id, rec.detail)
+    # the family's check raises too, and is recorded after the member's
+    assert len(members_only) == len(lab.MEMBER_CHECKS) == 15
+    assert report.records[:15] == members_only
+    family = report.records[15:]
+    assert [(r.object_id, r.check_id, r.status) for r in family] == [
+        ("probe+probe", "direct-sum-characterization", "fail")]
+    assert "independent routes disagree" in family[0].detail, family[0].detail
 
 
 def test_library_has_no_assert_statements():
