@@ -329,23 +329,37 @@ def block_permutations(m: FiniteModule, two_sided: bool) -> list[IntVector]:
 def _hom_system(dom: FiniteModule, cod: FiniteModule) -> tuple[list[list[int]], tuple[int, ...], tuple[int, ...]]:
     """Linear system whose solutions (flattened F) are exactly the R-maps.
 
-    Row i·nc + j holds the coefficients of the unknown F[i][j]: first in
-    ρ_dom·F = F·ρ_cod, entry by entry for each basis element, then in
-    dom.moduli[i]·F[i][j] = 0, for each (i, j).
+    Row i·nc + j holds the coefficients of the unknown F[i][j].  The
+    equations are entry (u, v) of ρ_dom·F = F·ρ_cod, mod cod.moduli[v], for
+    each basis element, then dom.moduli[i]·F[i][j] = 0 mod cod.moduli[j],
+    for each (i, j).  Each is built from the nonzero action entries alone,
+    and ``linalg.kernel_system`` keeps those that constrain F: an equation
+    that vanishes mod its modulus, or repeats an earlier one, adds no
+    column, and the solutions stay those of the full system.
     """
     nd, nc = dom.rank, cod.rank
-    rows = []
-    for i in range(nd):
-        for j in range(nc):
-            commutes = [
-                (rho_d[u][i] if v == j else 0) - (rho_c[j][v] if u == i else 0)
-                for rho_d, rho_c in zip(dom.action, cod.action)
-                for u in range(nd) for v in range(nc)
-            ]
-            well_defined = [dom.moduli[i] if x == i * nc + j else 0 for x in range(nd * nc)]
-            rows.append(commutes + well_defined)
-    in_moduli = cod.moduli * nd
-    return rows, in_moduli * (len(dom.action) + 1), in_moduli
+    size = nd * nc
+
+    def equations() -> Iterator[tuple[list[int], int]]:
+        for rho_d, rho_c in zip(dom.action, cod.action):
+            cod_cols = [[(j, rho_c[j][v]) for j in range(nc) if rho_c[j][v]] for v in range(nc)]
+            for u in range(nd):
+                dom_row = [(i, a) for i, a in enumerate(rho_d[u]) if a]
+                for v in range(nc):
+                    col = [0] * size
+                    for i, a in dom_row:
+                        col[i * nc + v] += a
+                    for j, b in cod_cols[v]:
+                        col[u * nc + j] -= b
+                    yield col, cod.moduli[v]
+        for i in range(nd):
+            for j in range(nc):
+                col = [0] * size
+                col[i * nc + j] = dom.moduli[i]
+                yield col, cod.moduli[j]
+
+    rows, out_moduli = linalg.kernel_system(equations(), size)
+    return rows, out_moduli, cod.moduli * nd
 
 
 @lru_cache(maxsize=None)

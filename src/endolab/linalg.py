@@ -18,6 +18,11 @@ nonzero there, and the rows above a pivot are reduced as soon as its
 column is done.  ``hermite_normal_form`` is the general routine over Z; it
 serves ``integer_kernel`` and is the reference the tests compare against.
 
+``kernel_system`` assembles a kernel's system from a stream of equations,
+keeping only those that constrain the unknowns: an equation that is zero
+modulo its own modulus, or repeats an earlier one, leaves the solution set
+as it is, and would only widen every HNF row.
+
 The Smith normal form, with the column transform and its inverse, gives
 invariant factors only: subgroup structure, quotients and group types.
 
@@ -606,6 +611,30 @@ def kernel_subgroup(
 ) -> IntMatrix:
     """Canonical generators of {x : x @ A = 0 (mod out_moduli)} over in_moduli."""
     return CongruenceSystem(a, out_moduli, in_moduli).homogeneous
+
+
+def kernel_system(
+    equations: Iterable[tuple[Sequence[int], int]], unknowns: int
+) -> tuple[list[list[int]], ModuliVector]:
+    """``(A, out_moduli)`` of the system x @ A = 0 made of the equations
+    that constrain x, for ``kernel_subgroup``.
+
+    Each equation is a pair (column, d): sum_i column[i]·x_i ≡ 0 mod d, with
+    one coefficient per unknown.  The column is reduced mod d, and an
+    equation is dropped when it reduces to zero, since 0 ≡ 0 holds for
+    every x, or when an earlier equation has the same reduced column and
+    modulus, since it then holds exactly where that one does.  The kept
+    equations keep their order, and A has one row per unknown and one
+    column per kept equation, so a system where every equation drops is
+    ``unknowns`` rows of width zero.  The solution set is that of the whole
+    stream, hence so is the canonical form ``kernel_subgroup`` returns.
+    """
+    kept: dict[tuple[tuple[int, ...], int], None] = {}
+    for col, d in equations:
+        reduced = tuple([v % d for v in col])
+        if any(reduced):
+            kept[reduced, d] = None
+    return [[col[x] for col, _ in kept] for x in range(unknowns)], tuple(d for _, d in kept)
 
 
 def abelian_group_type(m: ModuliVector) -> tuple[int, ...]:

@@ -92,15 +92,19 @@ class FiniteRing:
         """Canonical generators of the centre Z(R), solved once per ring.
 
         x is central iff x·b_j = b_j·x for every basis element b_j, so Z(R)
-        is one kernel of the additive map x -> (x·b_j - b_j·x)_j, whose row
-        i holds the coordinates of b_i·b_j - b_j·b_i.
+        is one kernel of the additive map x -> (x·b_j - b_j·x)_j.  Its
+        equation (j, s) is coordinate s of that map, mod moduli[s], with
+        coefficient b_i·b_j - b_j·b_i at x_i; ``linalg.kernel_system`` drops
+        those that constrain nothing, such as all k equations of a central
+        b_j.
         """
         k = self.basis_count
-        rows = [
-            [self.mul[i][j][s] - self.mul[j][i][s] for j in range(k) for s in range(k)]
-            for i in range(k)
-        ]
-        return linalg.kernel_subgroup(rows, self.moduli * k, self.moduli)
+        equations = (
+            ([self.mul[i][j][s] - self.mul[j][i][s] for i in range(k)], self.moduli[s])
+            for j in range(k) for s in range(k)
+        )
+        rows, out_moduli = linalg.kernel_system(equations, k)
+        return linalg.kernel_subgroup(rows, out_moduli, self.moduli)
 
     @cached_property
     def _central_atoms(self) -> tuple[IntVector, ...]:

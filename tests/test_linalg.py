@@ -381,6 +381,47 @@ def test_kernel_subgroup_fixture():
     assert frozenset(linalg.enumerate_subgroup(canon, (4,))) == {(0,), (2,)}
 
 
+# (equations, unknowns) and the system ``kernel_system`` builds from them.
+# The column (1, 1) under moduli 2 and 4 is two equations, x + y is even
+# and x + y ≡ 0 mod 4; (2, 0) vanishes mod 2 but not mod 4; (3, 5) reduces
+# to the kept (1, 1) mod 2, and (4, 0) reduces to zero mod 4.
+KERNEL_SYSTEM_CASES = [
+    ([((1, 1), 2), ((1, 1), 4), ((2, 0), 2), ((2, 0), 4), ((3, 5), 2), ((4, 0), 4)], 2,
+     ([[1, 1, 2], [1, 1, 0]], (2, 4, 4))),
+    ([((1, 1), 4), ((1, 1), 2)], 2, ([[1, 1], [1, 1]], (4, 2))),
+    ([((2, 4, 0), 2), ((0, 0, 0), 5), ((3, 6, 9), 3)], 3, ([[], [], []], ())),
+    ([], 2, ([[], []], ())),
+]
+
+
+def test_kernel_system_keeps_each_constraining_equation_once():
+    for equations, unknowns, want in KERNEL_SYSTEM_CASES:
+        assert linalg.kernel_system(equations, unknowns) == want, equations
+
+
+@st.composite
+def equation_streams(draw):
+    """(equations, unknowns) over moduli 2 and 4, drawn from a pool of at
+    most four columns, so that one column often comes under both moduli."""
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=1, max_size=4))
+    eqs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from((2, 4))), max_size=8))
+    return eqs, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(equation_streams())
+def test_kernel_system_has_the_kernel_of_every_equation(stream):
+    """Over Z/4 in every unknown, the kept equations cut out the same
+    kernel as the whole stream, each taken as a column of A."""
+    eqs, n = stream
+    rows, out_m = linalg.kernel_system(eqs, n)
+    in_m = (4,) * n
+    full = [[col[x] for col, _ in eqs] for x in range(n)]
+    kernel = brute_solutions(full, (0,) * len(eqs), tuple(d for _, d in eqs), in_m)
+    assert linalg.kernel_subgroup(rows, out_m, in_m) == linalg.subgroup_canonical_form(kernel, in_m)
+
+
 def test_integer_kernel():
     ker = linalg.integer_kernel([(2, 4)], 2)
     # left kernel of the 1x2 matrix inside Z^1 is trivial

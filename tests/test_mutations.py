@@ -20,9 +20,10 @@ import pytest
 from endolab import homs, incidence, lab, linalg, modules, rings
 from endolab.verdicts import Caps, Verdict, undecided_on_cap
 from support import is_module_hom
-from test_homs import _orbit_walk_to_the_end
+from test_homs import _hom_system_by_columns, _orbit_walk_to_the_end
 from test_incidence import _incend
-from test_linalg import _ReferenceSystem, _stacked_on_diagonal, _system_outcome
+from test_linalg import (
+    KERNEL_SYSTEM_CASES, _ReferenceSystem, _stacked_on_diagonal, _system_outcome)
 from test_lab import (
     PRIMARY_LOCAL, _azumaya_per_element, _distributive_boolean_eager, _first_failure,
     _irregular_on, _irregular_orbit, _k_nonsingular_per_hom, _memoized, _observable,
@@ -738,13 +739,12 @@ def test_the_orbit_walk_stopped_one_hom_early(unmemoized):
     assert list(homs.hom_group(m, m)._orbit_walk(())) != want
 
 
-_hom_system = homs._hom_system
-
-
 def _hom_system_without_well_definedness(dom, cod):
-    """``homs._hom_system`` without its last rank(dom)·rank(cod) equations,
-    dom.moduli[i]·F[i][j] = 0 mod cod.moduli[j]."""
-    rows, out_moduli, in_moduli = _hom_system(dom, cod)
+    """The reference ``_hom_system_by_columns`` without its last
+    rank(dom)·rank(cod) equations, dom.moduli[i]·F[i][j] = 0 mod
+    cod.moduli[j].  ``homs._hom_system`` drops the ones that vanish, so
+    they need not come last there."""
+    rows, out_moduli, in_moduli = _hom_system_by_columns(dom, cod)
     kept = len(out_moduli) - dom.rank * cod.rank
     return [row[:kept] for row in rows], out_moduli[:kept], in_moduli
 
@@ -757,5 +757,52 @@ def test_the_hom_system_without_well_definedness(monkeypatch):
     s2, _ = modules.extract(modules.submodule_generated(m6, [(3,)]))
     s3, _ = modules.extract(modules.submodule_generated(m6, [(2,)]))
     assert all(is_module_hom(h) for h in homs.hom_group(s2, s3).iter_homs())
+    monkeypatch.setattr(homs, "_hom_system", _hom_system_by_columns)
+    assert all(is_module_hom(h) for h in homs.hom_group(s2, s3).iter_homs())
     monkeypatch.setattr(homs, "_hom_system", _hom_system_without_well_definedness)
     assert not all(is_module_hom(h) for h in homs.hom_group(s2, s3).iter_homs())
+
+
+def _kernel_system_zero_mod_2(equations, unknowns):
+    """``linalg.kernel_system`` whose zero test reads each column mod 2,
+    whatever the equation's modulus."""
+    kept = {}
+    for col, d in equations:
+        if any(v % 2 for v in col):
+            kept[tuple(v % d for v in col), d] = None
+    return [[col[x] for col, _ in kept] for x in range(unknowns)], tuple(d for _, d in kept)
+
+
+def test_the_kernel_system_tests_zero_mod_2(monkeypatch):
+    """Z/2, the submodule 2·Z/4, maps to Z/4 by 1 -> 0 or 2 only: the
+    well-definedness equation 2·F = 0 mod 4 vanishes mod 2, so without it
+    1 -> 1, which is not well defined, joins the group."""
+    m4 = reg(4)
+    s2, _ = modules.extract(modules.submodule_generated(m4, [(2,)]))
+    assert all(is_module_hom(h) for h in homs.hom_group(s2, m4).iter_homs())
+    monkeypatch.setattr(linalg, "kernel_system", _kernel_system_zero_mod_2)
+    assert not all(is_module_hom(h) for h in homs.hom_group(s2, m4).iter_homs())
+
+
+def _kernel_system_keyed_without_the_modulus(equations, unknowns):
+    """``linalg.kernel_system`` that drops an equation whose reduced column
+    an earlier one has, under any modulus."""
+    kept = {}
+    for col, d in equations:
+        reduced = tuple(v % d for v in col)
+        if any(reduced):
+            kept.setdefault(reduced, d)
+    return [[col[x] for col in kept] for x in range(unknowns)], tuple(kept.values())
+
+
+def test_the_kernel_system_keyed_without_the_modulus(monkeypatch):
+    """x + y even, then x + y ≡ 0 mod 4: the second equation has the first
+    one's column, and keyed by the column alone it drops, though it halves
+    the kernel.  Every hom system of the workspaces and the random modules
+    keeps its kernel under this break, so the cases of ``kernel_system``
+    are the detector."""
+    outcome = lambda: [linalg.kernel_system(eqs, n) for eqs, n, _ in KERNEL_SYSTEM_CASES]
+    want = [case[2] for case in KERNEL_SYSTEM_CASES]
+    assert outcome() == want
+    monkeypatch.setattr(linalg, "kernel_system", _kernel_system_keyed_without_the_modulus)
+    assert outcome() != want

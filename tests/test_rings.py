@@ -248,6 +248,23 @@ def test_centre_and_central_idempotents_equal_the_element_search(ring_pool):
     assert rings.primitive_central_idempotents(ring, 5) == ((1, 1),)
 
 
+def test_centre_equals_the_kernel_of_the_full_commutator_system():
+    """Against the k × k² system with every equation (j, s), none dropped,
+    on each ring of the demo and benchmark workspaces and the random pool."""
+    pool = list(workspace.RANDOM_RING_POOL)
+    for path in ("workspaces/demo.json", "perfbench/workspaces/families.json",
+                 "perfbench/workspaces/search.json", "perfbench/workspaces/end-rings.json"):
+        pool += workspace.parse_workspace(os.path.join(ROOT, path)).rings.values()
+    non_commutative = 0
+    for ring in dict.fromkeys(pool):
+        k = ring.basis_count
+        rows = [[ring.mul[i][j][s] - ring.mul[j][i][s] for j in range(k) for s in range(k)]
+                for i in range(k)]
+        assert ring.centre == linalg.kernel_subgroup(rows, ring.moduli * k, ring.moduli), ring.name
+        non_commutative += any(map(any, rows))
+    assert len(dict.fromkeys(pool)) >= 30 and non_commutative >= 4
+
+
 def test_is_central_equals_commuting_with_every_element(ring_pool):
     """``is_central`` reads the basis only; against every product with every
     element, on each pool ring of at most 512 elements (the brute force is
