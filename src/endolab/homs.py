@@ -11,7 +11,7 @@ enumeration cap except ``find_embedding``, which sweeps a hom group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Callable, Iterator, Optional, Sequence
@@ -31,10 +31,10 @@ from .rings import FiniteRing
 from .verdicts import CapExceeded, InternalInconsistency
 
 
-def _flatten(h: ModuleHom) -> IntVector:
-    """The flat layout of a hom: its matrix row by row, as one vector whose
+def _flatten(matrix: IntMatrix) -> IntVector:
+    """The flat layout of a hom's matrix: row by row, as one vector whose
     entries take the codomain's moduli once per domain row."""
-    return tuple(v for row in h.matrix for v in row)
+    return tuple(v for row in matrix for v in row)
 
 
 def _unflatten(dom: FiniteModule, cod: FiniteModule, flat: Sequence[int]) -> ModuleHom:
@@ -47,32 +47,53 @@ def _unflatten(dom: FiniteModule, cod: FiniteModule, flat: Sequence[int]) -> Mod
 class HomGroup:
     """Hom_R(M, N) as an abelian group with matrix generators.
 
-    ``orders`` are the invariant factors (each > 1, dividing chain), so every
-    hom is uniquely sum(c_i * gens_i) with 0 <= c_i < orders_i and
+    ``span`` is the group's canonical form in the flat layout, all that
+    ``summand_test``, ``trace`` and ``product_submodules`` read.  The first
+    read of ``gens``, ``orders``, ``size()``, coordinates or a sweep builds
+    the basis from it (a primary part's span is its basis, given at once):
+    ``orders`` are the invariant factors (each > 1, dividing chain), so
+    every hom is uniquely sum(c_i * gens_i) with 0 <= c_i < orders_i and
     |Hom| = prod(orders).
 
     A group carries its sweep table, filled as sweeps read it: the orbit
     representatives met so far per permutation group, the (Ker, Im) pairs
     read through ``kernel_and_image``, and its primary parts, each with a
-    table of its own.  The table lives as long as the group, which
-    ``hom_group`` keeps.
+    table of its own.  The basis and the table live as long as the group,
+    which ``hom_group`` keeps.
     """
 
     domain: FiniteModule
     codomain: FiniteModule
-    gens: tuple[ModuleHom, ...]
-    orders: tuple[int, ...]
+    span: IntMatrix
+    _walks: dict[tuple[IntVector, ...], tuple[list[IntVector], Iterator[IntVector]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    _ker_im: dict[IntMatrix, tuple[Submodule, Submodule]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+
+    @property
+    def _moduli(self) -> tuple[int, ...]:
+        """The moduli of the entries of the flat layout."""
+        return self.codomain.moduli * self.domain.rank
+
+    @cached_property
+    def _basis(self) -> tuple[IntMatrix, tuple[int, ...]]:
+        """The invariant-factor generators in the flat layout, and their
+        orders, built from the span on first read; the zero group has none."""
+        return linalg.subgroup_structure(self.span, self._moduli) if self.span else ((), ())
+
+    @cached_property
+    def gens(self) -> tuple[ModuleHom, ...]:
+        return tuple(_unflatten(self.domain, self.codomain, g) for g in self._basis[0])
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        return self._basis[1]
 
     def size(self) -> int:
         return prod(self.orders)
 
-    @cached_property
-    def _flat(self) -> tuple[tuple[IntVector, ...], tuple[int, ...]]:
-        """The generators in the flat layout, and the moduli of its entries."""
-        return tuple(_flatten(g) for g in self.gens), self.codomain.moduli * self.domain.rank
-
     def from_coords(self, coords: Sequence[int]) -> ModuleHom:
-        gens, moduli = self._flat
+        gens, moduli = self._basis[0], self._moduli
         flat = [0] * len(moduli)
         for c, g in zip(coords, gens):
             if c:
@@ -83,12 +104,12 @@ class HomGroup:
     @cached_property
     def _coordinates(self) -> linalg.CongruenceSystem:
         """The generators' coordinate system, factored once per hom group."""
-        gens, moduli = self._flat
-        return coordinate_system(gens, self.orders, moduli)
+        gens, orders = self._basis
+        return coordinate_system(gens, orders, self._moduli)
 
     def coords_of(self, h: ModuleHom) -> IntVector:
         """Unique coefficient vector of a hom over the generators."""
-        return coordinates_in_subgroup(_flatten(h), self._coordinates)
+        return coordinates_in_subgroup(_flatten(h.matrix), self._coordinates)
 
     def _odometer(self) -> Iterator[IntVector]:
         """The flattened matrix of every hom, coordinates in lexicographic
@@ -99,8 +120,8 @@ class HomGroup:
         the add still happens: o_i * g_i = 0, so the sum returns to c_i = 0
         and the carry moves on to coordinate i - 1.
         """
-        flat_gens, moduli = self._flat
-        orders = self.orders
+        flat_gens, orders = self._basis
+        moduli = self._moduli
         coords = [0] * len(orders)
         flat = (0,) * len(moduli)
         while True:
@@ -163,12 +184,6 @@ class HomGroup:
                 found.append(flat)
             yield _unflatten(self.domain, self.codomain, found[i])
 
-    @cached_property
-    def _walks(self) -> dict[tuple[IntVector, ...], tuple[list[IntVector], Iterator[IntVector]]]:
-        """Per permutation group, the orbit representatives met so far, as
-        flat matrices, and the paused walk that meets the rest."""
-        return {}
-
     def _orbit_walk(self, perms: tuple[IntVector, ...]) -> Iterator[IntVector]:
         """The flat matrix of each orbit representative, in ``iter_homs``
         order.  ``ahead`` holds the orbit members not yet reached, keyed by
@@ -179,7 +194,7 @@ class HomGroup:
         """
         exponent = lcm(*self.orders)
         units = [u for u in range(2, exponent) if gcd(u, exponent) == 1]
-        moduli = self._flat[1]
+        moduli = self._moduli
         size = self.size()
         ahead: set[IntVector] = set()
         for reached, flat in enumerate(self._odometer(), 1):
@@ -201,8 +216,9 @@ class HomGroup:
         H_p has the generators (o_i / p^{v_p(o_i)})·g_i of orders
         p^{v_p(o_i)}, dropping v_p(o_i) = 0.  The orders still form a
         dividing chain, so H_p is in invariant-factor form and
-        ``iter_orbit_representatives`` applies to it unchanged.  The parts
-        are built once per group, so each keeps its own sweep table.
+        ``iter_orbit_representatives`` applies to it unchanged.  They are
+        its span and, known already, its basis.  The parts are built once
+        per group, so each keeps its own sweep table.
         """
         return self._primary_parts
 
@@ -211,22 +227,21 @@ class HomGroup:
         primes = list(linalg.prime_divisors(lcm(*self.orders)))
         if len(primes) <= 1:
             return (self,)
+        moduli = self._moduli
         parts = []
         for p in primes:
             gens, orders = [], []
-            for g, o in zip(self.gens, self.orders):
+            for g, o in zip(*self._basis):
                 q = 1
                 while o % (q * p) == 0:
                     q *= p
                 if q > 1:
-                    gens.append(g.scale(o // q))
+                    gens.append(tuple([o // q * v % d for v, d in zip(g, moduli)]))
                     orders.append(q)
-            parts.append(HomGroup(self.domain, self.codomain, tuple(gens), tuple(orders)))
+            part = HomGroup(self.domain, self.codomain, tuple(gens))
+            part.__dict__["_basis"] = part.span, tuple(orders)  # as cached_property keeps it
+            parts.append(part)
         return tuple(parts)
-
-    @cached_property
-    def _ker_im(self) -> dict[IntMatrix, tuple[Submodule, Submodule]]:
-        return {}
 
     def kernel_and_image(self, f: ModuleHom) -> tuple[Submodule, Submodule]:
         """(Ker f, Im f) of a hom f of this group, factored once per group
@@ -368,11 +383,9 @@ def hom_group(dom: FiniteModule, cod: FiniteModule) -> HomGroup:
     if dom.ring != cod.ring:
         raise ValueError("hom_group requires modules over the same ring")
     if dom.rank == 0 or cod.rank == 0:
-        return HomGroup(dom, cod, (), ())
+        return HomGroup(dom, cod, ())
     a, out_moduli, in_moduli = _hom_system(dom, cod)
-    solutions = linalg.kernel_subgroup(a, out_moduli, in_moduli)
-    gens, orders = linalg.subgroup_structure(solutions, in_moduli)
-    return HomGroup(dom, cod, tuple(_unflatten(dom, cod, flat) for flat in gens), orders)
+    return HomGroup(dom, cod, linalg.kernel_subgroup(a, out_moduli, in_moduli))
 
 
 def kernel(h: ModuleHom) -> Submodule:
@@ -407,21 +420,17 @@ def end_ring(m: FiniteModule) -> FiniteRing:
     ``hom_group(m, m).from_coords(c)``, and a hom h is the element
     ``ring.element(hom_group(m, m).coords_of(h))``.  Multiplication is
     composition: x*y is "apply y first, then x", matching the usual
-    left-action composition (x∘y)(m) = x(y(m)).
+    left-action composition (x∘y)(m) = x(y(m)).  So b_i * b_j is the
+    matrix product g_j·g_i, read through the group's coordinate system,
+    whose solve reduces it mod the moduli.
     """
     homs = hom_group(m, m)
-    k = len(homs.gens)
-    mul = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            # b_i * b_j  =  g_j-then-g_i  (composition g_i ∘ g_j)
-            composed = homs.gens[j].then(homs.gens[i])
-            row.append(homs.coords_of(composed))
-        mul.append(tuple(row))
-    one = homs.coords_of(identity_hom(m)) if k else ()
+    mats = [g.matrix for g in homs.gens]
+    coords = lambda mat: coordinates_in_subgroup(_flatten(mat), homs._coordinates)
+    mul = tuple(tuple(coords(linalg.mat_mul(b, a)) for b in mats) for a in mats)
+    one = homs.coords_of(identity_hom(m)) if mats else ()
     return FiniteRing(
-        moduli=homs.orders, mul=tuple(mul), one=one,
+        moduli=homs.orders, mul=mul, one=one,
         name=f"End({m.name})" if m.name else "End",
     )
 
@@ -432,9 +441,9 @@ def end_ring(m: FiniteModule) -> FiniteRing:
 
 
 def trace(source: FiniteModule, target: FiniteModule) -> Submodule:
-    """Sum of the images of all homs source -> target (a submodule of target)."""
+    """Sum of the images of all homs source -> target, read off the span."""
     homs = hom_group(source, target)
-    rows = [row for g in homs.gens for row in g.matrix]
+    rows = [row for g in homs.span for row in _unflatten(source, target, g).matrix]
     canon = linalg.subgroup_canonical_form(rows, target.moduli)
     return Submodule(target, canon)
 
@@ -454,18 +463,17 @@ def product_submodules(k: Submodule, l: Submodule) -> Submodule:
     """The submodule product K_M L = sum of f(L) over f in Hom(M, K).
 
     Both K and L live in the same ambient M; homs into the extracted K are
-    pushed back into M through the inclusion.
+    pushed back into M through the inclusion.  So K_M L is generated by the
+    rows of L·G·inc, for the generators L of L and each span row G of
+    Hom(M, K); the canonical form takes them mod the moduli.
     """
     if k.ambient != l.ambient:
         raise ValueError("product: submodules of different modules")
     m = k.ambient
     inner_k, inc = extract(k)
-    homs = hom_group(m, inner_k)
-    rows = []
-    for g in homs.gens:
-        into_m = g.then(inc)
-        for x in l.gens:
-            rows.append(into_m.apply(x))
+    rows: list[IntVector] = []
+    for g in hom_group(m, inner_k).span:
+        rows += linalg.mat_mul(l.gens, _unflatten(m, inner_k, g).then(inc).matrix)
     canon = linalg.subgroup_canonical_form(rows, m.moduli)
     return Submodule(m, canon)
 
@@ -487,9 +495,10 @@ def summand_test(n: Submodule) -> Optional[ModuleHom]:
 
     n is a summand iff its inclusion splits: some f in Hom(M, n) has
     inc-then-f equal to the identity of n.  That condition is linear in the
-    coordinates of f over the hom-group generators, so one congruence solve
-    decides it, and f-then-inc is then an idempotent with image exactly n.
-    N = 0 and N = M need no solve: their projections are 0 and the identity.
+    coefficients of f over the span rows of Hom(M, n), each taken mod that
+    row's additive order, so one congruence solve decides it, and
+    f-then-inc is then an idempotent with image exactly n.  N = 0 and N = M
+    need no solve: their projections are 0 and the identity.
     """
     m = n.ambient
     if n.is_zero():
@@ -498,13 +507,16 @@ def summand_test(n: Submodule) -> Optional[ModuleHom]:
         return identity_hom(m)
     inner, inc = extract(n)
     homs = hom_group(m, inner)
-    rows = [_flatten(inc.then(g)) for g in homs.gens]
-    target = _flatten(identity_hom(inner))
-    solved = linalg.solve_congruence_system(rows, target, inner.moduli * inner.rank, homs.orders)
+    moduli = homs._moduli
+    rows = [_flatten(inc.then(_unflatten(m, inner, g)).matrix) for g in homs.span]
+    orders = [lcm(*map(lambda v, d: d // gcd(v, d), g, moduli)) for g in homs.span]
+    target = _flatten(identity_hom(inner).matrix)
+    solved = linalg.solve_congruence_system(rows, target, inner.moduli * inner.rank, orders)
     if solved is None:
         return None
     particular, _ = solved
-    proj = homs.from_coords(particular).then(inc)
+    f = linalg.vec_mod(linalg.vec_mat(particular, homs.span), moduli)
+    proj = _unflatten(m, inner, f).then(inc)
     if proj.then(proj).matrix != proj.matrix:
         raise InternalInconsistency("summand projection is not idempotent")
     if image(proj).gens != n.gens:

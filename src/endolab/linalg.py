@@ -23,8 +23,8 @@ keeping only those that constrain the unknowns: an equation that is zero
 modulo its own modulus, or repeats an earlier one, leaves the solution set
 as it is, and would only widen every HNF row.
 
-The Smith normal form, with the column transform and its inverse, gives
-invariant factors only: subgroup structure, quotients and group types.
+The Smith normal form gives invariant factors only: subgroup structure
+(whose HNF is read off a canonical form), quotients and group types.
 
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries in a reduction can exceed any fixed word size.
@@ -88,14 +88,15 @@ def mat_mod(a: Sequence[Sequence[int]], m: ModuliVector) -> IntMatrix:
 
 class _Transform:
     """Mutable S with the column transform V and its inverse Vinv, so that
-    U A Vinv = S where U, the product of the row operations, is not kept."""
+    U A Vinv = S where U, the product of the row operations, is not kept.
+    A Vinv not kept has no rows, so the column operations pass it by."""
 
-    def __init__(self, a: Sequence[Sequence[int]]):
+    def __init__(self, a: Sequence[Sequence[int]], inverse: bool):
         self.s = [list(row) for row in a]
         self.rows = len(self.s)
         self.cols = len(self.s[0]) if self.s else 0
         self.v = [list(row) for row in identity_matrix(self.cols)]
-        self.vinv = [list(row) for row in identity_matrix(self.cols)]
+        self.vinv = [list(row) for row in identity_matrix(self.cols)] if inverse else []
 
     # Row operations act on S alone.  Column operations act on S and Vinv on
     # the right and on V by the inverse operation on the left.
@@ -133,29 +134,37 @@ class _Transform:
         for row in self.vinv:
             row[dst] += k * row[src]
 
+    def least_entry(self, pos: int) -> Optional[tuple[int, int]]:
+        """The first least nonzero |entry| of S, row by row, from (pos, pos)
+        on, or None; none is below 1, so the scan stops at the first ±1."""
+        best, least = None, 0
+        for i in range(pos, self.rows):
+            row = self.s[i]
+            for j in range(pos, self.cols):
+                v = abs(row[j])
+                if v and (not least or v < least):
+                    best, least = (i, j), v
+                    if v == 1:
+                        return best
+        return best
+
 
 def smith_normal_form(
-    a: Sequence[Sequence[int]],
+    a: Sequence[Sequence[int]], inverse: bool = True,
 ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: (S, V, Vinv) with U A Vinv = S for some unimodular U.
 
     V is unimodular and Vinv is its inverse, so A Vinv and S have the same
     row lattice.  S is diagonal with nonnegative entries d_1 | d_2 | ...,
     zeros last.  Total on all integer matrices, including empty ones.
+    With ``inverse`` false, Vinv is not kept and comes back as ().
     """
-    t = _Transform(a)
+    t = _Transform(a, inverse)
     n = min(t.rows, t.cols)
 
     for pos in range(n):
         while True:
-            # Locate the entry of least absolute value in the working block.
-            best = None
-            for i in range(pos, t.rows):
-                row = t.s[i]
-                for j in range(pos, t.cols):
-                    v = row[j]
-                    if v and (best is None or abs(v) < abs(t.s[best[0]][best[1]])):
-                        best = (i, j)
+            best = t.least_entry(pos)
             if best is None:
                 break
             t.row_swap(pos, best[0])
@@ -216,7 +225,7 @@ def smith_normal_form(
 
 
 def snf_diagonal(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    s, _, _ = smith_normal_form(a)
+    s, _, _ = smith_normal_form(a, inverse=False)
     return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)))
 
 
@@ -305,13 +314,14 @@ def lattice_basis(gens: Iterable[Sequence[int]], m: ModuliVector) -> IntMatrix:
     mod m_j.  Column c's pivot row starts as m_c * e_c and absorbs each
     working row that is nonzero at c by one extended-gcd 2x2 unimodular
     step, which leaves that row zero at c; rows that become zero are
-    dropped.  The rows are zero left of c, so only columns > c change, and
-    a divisible step skips the columns where the pivot row is zero.  Once
-    column c is done, the rows above its pivot are reduced at c into
-    [0, pivot) on columns >= c, left to right as in ``_reduce_above_pivots``;
-    a column no row reached has pivot row m_c * e_c, which takes them mod
-    m_c.  The HNF is unique, so the result equals ``hermite_normal_form`` of
-    the generators stacked on diag(m).
+    dropped.  The rows are zero left of c, so only columns > c change.  An
+    extended-gcd step skips columns where both rows are zero and recomputes
+    the support, the pivot row's nonzero columns > c, which is all that a
+    divisible step changes.  Once column c is done, the rows above its
+    pivot are reduced into [0, pivot) at c and on the support, left to right
+    as in ``_reduce_above_pivots``; a column no row reached has pivot row
+    m_c * e_c, which takes them mod m_c.  The HNF is unique, so the result
+    equals ``hermite_normal_form`` of the generators stacked on diag(m).
     """
     k = len(m)
     work = []
@@ -327,6 +337,7 @@ def lattice_basis(gens: Iterable[Sequence[int]], m: ModuliVector) -> IntMatrix:
         pivot = [0] * k
         pivot[c] = mc
         rest = range(c + 1, k)
+        support: list[int] = []
         live = []
         for row in work:
             b = row[c]
@@ -338,14 +349,14 @@ def lattice_basis(gens: Iterable[Sequence[int]], m: ModuliVector) -> IntMatrix:
                     u, v = a // g, b // g
                     for j in rest:
                         p, x = pivot[j], row[j]
-                        pivot[j] = (s * p + t * x) % m[j]
-                        row[j] = (u * x - v * p) % m[j]
+                        if p or x:
+                            pivot[j] = (s * p + t * x) % m[j]
+                            row[j] = (u * x - v * p) % m[j]
                     pivot[c] = g
+                    support = [j for j in rest if pivot[j]]
                 else:
-                    for j in rest:
-                        p = pivot[j]
-                        if p:
-                            row[j] = (row[j] - q * p) % m[j]
+                    for j in support:
+                        row[j] = (row[j] - q * pivot[j]) % m[j]
                 row[c] = 0
                 if not any(row):
                     continue
@@ -359,7 +370,8 @@ def lattice_basis(gens: Iterable[Sequence[int]], m: ModuliVector) -> IntMatrix:
             for above in basis:
                 q = above[c] // a
                 if q:
-                    for j in range(c, k):
+                    above[c] -= q * a
+                    for j in support:
                         above[j] -= q * pivot[j]
         basis.append(pivot)
     return tuple(map(tuple, basis))
@@ -420,32 +432,45 @@ def subgroup_structure(
     such that the subgroup is the internal direct sum of the cyclic groups
     <g_i> with |<g_i>| = s_i, and every element is uniquely
     sum(c_i * g_i) with 0 <= c_i < s_i.
+
+    ``canon`` must be a canonical form (pivot columns that do not increase
+    raise ``InternalInconsistency``): the HNF B of the lifted lattice less
+    its rows m_c * e_c, which are put back to read B off with no second HNF.
+    diag(m) = C @ B: row i of C is e_i where B has m_i * e_i, else forward
+    substitution from column i.  With U C Vinv = S, the rows V @ B of the
+    s_i > 1 are the generators, and only those rows are formed.
     """
     k = len(m)
-    basis = lattice_basis(canon, m)
-    if k == 0:
-        return (), ()
-    # diag(m) = C @ basis; C is integer because diag(m) lies in the lattice.
+    unit = lambda c, v: [v if j == c else 0 for j in range(k)]
+    basis: list[Sequence[int]] = []
+    for row in canon:
+        lead = next((j for j, v in enumerate(row) if v), k)
+        if lead < len(basis) or lead == k:
+            raise InternalInconsistency("pivot columns of a canonical form must increase")
+        basis += [unit(c, m[c]) for c in range(len(basis), lead)]
+        basis.append(row)
+    basis += [unit(c, m[c]) for c in range(len(basis), k)]
     c_rows = []
     for i in range(k):
-        rem = [m[i] if j == i else 0 for j in range(k)]
-        coeff = [0] * k
-        for j, row in enumerate(basis):
-            q = rem[j] // row[j]
+        coeff = unit(i, 1)
+        c_rows.append(coeff)
+        if basis[i][i] == m[i]:
+            continue
+        rem = unit(i, m[i])
+        for j in range(i, k):
+            q = rem[j] // basis[j][j]
             coeff[j] = q
             if q:
-                rem = [a - q * b for a, b in zip(rem, row)]
+                rem = [a - q * b for a, b in zip(rem, basis[j])]
         if any(rem):
             raise InternalInconsistency("diag(m) is not in the lattice of the subgroup")
-        c_rows.append(coeff)
-    s, v, _ = smith_normal_form(c_rows)
-    new_basis = mat_mul(v, basis)
+    s, v, _ = smith_normal_form(c_rows, inverse=False)
     gens = []
     orders = []
     for i in range(k):
         o = s[i][i]
         if o > 1:
-            gens.append(vec_mod(new_basis[i], m))
+            gens.append(vec_mod(vec_mat(v[i], basis), m))
             orders.append(o)
     return tuple(gens), tuple(orders)
 

@@ -26,6 +26,7 @@ from endolab.homs import (
 from endolab.verdicts import CapExceeded, Caps
 from support import is_module_hom
 from test_lab import PRIMARY_LOCAL, _cap_corpus, _memo_corpus, _power_blocks
+from test_linalg import _structure_reference
 
 CAP = 4096
 
@@ -170,17 +171,27 @@ def _summand_oracle_modules():
     yield modules.direct_sum([reg(2)] * 3)[0]
 
 
+def _complements(n, subs):
+    """The K among ``subs`` with N ∩ K = 0 and N + K = M."""
+    return [k for k in subs
+            if modules.submodule_intersect(n, k).is_zero() and modules.submodule_sum(n, k).is_full()]
+
+
+def _summand_disagreements(m):
+    """The submodules of m on which ``summand_test``, computed afresh, and
+    the complement search disagree."""
+    subs = modules.enumerate_submodules(m, 512)
+    return [n for n in subs
+            if (summand_test.__wrapped__(n) is not None) != bool(_complements(n, subs))]
+
+
 def test_summand_test_matches_complement_search():
     # N is a summand iff some submodule K has N ∩ K = 0 and N + K = M; then
     # M = N ⊕ K, so each such K is a summand too.
     for m in _summand_oracle_modules():
         subs = modules.enumerate_submodules(m, 512)
         for n in subs:
-            complements = [
-                k for k in subs
-                if modules.submodule_intersect(n, k).is_zero()
-                and modules.submodule_sum(n, k).is_full()
-            ]
+            complements = _complements(n, subs)
             proj = summand_test(n)
             assert (proj is not None) == bool(complements), (m.name, n.gens)
             for k in complements:
@@ -265,19 +276,31 @@ WORKSPACES = ("workspaces/demo.json", "workspaces/tight-caps.json",
               "perfbench/workspaces/end-rings.json")
 
 
-@pytest.fixture(scope="module")
-def orbit_groups():
-    """End(M) and End(M ⊕ M) of size <= 4096 for the workspace modules and
-    corpus members and the random modules of seeds 7 and 11."""
+def _workspace_modules(paths):
+    """The modules and corpus members of the workspaces."""
     found = []
-    for path in WORKSPACES:
+    for path in paths:
         ws = workspace.parse_workspace(os.path.join(ROOT, path))
         found += list(ws.modules.values())
         found += [mem.module for corpus in ws.corpora.values() for mem in corpus]
+    return found
+
+
+@pytest.fixture(scope="module")
+def corpus_modules():
+    """The workspace modules and corpus members and the random modules of
+    seeds 7 and 11, each once."""
+    found = _workspace_modules(WORKSPACES)
     for seed in (7, 11):
         found += [mem.module for mem in workspace.random_modules(40, seed, Caps())]
+    return list(dict.fromkeys(found))
+
+
+@pytest.fixture(scope="module")
+def orbit_groups(corpus_modules):
+    """End(M) and End(M ⊕ M) of size <= 4096 for the corpus modules."""
     groups = []
-    for m in dict.fromkeys(found):
+    for m in corpus_modules:
         square = modules.direct_sum([m, m])[0]
         groups += [hom_group(m, m), hom_group(square, square)]
     return [g for g in dict.fromkeys(groups) if g.size() <= CAP]
@@ -496,7 +519,7 @@ def test_block_permutations_commute_with_every_action_matrix(blocks):
 
 def _fresh(g):
     """A copy of g with an empty sweep table."""
-    return homs.HomGroup(g.domain, g.codomain, g.gens, g.orders)
+    return homs.HomGroup(g.domain, g.codomain, g.span)
 
 
 def test_sweeps_sharing_a_table_read_as_sweeps_of_fresh_groups():
@@ -625,24 +648,25 @@ def _kept_equations(rows, out_moduli):
     return [(tuple(row[x] % d for row in rows), d) for x, d in enumerate(out_moduli)]
 
 
-def test_hom_system_equals_the_column_then_transpose_builder():
+@pytest.fixture(scope="module")
+def same_ring_pairs():
     """Every same-ring pair (336 of them) of the demo and benchmark
-    workspace modules and corpus members and 120 random modules of seed 7:
-    the hom system has the kernel of the reference, keeps no equation that
-    vanishes mod its modulus or repeats another, and is no wider.  In some
-    pairs one column is kept under moduli 2 and 4, where the two equations
-    differ."""
-    found = []
-    for path in ("workspaces/demo.json", "perfbench/workspaces/families.json",
-                 "perfbench/workspaces/search.json", "perfbench/workspaces/end-rings.json"):
-        ws = workspace.parse_workspace(os.path.join(ROOT, path))
-        found += list(ws.modules.values())
-        found += [mem.module for corpus in ws.corpora.values() for mem in corpus]
+    workspace modules and corpus members and 120 random modules of seed 7."""
+    found = _workspace_modules(("workspaces/demo.json", "perfbench/workspaces/families.json",
+                                "perfbench/workspaces/search.json",
+                                "perfbench/workspaces/end-rings.json"))
     found += [mem.module for mem in workspace.random_modules(120, 7, Caps())]
-    pairs = [(a, b) for a, b in itertools.product(dict.fromkeys(found), repeat=2)
-             if a.ring == b.ring]
+    return [(a, b) for a, b in itertools.product(dict.fromkeys(found), repeat=2)
+            if a.ring == b.ring]
+
+
+def test_hom_system_equals_the_column_then_transpose_builder(same_ring_pairs):
+    """Over the same-ring pairs, the hom system has the kernel of the
+    reference, keeps no equation that vanishes mod its modulus or repeats
+    another, and is no wider.  In some pairs one column is kept under
+    moduli 2 and 4, where the two equations differ."""
     under_2_and_4 = 0
-    for a, b in pairs:
+    for a, b in same_ring_pairs:
         rows, out_moduli, in_moduli = homs._hom_system(a, b)
         ref_rows, ref_out_moduli, ref_in_moduli = _hom_system_by_columns(a, b)
         assert in_moduli == ref_in_moduli, (a.name, b.name)
@@ -655,5 +679,109 @@ def test_hom_system_equals_the_column_then_transpose_builder():
         for col, d in kept:
             moduli_of[col].add(d)
         under_2_and_4 += any({2, 4} <= ds for ds in moduli_of.values())
-    assert len(pairs) >= 300, len(pairs)
+    assert len(same_ring_pairs) >= 300, len(same_ring_pairs)
     assert under_2_and_4 >= 1
+
+
+# ---------------------------------------------------------------------------
+# Structure, the span and End(M), against their references
+# ---------------------------------------------------------------------------
+
+
+def test_structure_equals_its_reference_on_every_hom_kernel(same_ring_pairs):
+    """On each same-ring pair the span of the hom group is the hom kernel
+    and the canonical form of the generators built from it, and its
+    structure equals the reference; over 100 spans have one row."""
+    one_row = 0
+    for a, b in same_ring_pairs:
+        g = hom_group(a, b)
+        moduli = g.codomain.moduli * g.domain.rank
+        assert g.span == linalg.kernel_subgroup(*homs._hom_system(a, b)), (a.name, b.name)
+        assert linalg.subgroup_structure(g.span, moduli) == _structure_reference(g.span, moduli)
+        flat = [homs._flatten(h.matrix) for h in g.gens]
+        assert linalg.subgroup_canonical_form(flat, moduli) == g.span, (a.name, b.name)
+        one_row += len(g.span) == 1
+    assert one_row >= 100, one_row
+
+
+def test_structure_equals_its_reference_on_every_submodule_of_the_corpora(corpus_modules):
+    """The corpus modules, those of the lab corpora and the blocks of the
+    held-out powers workspace, each with every submodule."""
+    seen = 0
+    for m in dict.fromkeys(corpus_modules + _cap_corpus() + _memo_corpus() + _power_blocks()):
+        try:
+            subs = modules.enumerate_submodules(m, 512)
+        except CapExceeded:
+            continue
+        for n in subs:
+            assert (linalg.subgroup_structure(n.gens, m.moduli)
+                    == _structure_reference(n.gens, m.moduli)), (m.name, n.gens)
+            seen += 1
+    assert seen >= 300, seen
+
+
+def _end_ring_by_composition(m):
+    """Reference: the structure constants and the one of End(m), each
+    product composed as a ``ModuleHom`` and read by ``coords_of``."""
+    g = hom_group(m, m)
+    mul = tuple(tuple(g.coords_of(b.then(a)) for b in g.gens) for a in g.gens)
+    return g.orders, mul, g.coords_of(modules.identity_hom(m)) if g.gens else ()
+
+
+def test_end_ring_equals_its_composition_reference(corpus_modules):
+    for m in corpus_modules:
+        ring = end_ring(m)
+        assert (ring.moduli, ring.mul, ring.one) == _end_ring_by_composition(m), m.name
+
+
+def _split_over_the_basis(n):
+    """Reference: n is a summand, by the solve over the invariant-factor
+    generators of Hom(M, n) and their orders."""
+    if n.is_zero() or n.is_full():
+        return True
+    inner, inc = modules.extract(n)
+    g = hom_group(n.ambient, inner)
+    rows = [homs._flatten(inc.then(h).matrix) for h in g.gens]
+    target = homs._flatten(modules.identity_hom(inner).matrix)
+    return linalg.solve_congruence_system(
+        rows, target, inner.moduli * inner.rank, g.orders) is not None
+
+
+def _trace_over_the_basis(source, target):
+    rows = [row for h in hom_group(source, target).gens for row in h.matrix]
+    return linalg.subgroup_canonical_form(rows, target.moduli)
+
+
+def _product_over_the_basis(k, l):
+    m = k.ambient
+    inner, inc = modules.extract(k)
+    rows = [h.then(inc).apply(x) for h in hom_group(m, inner).gens for x in l.gens]
+    return linalg.subgroup_canonical_form(rows, m.moduli)
+
+
+def test_span_readers_equal_their_basis_references(corpus_modules):
+    """``summand_test``, ``trace``, ``is_m_generated`` and
+    ``product_submodules`` read the span; through the invariant-factor
+    basis they give the same booleans and canonical forms, on every
+    submodule, and every pair of the first 12, of the corpus modules with
+    at most 64 submodules."""
+    answers = collections.Counter()
+    for m in corpus_modules:
+        try:
+            subs = modules.enumerate_submodules(m, 64)
+        except CapExceeded:
+            continue
+        for n in subs:
+            split = _split_over_the_basis(n)
+            assert (summand_test.__wrapped__(n) is not None) == split, (m.name, n.gens)
+            inner, _ = modules.extract(n)
+            t = _trace_over_the_basis(m, inner)
+            assert trace(m, inner).gens == t, (m.name, n.gens)
+            generated = linalg.subgroup_order(t, inner.moduli) == inner.size()
+            assert is_m_generated.__wrapped__(n) == generated, (m.name, n.gens)
+            answers[split, generated] += 1
+        for k, l in itertools.product(subs[:12], repeat=2):
+            assert product_submodules(k, l).gens == _product_over_the_basis(k, l), (m.name, k, l)
+            answers["product"] += 1
+    # a summand is M-generated, so (True, False) cannot occur
+    assert all(answers[a] for a in ((True, True), (False, True), (False, False))), answers

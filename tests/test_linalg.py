@@ -13,6 +13,7 @@ from sympy import ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
 from endolab import linalg
+from endolab.verdicts import InternalInconsistency
 
 
 def small_matrix(max_dim=8, lo=-100, hi=100):
@@ -81,6 +82,111 @@ def test_snf_fixture_diag():
     assert linalg.snf_diagonal([[2, 4], [6, 8]]) == (2, 4)
     assert linalg.snf_diagonal([[1, 0], [0, 1]]) == (1, 1)
     assert linalg.snf_diagonal([[0, 0], [0, 0]]) == (0, 0)
+
+
+def _smith_reference(a):
+    """``smith_normal_form`` as a loop that scans the whole working block for
+    its least entry and always keeps Vinv."""
+    s = [list(row) for row in a]
+    rows, cols = len(s), len(s[0]) if s else 0
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    vinv = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_swap(i, j):
+        s[i], s[j] = s[j], s[i]
+
+    def row_addmul(src, dst, k):
+        s[dst] = [x + k * y for x, y in zip(s[dst], s[src])]
+
+    def row_negate(i):
+        s[i] = [-x for x in s[i]]
+
+    def col_swap(i, j):
+        if i != j:
+            for row in s + vinv:
+                row[i], row[j] = row[j], row[i]
+            v[i], v[j] = v[j], v[i]
+
+    def col_addmul(src, dst, k):
+        for row in s + vinv:
+            row[dst] += k * row[src]
+        v[src] = [x - k * y for x, y in zip(v[src], v[dst])]
+
+    n = min(rows, cols)
+    for pos in range(n):
+        while True:
+            entries = [(abs(s[i][j]), i, j) for i in range(pos, rows) for j in range(pos, cols)
+                       if s[i][j]]
+            if not entries:
+                break
+            least = min(e[0] for e in entries)
+            _, i0, j0 = next(e for e in entries if e[0] == least)
+            row_swap(pos, i0)
+            col_swap(pos, j0)
+            if s[pos][pos] < 0:
+                row_negate(pos)
+            pivot = s[pos][pos]
+            dirty = False
+            for i in range(pos + 1, rows):
+                row_addmul(pos, i, -(s[i][pos] // pivot))
+                dirty = dirty or bool(s[i][pos])
+            for j in range(pos + 1, cols):
+                col_addmul(pos, j, -(s[pos][j] // pivot))
+                dirty = dirty or bool(s[pos][j])
+            if not dirty:
+                break
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n - 1):
+            a_, b_ = s[i][i], s[i + 1][i + 1]
+            if a_ == 0 and b_ != 0:
+                row_swap(i, i + 1)
+                col_swap(i, i + 1)
+                changed = True
+            elif a_ != 0 and b_ % a_ != 0:
+                col_addmul(i + 1, i, 1)
+                while s[i + 1][i] or s[i][i + 1]:
+                    if s[i + 1][i]:
+                        if s[i][i] == 0 or abs(s[i + 1][i]) < abs(s[i][i]):
+                            row_swap(i, i + 1)
+                        row_addmul(i, i + 1, -(s[i + 1][i] // s[i][i]))
+                    if s[i][i + 1]:
+                        if s[i][i] == 0:
+                            col_swap(i, i + 1)
+                        col_addmul(i, i + 1, -(s[i][i + 1] // s[i][i]))
+                for j in (i, i + 1):
+                    if s[j][j] < 0:
+                        row_negate(j)
+                changed = True
+    for i in range(n):
+        if s[i][i] < 0:
+            row_negate(i)
+    as_tuple = lambda mat: tuple(map(tuple, mat))
+    return as_tuple(s), as_tuple(v), as_tuple(vinv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrix())
+def test_snf_equals_its_full_scan_reference(rows):
+    """S, V and Vinv are those of the whole-block scan, and without Vinv,
+    S and V still are."""
+    want = _smith_reference(rows)
+    assert linalg.smith_normal_form(rows) == want
+    assert linalg.smith_normal_form(rows, inverse=False) == (*want[:2], ())
+
+
+# Matrices whose first entry of least absolute value, ±1, comes after a ±2
+# that has no ±1 in its row or column.
+UNIT_AFTER_A_TWO = [[[2, 0], [0, 1]], [[0, -2, 0], [3, 0, -1]], [[2, 0, 0], [0, 3, 0], [0, 0, -1]],
+                    [[4, 2, 0], [0, 0, 1]], [[2, 4], [6, 1]]]
+
+
+def test_snf_with_a_unit_after_a_two():
+    """The scan goes on past the 2 to the 1, which the whole-block scan
+    picks too."""
+    for rows in UNIT_AFTER_A_TWO:
+        assert linalg.smith_normal_form(rows) == _smith_reference(rows), rows
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +295,116 @@ def test_modular_lattice_basis_equals_integer_hnf_on_wide_systems(case):
     assert basis == linalg.hermite_normal_form(_stacked_on_diagonal(rows, m), len(m))
 
 
+@st.composite
+def divisible_after_xgcd_cases(draw):
+    """(rows, m) over up to 40 columns in which, at some column c with
+    m_c > 2, one row takes an extended-gcd step into the pivot m_c·e_c and
+    a later row then takes a divisible step into the new pivot, both with
+    entries after c, and, at times, a row between them changes the pivot
+    and its support by a second extended-gcd step."""
+    k = draw(st.integers(2, 40))
+    m = list(draw(st.lists(st.sampled_from((2, 3, 4, 6, 8, 9, 12)), min_size=k, max_size=k)))
+    c = draw(st.integers(0, k - 2))
+    m[c] = draw(st.sampled_from((4, 6, 8, 9, 12)))
+    tail = st.lists(st.integers(-40, 40), min_size=k - c - 1, max_size=k - c - 1)
+    heads = [draw(st.integers(1, m[c] - 1))]
+    if draw(st.booleans()):
+        heads.append(draw(st.integers(1, m[c] - 1)))
+    g = math.gcd(m[c], *heads)
+    heads.append(g * draw(st.integers(1, m[c] // g - 1)))
+    rows = [[0] * c + [b] + draw(tail) for b in heads]
+    rows += draw(st.lists(st.lists(st.integers(-40, 40), min_size=k, max_size=k), max_size=3))
+    return rows, tuple(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(divisible_after_xgcd_cases())
+def test_modular_lattice_basis_equals_integer_hnf_when_a_divisible_step_follows_an_xgcd_step(case):
+    rows, m = case
+    basis = linalg.lattice_basis(rows, m)
+    assert basis == linalg.hermite_normal_form(_stacked_on_diagonal(rows, m), len(m))
+    assert basis == _lattice_basis_reference(rows, m)
+
+
+# (rows, m) in which, at column 0, the first two rows take extended-gcd
+# steps into m_0·e_0, the second adding column 2 to the support of the pivot
+# row, and the third takes a divisible step that needs that column.
+DIVISIBLE_AFTER_XGCD_CASES = [
+    ([(6, 1, 0), (4, 0, 1), (2, 0, 0)], (12, 12, 12)),
+    ([(6, 0, 0, 5), (9, 0, 1, 0), (3, 2, 0, 0)], (12, 4, 6, 8)),
+]
+
+
+def test_lattice_basis_fixtures_with_a_divisible_step_after_two_xgcd_steps():
+    for rows, m in DIVISIBLE_AFTER_XGCD_CASES:
+        want = linalg.hermite_normal_form(_stacked_on_diagonal(rows, m), len(m))
+        assert linalg.lattice_basis(rows, m) == want, (rows, m)
+
+
+def _lattice_basis_reference(gens, m):
+    """``lattice_basis`` as the loop that steps every column after c in each
+    extended-gcd step, tests each pivot entry in a divisible step, and
+    reduces the rows above a pivot on every column from c on."""
+    k = len(m)
+    work = [row for row in ([v % mm for v, mm in zip(g, m)] for g in gens) if any(row)]
+    basis = []
+    for c in range(k):
+        pivot = [0] * k
+        pivot[c] = m[c]
+        live = []
+        for row in work:
+            b = row[c]
+            if b:
+                a = pivot[c]
+                q, r = divmod(b, a)
+                if r:
+                    g, s, t = _xgcd_reference(a, b)
+                    u, v = a // g, b // g
+                    for j in range(c + 1, k):
+                        p, x = pivot[j], row[j]
+                        pivot[j] = (s * p + t * x) % m[j]
+                        row[j] = (u * x - v * p) % m[j]
+                    pivot[c] = g
+                else:
+                    for j in range(c + 1, k):
+                        if pivot[j]:
+                            row[j] = (row[j] - q * pivot[j]) % m[j]
+                row[c] = 0
+                if not any(row):
+                    continue
+            live.append(row)
+        work = live
+        a = pivot[c]
+        if a == m[c]:
+            for above in basis:
+                above[c] %= m[c]
+        else:
+            for above in basis:
+                q = above[c] // a
+                if q:
+                    for j in range(c, k):
+                        above[j] -= q * pivot[j]
+        basis.append(pivot)
+    return tuple(map(tuple, basis))
+
+
+def _xgcd_reference(a, b):
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(lattice_cases(), wide_lattice_cases()))
+def test_modular_lattice_basis_equals_its_loop_reference(case):
+    rows, m = case
+    assert linalg.lattice_basis(rows, m) == _lattice_basis_reference(rows, m)
+
+
 def test_modular_lattice_basis_edge_fixtures():
     assert linalg.lattice_basis([], ()) == ()
     assert linalg.lattice_basis([(), ()], ()) == ()
@@ -234,6 +450,74 @@ def test_structure_gives_invariant_factors():
     assert linalg.subgroup_order(linalg.subgroup_canonical_form(gens, m), m) == 3
     gens, orders = linalg.subgroup_structure([(2, 0), (0, 2)], (4, 4))
     assert orders == (2, 2)
+
+
+def _structure_reference(canon, m):
+    """``subgroup_structure`` through a second HNF: the integer HNF B of the
+    canonical rows stacked on diag(m), every row of C with diag(m) = C·B by
+    forward substitution from column 0, the Smith form of C with Vinv kept,
+    and the whole of V·B."""
+    k = len(m)
+    if k == 0:
+        return (), ()
+    basis = linalg.hermite_normal_form(_stacked_on_diagonal(canon, m), k)
+    c_rows = []
+    for i in range(k):
+        rem = [m[i] if j == i else 0 for j in range(k)]
+        coeff = [0] * k
+        for j, row in enumerate(basis):
+            q = rem[j] // row[j]
+            coeff[j] = q
+            rem = [a - q * b for a, b in zip(rem, row)]
+        assert not any(rem)
+        c_rows.append(coeff)
+    s, v, _ = _smith_reference(c_rows)
+    new_basis = _mat_mul_reference(v, basis)
+    kept = [i for i in range(k) if s[i][i] > 1]
+    return (tuple(tuple(x % mm for x, mm in zip(new_basis[i], m)) for i in kept),
+            tuple(s[i][i] for i in kept))
+
+
+@st.composite
+def one_row_subgroups(draw):
+    """(canon, m) with k >= 9: the canonical form of one row with pivot
+    d | m_c, d < m_c, at column c, whose later entries x_j have
+    (m_c / d)·x_j = 0 mod m_j, so the lattice below the pivot is diag(m)
+    and the row is the whole form."""
+    k = draw(st.integers(9, 16))
+    m = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12)), min_size=k, max_size=k))
+    c = draw(st.integers(0, k - 1))
+    m[c] = draw(st.sampled_from((2, 3, 4, 6, 8, 9, 12)))
+    d = draw(st.sampled_from([d for d in range(1, m[c]) if m[c] % d == 0]))
+    row = [0] * c + [d]
+    for mj in m[c + 1:]:
+        step = mj // math.gcd(mj, m[c] // d)
+        row.append(step * draw(st.integers(0, mj)) % mj)
+    return (tuple(row),), tuple(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_row_subgroups())
+def test_structure_equals_its_reference_on_wide_one_row_subgroups(case):
+    canon, m = case
+    assert linalg.subgroup_canonical_form(canon, m) == canon
+    assert linalg.subgroup_structure(canon, m) == _structure_reference(canon, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(9, 14).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(st.integers(-20, 20), min_size=k, max_size=k), max_size=4),
+    st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12)), min_size=k, max_size=k).map(tuple))))
+def test_structure_equals_its_reference_on_wide_subgroups(case):
+    gens, m = case
+    canon = linalg.subgroup_canonical_form(gens, m)
+    assert linalg.subgroup_structure(canon, m) == _structure_reference(canon, m)
+
+
+def test_structure_rejects_pivot_columns_that_do_not_increase():
+    for rows in ([(0, 1), (1, 0)], [(0, 2), (0, 1)], [(0, 0)]):
+        with pytest.raises(InternalInconsistency):
+            linalg.subgroup_structure(rows, (4, 4))
 
 
 def test_abelian_group_type():

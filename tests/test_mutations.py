@@ -11,7 +11,6 @@ patch drops the cached hom groups (``FreshTables``), so no sweep table
 filled by an unbroken run hides a break.
 """
 
-import functools
 import itertools
 import math
 
@@ -20,10 +19,13 @@ import pytest
 from endolab import homs, incidence, lab, linalg, modules, rings
 from endolab.verdicts import Caps, Verdict, undecided_on_cap
 from support import is_module_hom
-from test_homs import _hom_system_by_columns, _orbit_walk_to_the_end
+from test_homs import (
+    _hom_system_by_columns, _orbit_walk_to_the_end, _summand_disagreements,
+    _summand_oracle_modules)
 from test_incidence import _incend
 from test_linalg import (
-    KERNEL_SYSTEM_CASES, _ReferenceSystem, _stacked_on_diagonal, _system_outcome)
+    DIVISIBLE_AFTER_XGCD_CASES, KERNEL_SYSTEM_CASES, UNIT_AFTER_A_TWO, _ReferenceSystem,
+    _smith_reference, _stacked_on_diagonal, _structure_reference, _system_outcome)
 from test_lab import (
     PRIMARY_LOCAL, _azumaya_per_element, _distributive_boolean_eager, _first_failure,
     _irregular_on, _irregular_orbit, _k_nonsingular_per_hom, _memoized, _observable,
@@ -559,9 +561,13 @@ def test_the_sweep_table_keyed_without_the_permutation_group(unmemoized):
     m = plane()
     assert lab._endoregular_via_summands(m, CAPS).value is True
     assert not _route_disagrees("complementary", m)
-    walks = functools.cached_property(lambda self: _WalksKeyedWithoutThePermutations())
-    walks.__set_name__(homs.HomGroup, "_walks")
-    unmemoized.setattr(homs.HomGroup, "_walks", walks)
+    init = homs.HomGroup.__init__
+
+    def with_the_broken_table(self, *args):
+        init(self, *args)
+        object.__setattr__(self, "_walks", _WalksKeyedWithoutThePermutations())
+
+    unmemoized.setattr(homs.HomGroup, "__init__", with_the_broken_table)
     assert lab._endoregular_via_summands(m, CAPS).value is True
     assert _route_disagrees("complementary", m)
 
@@ -806,3 +812,145 @@ def test_the_kernel_system_keyed_without_the_modulus(monkeypatch):
     assert outcome() == want
     monkeypatch.setattr(linalg, "kernel_system", _kernel_system_keyed_without_the_modulus)
     assert outcome() != want
+
+
+def _least_entry_up_to_2(self, pos):
+    """``_Transform.least_entry`` that stops at the first entry ±1 or ±2."""
+    best, least = None, 0
+    for i in range(pos, self.rows):
+        for j in range(pos, self.cols):
+            v = abs(self.s[i][j])
+            if v and (not least or v < least):
+                best, least = (i, j), v
+                if v <= 2:
+                    return best
+    return best
+
+
+def test_the_pivot_scan_stopped_at_2(monkeypatch):
+    """In diag(2, 1) the scan stopped at the 2 pivots on it, and the
+    whole-block scan on the 1 after it: V moves.  A 1 in the row or column
+    of the 2 would keep that scan from ending, since the 2 reduces it to
+    itself, so the cases keep it out of both."""
+    outcome = lambda: [linalg.smith_normal_form(rows) for rows in UNIT_AFTER_A_TWO]
+    want = [_smith_reference(rows) for rows in UNIT_AFTER_A_TWO]
+    assert outcome() == want
+    monkeypatch.setattr(linalg._Transform, "least_entry", _least_entry_up_to_2)
+    assert outcome() != want
+
+
+def _lattice_basis_with_a_stale_support(gens, m):
+    """``linalg.lattice_basis`` that takes the support of a column's pivot
+    row at its first extended-gcd step and keeps it through the later
+    ones."""
+    k = len(m)
+    work = [row for row in ([v % mm for v, mm in zip(g, m)] for g in gens) if any(row)]
+    basis = []
+    for c in range(k):
+        mc = m[c]
+        pivot = [0] * k
+        pivot[c] = mc
+        rest = range(c + 1, k)
+        support = []
+        live = []
+        for row in work:
+            b = row[c]
+            if b:
+                a = pivot[c]
+                q, r = divmod(b, a)
+                if r:
+                    g, s, t = linalg._xgcd(a, b)
+                    u, v = a // g, b // g
+                    for j in rest:
+                        p, x = pivot[j], row[j]
+                        if p or x:
+                            pivot[j] = (s * p + t * x) % m[j]
+                            row[j] = (u * x - v * p) % m[j]
+                    pivot[c] = g
+                    support = support or [j for j in rest if pivot[j]]
+                else:
+                    for j in support:
+                        row[j] = (row[j] - q * pivot[j]) % m[j]
+                row[c] = 0
+                if not any(row):
+                    continue
+            live.append(row)
+        work = live
+        a = pivot[c]
+        if a == mc:
+            for above in basis:
+                above[c] %= mc
+        else:
+            for above in basis:
+                q = above[c] // a
+                if q:
+                    above[c] -= q * a
+                    for j in support:
+                        above[j] -= q * pivot[j]
+        basis.append(pivot)
+    return tuple(map(tuple, basis))
+
+
+def test_the_support_kept_past_an_xgcd_step(monkeypatch):
+    """Over Z/12, the rows (6, 1, 0) and (4, 0, 1) take two extended-gcd
+    steps into column 0, and the second makes column 2 nonzero in the pivot
+    row; with the support of the first kept, the divisible step of (2, 0, 0)
+    leaves column 2 as it is."""
+    outcome = lambda: [linalg.lattice_basis(rows, m) for rows, m in DIVISIBLE_AFTER_XGCD_CASES]
+    want = [linalg.hermite_normal_form(_stacked_on_diagonal(rows, m), len(m))
+            for rows, m in DIVISIBLE_AFTER_XGCD_CASES]
+    assert outcome() == want
+    monkeypatch.setattr(linalg, "lattice_basis", _lattice_basis_with_a_stale_support)
+    assert outcome() != want
+
+
+def _structure_trivial_at_pivot_1(canon, m):
+    """``linalg.subgroup_structure`` that takes e_i as the coefficient row
+    wherever the pivot is 1, instead of m_i."""
+    k = len(m)
+    unit = lambda c, v: [v if j == c else 0 for j in range(k)]
+    basis = []
+    for row in canon:
+        lead = next(j for j, v in enumerate(row) if v)
+        basis += [unit(c, m[c]) for c in range(len(basis), lead)]
+        basis.append(row)
+    basis += [unit(c, m[c]) for c in range(len(basis), k)]
+    c_rows = []
+    for i in range(k):
+        coeff = unit(i, 1)
+        c_rows.append(coeff)
+        if basis[i][i] == 1:
+            continue
+        rem = unit(i, m[i])
+        for j in range(i, k):
+            q = rem[j] // basis[j][j]
+            coeff[j] = q
+            if q:
+                rem = [a - q * b for a, b in zip(rem, basis[j])]
+    s, v, _ = linalg.smith_normal_form(c_rows, inverse=False)
+    kept = [i for i in range(k) if s[i][i] > 1]
+    return (tuple(linalg.vec_mod(linalg.vec_mat(v[i], basis), m) for i in kept),
+            tuple(s[i][i] for i in kept))
+
+
+def test_a_row_with_pivot_1_taken_for_trivial(monkeypatch):
+    """Z/12 itself has the canonical form ((1,)); its row taken for 12·e_0,
+    the subgroup looks like 0."""
+    m = reg(12)
+    canons = [n.gens for n in modules.enumerate_submodules(m, CAPS.submodules)]
+    outcome = lambda: [linalg.subgroup_structure(canon, m.moduli) for canon in canons]
+    want = [_structure_reference(canon, m.moduli) for canon in canons]
+    assert outcome() == want
+    monkeypatch.setattr(linalg, "subgroup_structure", _structure_trivial_at_pivot_1)
+    assert outcome() != want
+
+
+def test_the_span_read_without_its_last_row(monkeypatch):
+    """Hom(Z/12, 4Z/12) is Z/3, one span row; without it, 4Z/12 has no
+    projection, though 3Z/12 complements it."""
+    disagreements = lambda: [n for m in _summand_oracle_modules() for n in _summand_disagreements(m)]
+    assert disagreements() == []
+    hom_group = homs.hom_group
+    monkeypatch.setattr(homs, "hom_group",
+                        lambda dom, cod: homs.HomGroup(dom, cod, hom_group(dom, cod).span[:-1]))
+    assert disagreements()
