@@ -11,7 +11,7 @@ enumeration cap except ``find_embedding``, which sweeps a hom group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Callable, Iterator, Optional, Sequence
@@ -47,13 +47,15 @@ def _unflatten(dom: FiniteModule, cod: FiniteModule, flat: Sequence[int]) -> Mod
 class HomGroup:
     """Hom_R(M, N) as an abelian group with matrix generators.
 
-    ``span`` is the group's canonical form in the flat layout, all that
-    ``summand_test``, ``trace`` and ``product_submodules`` read.  The first
-    read of ``gens``, ``orders``, ``size()``, coordinates or a sweep builds
-    the basis from it (a primary part's span is its basis, given at once):
-    ``orders`` are the invariant factors (each > 1, dividing chain), so
-    every hom is uniquely sum(c_i * gens_i) with 0 <= c_i < orders_i and
-    |Hom| = prod(orders).
+    ``span`` is a generating set in the flat layout, all that
+    ``summand_test``, ``trace`` and ``product_submodules`` read.  For a
+    group of ``hom_group`` it is the canonical form, and the first read of
+    ``gens``, ``orders``, ``size()``, coordinates or a sweep builds the
+    basis from it.  A primary part's span is its scaled basis, given with
+    its orders at once and not canonical, so a part is never rebuilt from
+    its fields.  ``orders`` are the invariant factors (each > 1, dividing
+    chain), so every hom is uniquely sum(c_i * gens_i) with
+    0 <= c_i < orders_i and |Hom| = prod(orders).
 
     A group carries its sweep table, filled as sweeps read it: the orbit
     representatives met so far per permutation group, the (Ker, Im) pairs
@@ -65,10 +67,6 @@ class HomGroup:
     domain: FiniteModule
     codomain: FiniteModule
     span: IntMatrix
-    _walks: dict[tuple[IntVector, ...], tuple[list[IntVector], Iterator[IntVector]]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
-    _ker_im: dict[IntMatrix, tuple[Submodule, Submodule]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def _moduli(self) -> tuple[int, ...]:
@@ -184,6 +182,12 @@ class HomGroup:
                 found.append(flat)
             yield _unflatten(self.domain, self.codomain, found[i])
 
+    @cached_property
+    def _walks(self) -> dict[tuple[IntVector, ...], tuple[list[IntVector], Iterator[IntVector]]]:
+        """Per permutation group, the orbit representatives met so far, as
+        flat matrices, and the paused walk that meets the rest."""
+        return {}
+
     def _orbit_walk(self, perms: tuple[IntVector, ...]) -> Iterator[IntVector]:
         """The flat matrix of each orbit representative, in ``iter_homs``
         order.  ``ahead`` holds the orbit members not yet reached, keyed by
@@ -242,6 +246,10 @@ class HomGroup:
             part.__dict__["_basis"] = part.span, tuple(orders)  # as cached_property keeps it
             parts.append(part)
         return tuple(parts)
+
+    @cached_property
+    def _ker_im(self) -> dict[IntMatrix, tuple[Submodule, Submodule]]:
+        return {}
 
     def kernel_and_image(self, f: ModuleHom) -> tuple[Submodule, Submodule]:
         """(Ker f, Im f) of a hom f of this group, factored once per group

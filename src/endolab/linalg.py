@@ -314,14 +314,13 @@ def lattice_basis(gens: Iterable[Sequence[int]], m: ModuliVector) -> IntMatrix:
     mod m_j.  Column c's pivot row starts as m_c * e_c and absorbs each
     working row that is nonzero at c by one extended-gcd 2x2 unimodular
     step, which leaves that row zero at c; rows that become zero are
-    dropped.  The rows are zero left of c, so only columns > c change.  An
-    extended-gcd step skips columns where both rows are zero and recomputes
-    the support, the pivot row's nonzero columns > c, which is all that a
-    divisible step changes.  Once column c is done, the rows above its
-    pivot are reduced into [0, pivot) at c and on the support, left to right
-    as in ``_reduce_above_pivots``; a column no row reached has pivot row
-    m_c * e_c, which takes them mod m_c.  The HNF is unique, so the result
-    equals ``hermite_normal_form`` of the generators stacked on diag(m).
+    dropped.  The rows are zero left of c, so only columns > c change, and
+    a divisible step skips the columns where the pivot row is zero.  Once
+    column c is done, the rows above its pivot are reduced at c into
+    [0, pivot) on columns >= c, left to right as in ``_reduce_above_pivots``;
+    a column no row reached has pivot row m_c * e_c, which takes them mod
+    m_c.  The HNF is unique, so the result equals ``hermite_normal_form`` of
+    the generators stacked on diag(m).
     """
     k = len(m)
     work = []
@@ -337,7 +336,6 @@ def lattice_basis(gens: Iterable[Sequence[int]], m: ModuliVector) -> IntMatrix:
         pivot = [0] * k
         pivot[c] = mc
         rest = range(c + 1, k)
-        support: list[int] = []
         live = []
         for row in work:
             b = row[c]
@@ -349,14 +347,14 @@ def lattice_basis(gens: Iterable[Sequence[int]], m: ModuliVector) -> IntMatrix:
                     u, v = a // g, b // g
                     for j in rest:
                         p, x = pivot[j], row[j]
-                        if p or x:
-                            pivot[j] = (s * p + t * x) % m[j]
-                            row[j] = (u * x - v * p) % m[j]
+                        pivot[j] = (s * p + t * x) % m[j]
+                        row[j] = (u * x - v * p) % m[j]
                     pivot[c] = g
-                    support = [j for j in rest if pivot[j]]
                 else:
-                    for j in support:
-                        row[j] = (row[j] - q * pivot[j]) % m[j]
+                    for j in rest:
+                        p = pivot[j]
+                        if p:
+                            row[j] = (row[j] - q * p) % m[j]
                 row[c] = 0
                 if not any(row):
                     continue
@@ -370,8 +368,7 @@ def lattice_basis(gens: Iterable[Sequence[int]], m: ModuliVector) -> IntMatrix:
             for above in basis:
                 q = above[c] // a
                 if q:
-                    above[c] -= q * a
-                    for j in support:
+                    for j in range(c, k):
                         above[j] -= q * pivot[j]
         basis.append(pivot)
     return tuple(map(tuple, basis))
@@ -465,14 +462,8 @@ def subgroup_structure(
         if any(rem):
             raise InternalInconsistency("diag(m) is not in the lattice of the subgroup")
     s, v, _ = smith_normal_form(c_rows, inverse=False)
-    gens = []
-    orders = []
-    for i in range(k):
-        o = s[i][i]
-        if o > 1:
-            gens.append(vec_mod(vec_mat(v[i], basis), m))
-            orders.append(o)
-    return tuple(gens), tuple(orders)
+    kept = [i for i in range(k) if s[i][i] > 1]
+    return tuple(vec_mod(vec_mat(v[i], basis), m) for i in kept), tuple(s[i][i] for i in kept)
 
 
 def enumerate_subgroup(canon: Sequence[Sequence[int]], m: ModuliVector) -> list[IntVector]:

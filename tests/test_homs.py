@@ -518,7 +518,7 @@ def test_block_permutations_commute_with_every_action_matrix(blocks):
 
 
 def _fresh(g):
-    """A copy of g with an empty sweep table."""
+    """A copy of g, a group of ``hom_group``, with an empty sweep table."""
     return homs.HomGroup(g.domain, g.codomain, g.span)
 
 

@@ -11,6 +11,7 @@ patch drops the cached hom groups (``FreshTables``), so no sweep table
 filled by an unbroken run hides a break.
 """
 
+import functools
 import itertools
 import math
 
@@ -24,8 +25,8 @@ from test_homs import (
     _summand_oracle_modules)
 from test_incidence import _incend
 from test_linalg import (
-    DIVISIBLE_AFTER_XGCD_CASES, KERNEL_SYSTEM_CASES, UNIT_AFTER_A_TWO, _ReferenceSystem,
-    _smith_reference, _stacked_on_diagonal, _structure_reference, _system_outcome)
+    KERNEL_SYSTEM_CASES, UNIT_AFTER_A_TWO, _ReferenceSystem, _smith_reference,
+    _stacked_on_diagonal, _structure_reference, _system_outcome)
 from test_lab import (
     PRIMARY_LOCAL, _azumaya_per_element, _distributive_boolean_eager, _first_failure,
     _irregular_on, _irregular_orbit, _k_nonsingular_per_hom, _memoized, _observable,
@@ -561,13 +562,9 @@ def test_the_sweep_table_keyed_without_the_permutation_group(unmemoized):
     m = plane()
     assert lab._endoregular_via_summands(m, CAPS).value is True
     assert not _route_disagrees("complementary", m)
-    init = homs.HomGroup.__init__
-
-    def with_the_broken_table(self, *args):
-        init(self, *args)
-        object.__setattr__(self, "_walks", _WalksKeyedWithoutThePermutations())
-
-    unmemoized.setattr(homs.HomGroup, "__init__", with_the_broken_table)
+    walks = functools.cached_property(lambda self: _WalksKeyedWithoutThePermutations())
+    walks.__set_name__(homs.HomGroup, "_walks")
+    unmemoized.setattr(homs.HomGroup, "_walks", walks)
     assert lab._endoregular_via_summands(m, CAPS).value is True
     assert _route_disagrees("complementary", m)
 
@@ -836,71 +833,6 @@ def test_the_pivot_scan_stopped_at_2(monkeypatch):
     want = [_smith_reference(rows) for rows in UNIT_AFTER_A_TWO]
     assert outcome() == want
     monkeypatch.setattr(linalg._Transform, "least_entry", _least_entry_up_to_2)
-    assert outcome() != want
-
-
-def _lattice_basis_with_a_stale_support(gens, m):
-    """``linalg.lattice_basis`` that takes the support of a column's pivot
-    row at its first extended-gcd step and keeps it through the later
-    ones."""
-    k = len(m)
-    work = [row for row in ([v % mm for v, mm in zip(g, m)] for g in gens) if any(row)]
-    basis = []
-    for c in range(k):
-        mc = m[c]
-        pivot = [0] * k
-        pivot[c] = mc
-        rest = range(c + 1, k)
-        support = []
-        live = []
-        for row in work:
-            b = row[c]
-            if b:
-                a = pivot[c]
-                q, r = divmod(b, a)
-                if r:
-                    g, s, t = linalg._xgcd(a, b)
-                    u, v = a // g, b // g
-                    for j in rest:
-                        p, x = pivot[j], row[j]
-                        if p or x:
-                            pivot[j] = (s * p + t * x) % m[j]
-                            row[j] = (u * x - v * p) % m[j]
-                    pivot[c] = g
-                    support = support or [j for j in rest if pivot[j]]
-                else:
-                    for j in support:
-                        row[j] = (row[j] - q * pivot[j]) % m[j]
-                row[c] = 0
-                if not any(row):
-                    continue
-            live.append(row)
-        work = live
-        a = pivot[c]
-        if a == mc:
-            for above in basis:
-                above[c] %= mc
-        else:
-            for above in basis:
-                q = above[c] // a
-                if q:
-                    above[c] -= q * a
-                    for j in support:
-                        above[j] -= q * pivot[j]
-        basis.append(pivot)
-    return tuple(map(tuple, basis))
-
-
-def test_the_support_kept_past_an_xgcd_step(monkeypatch):
-    """Over Z/12, the rows (6, 1, 0) and (4, 0, 1) take two extended-gcd
-    steps into column 0, and the second makes column 2 nonzero in the pivot
-    row; with the support of the first kept, the divisible step of (2, 0, 0)
-    leaves column 2 as it is."""
-    outcome = lambda: [linalg.lattice_basis(rows, m) for rows, m in DIVISIBLE_AFTER_XGCD_CASES]
-    want = [linalg.hermite_normal_form(_stacked_on_diagonal(rows, m), len(m))
-            for rows, m in DIVISIBLE_AFTER_XGCD_CASES]
-    assert outcome() == want
-    monkeypatch.setattr(linalg, "lattice_basis", _lattice_basis_with_a_stale_support)
     assert outcome() != want
 
 
