@@ -467,23 +467,37 @@ def is_m_generated(n: Submodule) -> bool:
     return trace(n.ambient, inner).order() == inner.size()
 
 
+def product_images(k: Submodule) -> list[IntMatrix]:
+    """The matrices G·inc, one per span row G of Hom(M, K), that carry the
+    ambient M into itself through K; K_M L is read from them for every L."""
+    m = k.ambient
+    inner_k, inc = extract(k)
+    return [_unflatten(m, inner_k, g).then(inc).matrix for g in hom_group(m, inner_k).span]
+
+
+def product_from_images(images: Sequence[IntMatrix], l: Submodule) -> Submodule:
+    """K_M L from the ``product_images`` of K: the canonical form of the
+    rows of L·G·inc over every image G·inc."""
+    rows: list[IntVector] = []
+    for a in images:
+        rows += linalg.mat_mul(l.gens, a)
+    return Submodule(l.ambient, linalg.subgroup_canonical_form(rows, l.ambient.moduli))
+
+
 def product_submodules(k: Submodule, l: Submodule) -> Submodule:
     """The submodule product K_M L = sum of f(L) over f in Hom(M, K).
 
     Both K and L live in the same ambient M; homs into the extracted K are
     pushed back into M through the inclusion.  So K_M L is generated by the
     rows of L·G·inc, for the generators L of L and each span row G of
-    Hom(M, K); the canonical form takes them mod the moduli.
+    Hom(M, K); the canonical form takes them mod the moduli.  The images
+    G·inc depend on K alone, so ``lab.ProductTable`` forms them once per K
+    with ``product_images`` and reads every K_M L through
+    ``product_from_images``, as this definition does.
     """
     if k.ambient != l.ambient:
         raise ValueError("product: submodules of different modules")
-    m = k.ambient
-    inner_k, inc = extract(k)
-    rows: list[IntVector] = []
-    for g in hom_group(m, inner_k).span:
-        rows += linalg.mat_mul(l.gens, _unflatten(m, inner_k, g).then(inc).matrix)
-    canon = linalg.subgroup_canonical_form(rows, m.moduli)
-    return Submodule(m, canon)
+    return product_from_images(product_images(k), l)
 
 
 @lru_cache(maxsize=None)

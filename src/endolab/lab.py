@@ -25,7 +25,8 @@ from .homs import (
     image,
     is_fully_invariant,
     is_m_generated,
-    product_submodules,
+    product_from_images,
+    product_images,
     summand_test,
 )
 from .modules import (
@@ -481,11 +482,25 @@ def fully_invariant_submodules(m: FiniteModule, caps: Caps) -> list[Submodule]:
 
 class ProductTable:
     """The fully invariant submodules of a module, largest first, and their
-    products K_M L, each computed the first time a test reads it."""
+    products K_M L, each computed the first time a test reads it.
+
+    The images G·inc of Hom(M, K_i) in End(M) depend on K_i alone, so each
+    row i forms them once, the first time a pair (i, ·) is multiplied, and
+    every K_i M L of that row is read from them.
+    """
 
     def __init__(self, m: FiniteModule, caps: Caps) -> None:
         self.fi = fully_invariant_submodules(m, caps)
+        self._images: dict[int, list[linalg.IntMatrix]] = {}
         self._products: dict[tuple[int, int], Submodule] = {}
+
+    def _product(self, i: int, j: int) -> Submodule:
+        """K_i M K_j, from row i's images, computed on first read."""
+        if (i, j) not in self._products:
+            if i not in self._images:
+                self._images[i] = product_images(self.fi[i])
+            self._products[i, j] = product_from_images(self._images[i], self.fi[j])
+        return self._products[i, j]
 
     def _first_inside(self, n: Submodule, diagonal: bool) -> Optional[tuple[Submodule, Submodule]]:
         """The search of both failures, in ``itertools.product`` order over the
@@ -493,9 +508,7 @@ class ProductTable:
         outside = [i for i, k in enumerate(self.fi) if not n.contains_sub(k)]
         pairs = zip(outside, outside) if diagonal else itertools.product(outside, repeat=2)
         for i, j in pairs:
-            if (i, j) not in self._products:
-                self._products[i, j] = product_submodules(self.fi[i], self.fi[j])
-            if n.contains_sub(self._products[i, j]):
+            if n.contains_sub(self._product(i, j)):
                 return self.fi[i], self.fi[j]
         return None
 
@@ -586,11 +599,23 @@ def is_k_nonsingular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
 
 @undecided_on_cap
 def is_polyform(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
-    """No nonzero partial homomorphism K -> M has kernel essential in K."""
+    """No nonzero partial homomorphism K -> M has kernel essential in K.
+
+    Hom(K, M) is scanned once per extracted module: a K whose extracted
+    module equals an earlier one's is skipped.  Both the cap check and
+    ``first_essential_kernel_hom`` read only that module's value, through
+    ``hom_group``, which is keyed by value, so they repeat exactly; the
+    earlier K passed both, or the loop would have returned, so the first
+    failing K and its witness (K, f) are unchanged.
+    """
+    scanned: set[FiniteModule] = set()
     for k_sub in enumerate_submodules(m, caps.submodules):
         if k_sub.is_zero():
             continue
         inner, _ = extract(k_sub)
+        if inner in scanned:
+            continue
+        scanned.add(inner)
         homs = hom_group(inner, m)
         if homs.size() > caps.homs:
             return Verdict.undecided(

@@ -343,22 +343,59 @@ def test_prime_and_semiprime_equal_the_eager_loops(caps):
 
 
 def test_each_product_is_computed_once_per_call(monkeypatch):
-    computed = collections.Counter()
-    product = lab.product_submodules
+    """Each K's images of Hom(M, K) are formed at most once per call, and
+    each K_M L is read from them at most once."""
+    formed, computed = collections.Counter(), collections.Counter()
+    factor_of = {}
+    form, multiply = lab.product_images, lab.product_from_images
 
-    def counted(k, l):
-        computed[k, l] += 1
-        return product(k, l)
+    def counted_images(k):
+        formed[k] += 1
+        images = form(k)
+        factor_of[id(images)] = k
+        return images
 
-    monkeypatch.setattr(lab, "product_submodules", counted)
+    def counted_product(images, l):
+        computed[factor_of[id(images)], l] += 1
+        return multiply(images, l)
+
+    monkeypatch.setattr(lab, "product_images", counted_images)
+    monkeypatch.setattr(lab, "product_from_images", counted_product)
     for call, n in (
         (lab.check_fi_maximal_is_prime, 30),
         (lab.check_prime_quotients, 30),
         (lab.spec_of, 60),
     ):
+        formed.clear()
         computed.clear()
         call(reg(n), CAPS)
         assert computed and max(computed.values()) == 1, (call.__name__, n, computed)
+        assert max(formed.values()) == 1, (call.__name__, n, formed)
+        assert {k for k, _ in computed} == set(formed), (call.__name__, n)
+
+
+def _product_corpus():
+    """The corpus modules, the regular modules of UT2(Z/4) and Z/60, and the
+    demo workspace's modules."""
+    ut = modules.regular_module(
+        rings.matrix_ring_presentation(2, 4, upper_triangular=True), name="UT2(Z/4)")
+    path = os.path.join(os.path.dirname(__file__), "..", "workspaces", "demo.json")
+    demo = list(workspace.parse_workspace(path).modules.values())
+    return _cap_corpus() + _memo_corpus() + [ut, modules.regular_module(z(60))] + demo
+
+
+def test_the_table_products_equal_the_product_definition():
+    """Every K_M L that a product table reads from row K's images equals
+    ``homs.product_submodules(K, L)``, over every pair of fully invariant
+    submodules, row by row as the searches fill the table."""
+    pairs = 0
+    for m in _product_corpus():
+        table = lab.ProductTable(m, CAPS)
+        for i, j in itertools.product(range(len(table.fi)), repeat=2):
+            want = homs.product_submodules(table.fi[i], table.fi[j])
+            assert table._product(i, j).gens == want.gens, (m.name, i, j)
+            pairs += 1
+    assert pairs > 700, pairs
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +438,19 @@ def _polyform_per_hom(m, caps):
     return Verdict.yes()
 
 
+def e1R_plus_top():
+    """e1R ⊕ S, S its top e1R/Soc: of its two submodules of additive type
+    (2, 2), the semisimple Soc ⊕ S comes first and passes, and e1R, which
+    maps onto S with essential kernel, fails."""
+    p = e1R()
+    top, _ = modules.quotient(p, modules.socle(p, CAPS.submodules))
+    total, _, _ = modules.direct_sum([p, top])
+    return total
+
+
 @pytest.mark.parametrize("caps", (CAPS,) + TIGHT_CAPS, ids=str)
 def test_socle_predicates_equal_the_per_hom_definition(caps):
-    for m in _cap_corpus() + _memo_corpus():
+    for m in _cap_corpus() + _memo_corpus() + [e1R_plus_top()]:
         for fast, reference in (
             (lab.is_k_nonsingular, _k_nonsingular_per_hom),
             (lab.is_polyform, _polyform_per_hom),

@@ -30,7 +30,8 @@ from test_linalg import (
 from test_lab import (
     PRIMARY_LOCAL, _azumaya_per_element, _distributive_boolean_eager, _first_failure,
     _irregular_on, _irregular_orbit, _k_nonsingular_per_hom, _memoized, _observable,
-    _prime_in_eager, _sip_all_pairs, _ssp_all_pairs, plane, reg, sum_2_3)
+    _polyform_per_hom, _prime_in_eager, _sip_all_pairs, _ssp_all_pairs, e1R_plus_top, plane,
+    reg, sum_2_3)
 from test_modules import (
     _generated_by_closure, _generator_lists, _maximal_and_radical_by_all_pairs,
     _submodules_by_sum_closure)
@@ -425,17 +426,14 @@ def test_the_fallback_sweep_returns_the_part_hom(monkeypatch):
     assert _first_failing_disagrees(g)
 
 
-def _first_inside_keyed_by_one_index(self, n, diagonal):
-    """``ProductTable._first_inside`` with its products kept under the first
+def _product_keyed_by_one_index(self, i, j):
+    """``ProductTable._product`` with its products kept under the first
     index only, so K_M L is read back for every later L."""
-    outside = [i for i, k in enumerate(self.fi) if not n.contains_sub(k)]
-    pairs = zip(outside, outside) if diagonal else itertools.product(outside, repeat=2)
-    for i, j in pairs:
-        if i not in self._products:
-            self._products[i] = lab.product_submodules(self.fi[i], self.fi[j])
-        if n.contains_sub(self._products[i]):
-            return self.fi[i], self.fi[j]
-    return None
+    if i not in self._products:
+        if i not in self._images:
+            self._images[i] = lab.product_images(self.fi[i])
+        self._products[i] = lab.product_from_images(self._images[i], self.fi[j])
+    return self._products[i]
 
 
 def _prime_disagreements(m):
@@ -449,8 +447,62 @@ def test_the_product_table_keyed_by_one_index(monkeypatch):
     looks prime."""
     m = reg(4)
     assert _prime_disagreements(m) == []
-    monkeypatch.setattr(lab.ProductTable, "_first_inside", _first_inside_keyed_by_one_index)
+    monkeypatch.setattr(lab.ProductTable, "_product", _product_keyed_by_one_index)
     assert _prime_disagreements(m)
+
+
+def _product_from_the_images_of_j(self, i, j):
+    """``ProductTable._product`` reading the pair (i, j) from row j's
+    images, so it computes K_j M K_j in place of K_i M K_j."""
+    if (i, j) not in self._products:
+        if j not in self._images:
+            self._images[j] = lab.product_images(self.fi[j])
+        self._products[i, j] = lab.product_from_images(self._images[j], self.fi[j])
+    return self._products[i, j]
+
+
+def test_the_product_table_reads_the_images_of_the_second_factor(monkeypatch):
+    """In Z/4 the first pair outside zero with product inside is
+    (2Z/4, 2Z/4).  Read from the second factor's images, (Z/4, 2Z/4)
+    already gives (2Z/4)_M (2Z/4) = 0, and the witness moves."""
+    m = reg(4)
+    assert _prime_disagreements(m) == []
+    monkeypatch.setattr(lab.ProductTable, "_product", _product_from_the_images_of_j)
+    assert _prime_disagreements(m)
+
+
+@undecided_on_cap
+def _polyform_keyed_on_the_additive_type(m, caps=Caps()):
+    """``is_polyform`` skipping a K whose extracted module has the additive
+    type of an earlier one, though its action may differ."""
+    scanned = set()
+    for k_sub in modules.enumerate_submodules(m, caps.submodules):
+        if k_sub.is_zero():
+            continue
+        inner, _ = modules.extract(k_sub)
+        if inner.moduli in scanned:
+            continue
+        scanned.add(inner.moduli)
+        hg = homs.hom_group(inner, m)
+        if hg.size() > caps.homs:
+            return Verdict.undecided(f"|Hom(K, M)| = {hg.size()} exceeds hom cap {caps.homs}")
+        f = lab.first_essential_kernel_hom(hg, caps.submodules)
+        if f is not None:
+            return Verdict.no(
+                witness=(k_sub, f), reason="partial homomorphism with essential kernel")
+    return Verdict.yes()
+
+
+def test_polyform_keyed_on_the_additive_type(monkeypatch):
+    """In e1R ⊕ S, S the top of e1R, the semisimple submodule Soc ⊕ S of
+    type (2, 2) passes first; keyed on that type, e1R is skipped, and the
+    first failing K moves to the whole module."""
+    m = e1R_plus_top()
+    want = _observable(_polyform_per_hom(m, CAPS))
+    assert want[0] is False
+    assert _observable(lab.is_polyform(m, CAPS)) == want
+    monkeypatch.setattr(lab, "is_polyform", _polyform_keyed_on_the_additive_type)
+    assert _observable(lab.is_polyform(m, CAPS)) != want
 
 
 def test_the_triple_filter_also_skips_disjoint_pairs(monkeypatch):
