@@ -100,10 +100,15 @@ def first_essential_kernel_hom(homs: HomGroup, cap: int) -> Optional[ModuleHom]:
 # ---------------------------------------------------------------------------
 
 
-@memo
 def is_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """End ring von Neumann regular; cross-checked against the kernel/image
-    summand characterization."""
+    summand characterization.
+
+    It keeps no memo: both routes, ``rings.is_regular`` and
+    ``_endoregular_via_summands``, keep their own, so a repeated call only
+    merges two remembered verdicts again, as ``is_abelian_endoregular``
+    does, under a label that names the caller's module.
+    """
     return agree(
         f"endoregular({m.name})",
         _endoregular_via_ring(m, caps),
@@ -127,21 +132,19 @@ def _sweep_ker_im(m: FiniteModule, caps: Caps, pred: Callable[[Submodule, Submod
     the unit scalars.  For m = B^k each block permutation P is an
     automorphism of m, Ker(P·f·Q) = (Ker f)·P⁻¹ and Im(P·f·Q) = (Im f)·Q.
     Automorphisms keep summands, so ``_both_summands`` is constant on the
-    two-sided orbits f -> P·f·Q.  ``_ker_im_complementary`` and
-    ``_ker_im_span`` compare Ker f with Im f, so they need the same
-    automorphism on both sides and are constant on the conjugates P·f·P⁻¹.
+    two-sided orbits f -> P·f·Q.  ``_ker_im_complementary`` compares Ker f
+    with Im f, so it needs the same automorphism on both sides and is
+    constant on the conjugates P·f·P⁻¹.
 
     Primary-local, with e_p as in ``first_failing``: homs preserve primary
     components, so Ker(e_p·f) = (Ker f)_p ⊕ m_p′ and Im(e_p·f) = (Im f)_p,
     where m_p′ is the sum of the other primary components of m.  Being a
-    summand, orders, sums and intersections all split by primes, so each
-    predicate holds at f iff it holds at e_p·f for every prime p, which is
-    more than primary-local asks.  For ``_both_summands``, (Ker f)_p ⊕ m_p′
-    is a summand iff (Ker f)_p is, and (Im f)_p is one iff it is one of m_p.
-    For ``_ker_im_complementary``, |Ker(e_p·f)|·|Im(e_p·f)| = |m| iff
-    |(Ker f)_p|·|(Im f)_p| = |m_p|, and Ker(e_p·f) ∩ Im(e_p·f) =
-    (Ker f ∩ Im f)_p.  For ``_ker_im_span``, Ker(e_p·f) + Im(e_p·f) =
-    (Ker f + Im f)_p ⊕ m_p′.
+    summand and intersections split by primes, so each predicate holds at
+    f iff it holds at e_p·f for every prime p, which is more than
+    primary-local asks.  For ``_both_summands``, (Ker f)_p ⊕ m_p′ is a
+    summand iff (Ker f)_p is, and (Im f)_p is one iff it is one of m_p.
+    For ``_ker_im_complementary``, Ker(e_p·f) ∩ Im(e_p·f) =
+    (Ker f ∩ Im f)_p.
     """
     homs = end_homs(m, caps.homs)
     phi = homs.first_failing(
@@ -152,6 +155,7 @@ def _sweep_ker_im(m: FiniteModule, caps: Caps, pred: Callable[[Submodule, Submod
 @memo
 def _endoregular_via_summands(m: FiniteModule, caps: Caps) -> Verdict:
     """Every endomorphism has summand kernel and image.  Memoized because
+    every ``is_endoregular`` call reads it, and
     ``check_ker_im_summands_in_powers`` asks it of M ⊕ M, which is also the
     sum of a family (M, M)."""
     return _sweep_ker_im(m, caps, _both_summands, True, "kernel or image not a summand")
@@ -238,8 +242,12 @@ def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
 
 
 def _ker_im_complementary(ker: Submodule, im: Submodule) -> bool:
-    """M = Ker ⊕ Im: the orders multiply to |M| and the two meet in 0."""
-    return ker.order() * im.order() == ker.ambient.size() and submodule_intersect(ker, im).is_zero()
+    """M = Ker ⊕ Im for an endomorphism: the two meet in 0.
+
+    Im ≅ M/Ker, so |Ker|·|Im| = |M| always, and Ker + Im, of order
+    |Ker|·|Im| / |Ker ∩ Im|, is M exactly when Ker ∩ Im = 0.
+    """
+    return submodule_intersect(ker, im).is_zero()
 
 
 @undecided_on_cap
@@ -454,21 +462,6 @@ def five_way_conditions(m: FiniteModule, caps: Caps = Caps()) -> tuple[Verdict, 
 
 
 # ---------------------------------------------------------------------------
-# Hypotheses of the unit-endoregular partial converses
-# ---------------------------------------------------------------------------
-
-
-def im_plus_ker_always_full(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
-    """Im φ + Ker φ = M for every endomorphism φ."""
-    return _sweep_ker_im(m, caps, _ker_im_span, False, "Im + Ker proper")
-
-
-def _ker_im_span(ker: Submodule, im: Submodule) -> bool:
-    """Ker + Im = M."""
-    return submodule_sum(im, ker).order() == ker.ambient.size()
-
-
-# ---------------------------------------------------------------------------
 # Prime and semiprime submodules
 # ---------------------------------------------------------------------------
 
@@ -560,7 +553,6 @@ def spec_of(m: FiniteModule, caps: Caps = Caps()) -> list[Submodule]:
 # ---------------------------------------------------------------------------
 
 
-@memo
 @undecided_on_cap
 def is_quasi_duo(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     for n in maximal_submodules(m, caps.submodules):
@@ -577,7 +569,6 @@ def is_duo(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     return Verdict.yes()
 
 
-@memo
 @undecided_on_cap
 def is_subdirect_of_simples(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """For finite modules: radical zero (every proper submodule sits under a
@@ -887,25 +878,30 @@ def check_unit_converses(m: FiniteModule, caps: Caps) -> Verdict:
     """On a unit endoregular module, each converse hypothesis that holds
     forces abelian endoregularity; vacuous when neither holds.
 
-    The paper's second hypothesis, that idempotents of End(M) commute with
-    units, is read as ``idempotents_central_in_end``.  In any ring,
-    e·x·(1−e) and (1−e)·x·e square to 0, so 1 + e·x·(1−e) and
-    1 + (1−e)·x·e are units.  An idempotent e that commutes with both has
-    e·x·(1−e) = 0 = (1−e)·x·e, so e·x = e·x·e = x·e.  Both readings
-    enumerate End(M) first, so they meet the same cap.
+    Each hypothesis is read from an abelian route.  The first,
+    Im φ + Ker φ = M for every endomorphism φ, is ``abelian_route_ker_im``:
+    Im φ ≅ M/Ker φ, so |Ker φ|·|Im φ| = |M| and
+    |Ker φ + Im φ| = |M| / |Ker φ ∩ Im φ|, and Ker φ + Im φ = M exactly
+    when Ker φ ∩ Im φ = 0.
+
+    The second, that idempotents of End(M) commute with units, means that
+    they are central.  In any ring, e·x·(1−e) and (1−e)·x·e square to 0, so
+    1 + e·x·(1−e) and 1 + (1−e)·x·e are units.  An idempotent e that
+    commutes with both has e·x·(1−e) = 0 = (1−e)·x·e, so e·x = e·x·e = x·e.
+    It is read only once ``is_unit_endoregular`` has found End(M) regular,
+    and a regular ring is abelian regular exactly when its idempotents are
+    central, so it is ``abelian_route_end_ring``, which enumerates End(M)
+    under the same ring-element cap.
+
+    A hypothesis that holds is a route that says yes, and then
+    ``is_abelian_endoregular`` says yes or raises InternalInconsistency.
     """
 
     def conclusion() -> Verdict:
-        hyps = (im_plus_ker_always_full(m, caps), idempotents_central_in_end(m, caps))
-        if not any(h.value for h in hyps):
-            for h in hyps:
-                h.require()
+        end_ring_route, ker_im_route, _ = abelian_endoregular_routes(m, caps)
+        if not (ker_im_route.require() or end_ring_route.require()):
             return Verdict.yes(reason="vacuous: no converse hypothesis holds")
-        if not is_abelian_endoregular(m, caps).require():
-            raise InternalInconsistency(
-                f"unit endoregular module {m.name} satisfies a converse hypothesis "
-                "but is not abelian endoregular"
-            )
+        is_abelian_endoregular(m, caps).require()
         return Verdict.yes()
 
     return implies(is_unit_endoregular(m, caps), conclusion)

@@ -16,7 +16,7 @@ import pytest
 
 from endolab import homs, lab, linalg, modules, rings, workspace
 from endolab.verdicts import (
-    CapExceeded, Caps, InternalInconsistency, Verdict, assuming, both, undecided_on_cap)
+    CapExceeded, Caps, InternalInconsistency, Verdict, assuming, both, implies, undecided_on_cap)
 from support import zero_module
 
 CAPS = Caps()
@@ -98,10 +98,8 @@ def test_five_way_suite():
 
 def test_unit_suite():
     assert lab.is_unit_endoregular(reg(6), CAPS).value is True
-    assert lab.im_plus_ker_always_full(reg(6), CAPS).value is True
     assert lab.idempotents_central_in_end(reg(6), CAPS).value is True
     assert lab.check_unit_converses(reg(6), CAPS).value is True
-    assert lab.im_plus_ker_always_full(plane(), CAPS).value is False
     assert lab.idempotents_central_in_end(plane(), CAPS).value is False
     zero = zero_module(z(2))
     assert lab.is_unit_endoregular(zero, CAPS).value is True
@@ -651,7 +649,6 @@ PRIMARY_LOCAL = (
      "kernel or image not a summand", True),
     ("complementary", lab._ker_im_complementary, lab.abelian_route_ker_im, "M != Ker ⊕ Im",
      False),
-    ("span", lab._ker_im_span, lab.im_plus_ker_always_full, "Im + Ker proper", False),
 )
 
 
@@ -709,6 +706,22 @@ def test_ker_im_routes_equal_the_plain_sweep(caps):
                 return Verdict.yes() if f is None else Verdict.no(witness=f, reason=reason)
 
             assert _observable(route(m, caps)) == _observable(plain(m, caps)), (name, m.name)
+
+
+def test_ker_plus_im_is_m_exactly_when_ker_meets_im_in_zero():
+    """For every endomorphism f of the Ker/Im corpus, |Ker f|·|Im f| = |M|,
+    so Ker f + Im f = M exactly when Ker f ∩ Im f = 0: the complementary
+    predicate needs no order product, and ``abelian_route_ker_im`` is the
+    converse hypothesis Im φ + Ker φ = M of ``check_unit_converses``."""
+    seen = collections.Counter()
+    for m in _powers(_cap_corpus() + _memo_corpus() + _power_blocks(), CAPS.homs):
+        for f in homs.hom_group(m, m).iter_homs():
+            ker, im = homs.kernel_and_image(f)
+            assert ker.order() * im.order() == m.size(), (m.name, f.matrix)
+            spans = modules.submodule_sum(ker, im).order() == m.size()
+            assert spans == modules.submodule_intersect(ker, im).is_zero(), (m.name, f.matrix)
+            seen[spans] += 1
+    assert seen[True] and seen[False], seen
 
 
 # ---------------------------------------------------------------------------
@@ -859,12 +872,62 @@ def _idempotents_commute_with_units(m, caps):
     return Verdict.yes()
 
 
+@undecided_on_cap
+def _im_plus_ker_always_full(m, caps):
+    """Reference: the first endomorphism φ, in ``iter_homs`` order, with
+    Im φ + Ker φ ≠ M."""
+    full = lambda ker, im: modules.submodule_sum(im, ker).order() == m.size()
+    f = _first_failure(lab.end_homs(m, caps.homs), full)
+    return Verdict.yes() if f is None else Verdict.no(witness=f, reason="Im + Ker proper")
+
+
+@undecided_on_cap
+def _unit_converses_reference(m, caps, central=None):
+    """Reference: ``check_unit_converses`` deciding its hypotheses on its
+    own, by the Ker + Im sweep above and by ``central`` (default
+    ``lab.idempotents_central_in_end``), not through the abelian routes."""
+    central = central or lab.idempotents_central_in_end
+
+    def conclusion():
+        hyps = (_im_plus_ker_always_full(m, caps), central(m, caps))
+        if not any(h.value for h in hyps):
+            for h in hyps:
+                h.require()
+            return Verdict.yes(reason="vacuous: no converse hypothesis holds")
+        if not lab.is_abelian_endoregular(m, caps).require():
+            raise InternalInconsistency(f"{m.name}: a converse hypothesis holds, "
+                                        "but it is not abelian endoregular")
+        return Verdict.yes()
+
+    return implies(lab.is_unit_endoregular(m, caps), conclusion)
+
+
+def _unit_converses_both_ways(m, caps):
+    """``check_unit_converses`` on m, and the reference, as observed."""
+    got = lab.check_unit_converses(m, caps)
+    return _observable(got), _observable(_unit_converses_reference(m, caps))
+
+
 @pytest.mark.parametrize("caps", (CAPS,) + TIGHT_CAPS, ids=str)
-def test_central_idempotents_equal_idempotents_commuting_with_units(caps, monkeypatch):
+def test_unit_converses_equal_the_check_deciding_its_own_hypotheses(caps):
+    """Read from the abelian routes, the converse hypotheses give the same
+    value, reason and witness as the Ker + Im sweep and the central
+    idempotents of End(M), on the Ker/Im corpus; under the default caps the
+    check both holds with a hypothesis and holds vacuously."""
+    reasons = collections.Counter()
+    for m in _powers(_cap_corpus() + _memo_corpus() + _power_blocks(), CAPS.homs):
+        got, want = _unit_converses_both_ways(m, caps)
+        assert got == want, (m.name, got, want)
+        reasons[got[:2]] += 1
+    vacuous = (True, "vacuous: no converse hypothesis holds")
+    assert caps != CAPS or (reasons[True, ""] >= 5 and reasons[vacuous] >= 5), reasons
+
+
+@pytest.mark.parametrize("caps", (CAPS,) + TIGHT_CAPS, ids=str)
+def test_central_idempotents_equal_idempotents_commuting_with_units(caps):
     """The two readings of the unit hypothesis agree, and so does every
     ``check_unit_converses`` record built on either of them."""
     corpus = _cap_corpus() + _memo_corpus()
-    converses = [lab.check_unit_converses(m, caps) for m in corpus]
     false = 0
     for m in corpus:
         got = lab.idempotents_central_in_end(m, caps)
@@ -872,9 +935,8 @@ def test_central_idempotents_equal_idempotents_commuting_with_units(caps, monkey
         assert got.value == want.value, m.name
         assert got.decided or got.reason == want.reason, m.name
         false += got.value is False
-    monkeypatch.setattr(lab, "idempotents_central_in_end", _idempotents_commute_with_units)
-    for m, got in zip(corpus, converses):
-        assert _observable(got) == _observable(lab.check_unit_converses(m, caps)), m.name
+        converse = _unit_converses_reference(m, caps, _idempotents_commute_with_units)
+        assert _observable(lab.check_unit_converses(m, caps)) == _observable(converse), m.name
     assert caps != CAPS or false >= 5, false
 
 
@@ -938,8 +1000,7 @@ def test_memo_answers_equal_fresh_computation_in_either_order():
     module_routes = _memoized(lab)
     ring_routes = _memoized(rings)
     assert {f.__name__ for f in module_routes} == {
-        "is_endoregular", "_endoregular_via_summands", "abelian_endoregular_routes",
-        "is_quasi_duo", "is_subdirect_of_simples"}
+        "_endoregular_via_summands", "abelian_endoregular_routes"}
     assert {f.__name__ for f in ring_routes} == {"is_regular", "is_abelian_regular"}
     corpus = _memo_corpus()
     for order in (corpus, corpus[::-1]):

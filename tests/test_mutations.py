@@ -18,7 +18,7 @@ import math
 import pytest
 
 from endolab import homs, incidence, lab, linalg, modules, rings
-from endolab.verdicts import Caps, Verdict, undecided_on_cap
+from endolab.verdicts import Caps, Verdict, implies, undecided_on_cap
 from support import is_module_hom
 from test_homs import (
     _hom_system_by_columns, _orbit_walk_to_the_end, _summand_disagreements,
@@ -30,8 +30,8 @@ from test_linalg import (
 from test_lab import (
     PRIMARY_LOCAL, _azumaya_per_element, _distributive_boolean_eager, _first_failure,
     _irregular_on, _irregular_orbit, _k_nonsingular_per_hom, _memoized, _observable,
-    _polyform_per_hom, _prime_in_eager, _sip_all_pairs, _ssp_all_pairs, e1R_plus_top, plane,
-    reg, sum_2_3)
+    _polyform_per_hom, _prime_in_eager, _sip_all_pairs, _ssp_all_pairs, _unit_converses_both_ways,
+    e1R_plus_top, plane, reg, sum_2_3)
 from test_modules import (
     _generated_by_closure, _generator_lists, _maximal_and_radical_by_all_pairs,
     _submodules_by_sum_closure)
@@ -591,6 +591,36 @@ def test_the_two_sided_group_for_ker_im_complementary(unmemoized):
     block_permutations = homs.block_permutations
     unmemoized.setattr(lab, "block_permutations", lambda m, two_sided: block_permutations(m, True))
     assert _route_disagrees("complementary", m)
+
+
+def test_ker_im_complementary_by_orders_alone(unmemoized):
+    """For an endomorphism |Ker|·|Im| = |M| always, so the order product
+    alone says yes everywhere.  On Z/2 ⊕ Z/2 the Ker/Im route then says yes
+    while End(M) = M2(F2) has a non-central idempotent, and the suite
+    records the route disagreement."""
+    m = plane()
+    assert _inconsistencies(m) == []
+    unmemoized.setattr(lab, "_ker_im_complementary",
+                       lambda ker, im: ker.order() * im.order() == ker.ambient.size())
+    assert _inconsistencies(m)
+
+
+def _unit_converses_with_no_hypothesis(m, caps):
+    """``check_unit_converses`` as if no converse hypothesis ever held."""
+    return implies(lab.is_unit_endoregular(m, caps),
+                   lambda: Verdict.yes(reason="vacuous: no converse hypothesis holds"))
+
+
+def test_unit_converses_with_no_hypothesis(unmemoized):
+    """Z/6 is unit endoregular and both converse hypotheses hold there, so
+    the reference passes with the reason "", where the broken check passes
+    vacuously."""
+    m = reg(6)
+    got, want = _unit_converses_both_ways(m, CAPS)
+    assert got == want == (True, "", None)
+    unmemoized.setattr(lab, "check_unit_converses", _unit_converses_with_no_hypothesis)
+    got, want = _unit_converses_both_ways(m, CAPS)
+    assert got != want and got[1].startswith("vacuous: "), got
 
 
 class _WalksKeyedWithoutThePermutations(dict):
