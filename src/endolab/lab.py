@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from . import linalg, rings
 from .homs import (
@@ -33,6 +33,7 @@ from .modules import (
     FiniteModule,
     ModuleHom,
     Submodule,
+    SubmoduleLattice,
     coordinate_system,
     coordinates_in_subgroup,
     direct_sum,
@@ -270,19 +271,41 @@ def is_unit_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def direct_summands(m: FiniteModule, caps: Caps) -> list[Submodule]:
-    return [n for n in enumerate_submodules(m, caps.submodules) if summand_test(n) is not None]
+T = TypeVar("T", bound="LatticeTable")
 
 
-class SummandLattice:
+class LatticeTable:
+    """A table read off one submodule lattice, kept in its ``tables``.
+
+    ``of(m, caps)`` reads the table of ``enumerate_submodules(m,
+    caps.submodules)``, built the first time it is read.  A table is built
+    from the lattice alone, and every test it makes of a member, such as
+    ``summand_test`` or ``is_fully_invariant``, takes no cap.  So the table
+    depends on nothing but the lattice's key (m, caps.submodules), and the
+    one kept on the lattice answers every read with an equal key.
+    """
+
+    @classmethod
+    def of(cls: type[T], m: FiniteModule, caps: Caps) -> T:
+        lattice = enumerate_submodules(m, caps.submodules)
+        table = lattice.tables.get(cls)
+        if table is None:
+            table = lattice.tables[cls] = cls(lattice)
+        return table
+
+
+class SummandLattice(LatticeTable):
     """The direct summands of a module and their pairwise sums and
     intersections, each computed the first time a test reads it, and the
     pairs and triples of summands in which none contains another.
-    ``every_submodule`` says whether every submodule is a summand."""
+    ``every_submodule`` says whether every submodule is a summand.
 
-    def __init__(self, m: FiniteModule, caps: Caps) -> None:
-        self.summands = direct_summands(m, caps)
-        self.every_submodule = len(self.summands) == len(enumerate_submodules(m, caps.submodules))
+    ``summand_test`` takes no cap, so the table depends on the submodule
+    lattice alone and is kept on it (``LatticeTable``)."""
+
+    def __init__(self, lattice: SubmoduleLattice) -> None:
+        self.summands = [n for n in lattice if summand_test(n) is not None]
+        self.every_submodule = len(self.summands) == len(lattice)
         self.orders = [a.order() for a in self.summands]
         self._joins: dict[tuple[int, int], Submodule] = {}
         self._meets: dict[tuple[int, int], Submodule] = {}
@@ -330,7 +353,7 @@ def _pairs_combine_to_summands(m: FiniteModule, caps: Caps,
     """"No" with the first incomparable pair of summands whose ``combine``
     is not a summand, else "yes", which it is at once when every submodule
     is a summand."""
-    lattice = SummandLattice(m, caps)
+    lattice = SummandLattice.of(m, caps)
     if lattice.every_submodule:
         return Verdict.yes()
     for i, j in lattice.incomparable_pairs():
@@ -389,7 +412,7 @@ def is_distributive_boolean(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     product order has B before C, and since a skipped triple never fails,
     the incomparable triples with B before C find that same triple first.
     """
-    lattice = SummandLattice(m, caps)
+    lattice = SummandLattice.of(m, caps)
     summands = lattice.summands
     for i, j, k in lattice.incomparable_triples():
         lhs = submodule_intersect(summands[i], lattice.join(j, k))
@@ -466,24 +489,23 @@ def five_way_conditions(m: FiniteModule, caps: Caps = Caps()) -> tuple[Verdict, 
 # ---------------------------------------------------------------------------
 
 
-def fully_invariant_submodules(m: FiniteModule, caps: Caps) -> list[Submodule]:
-    """Fully invariant submodules, largest first (witness search order)."""
-    subs = [n for n in enumerate_submodules(m, caps.submodules) if is_fully_invariant(n)]
-    subs.sort(key=lambda n: (-n.order(), n.gens))
-    return subs
-
-
-class ProductTable:
-    """The fully invariant submodules of a module, largest first, and their
-    products K_M L, each computed the first time a test reads it.
+class ProductTable(LatticeTable):
+    """The fully invariant submodules of a module, largest first (the
+    witness search order), and their products K_M L, each computed the
+    first time a test reads it.
 
     The images G·inc of Hom(M, K_i) in End(M) depend on K_i alone, so each
     row i forms them once, the first time a pair (i, ·) is multiplied, and
     every K_i M L of that row is read from them.
+
+    ``is_fully_invariant``, ``product_images`` and ``product_from_images``
+    take no cap, so the table depends on the submodule lattice alone and is
+    kept on it (``LatticeTable``).
     """
 
-    def __init__(self, m: FiniteModule, caps: Caps) -> None:
-        self.fi = fully_invariant_submodules(m, caps)
+    def __init__(self, lattice: SubmoduleLattice) -> None:
+        self.fi = sorted((n for n in lattice if is_fully_invariant(n)),
+                         key=lambda n: (-n.order(), n.gens))
         self._images: dict[int, list[linalg.IntMatrix]] = {}
         self._products: dict[tuple[int, int], Submodule] = {}
 
@@ -520,7 +542,7 @@ def is_prime_in(n: Submodule, caps: Caps = Caps()) -> Verdict:
     """n proper fully invariant, and K_M L ⊆ n forces K ⊆ n or L ⊆ n for
     fully invariant K, L."""
     _require_proper_fully_invariant(n)
-    pair = ProductTable(n.ambient, caps).prime_failure(n)
+    pair = ProductTable.of(n.ambient, caps).prime_failure(n)
     if pair is not None:
         return Verdict.no(witness=pair, reason="product inside, factors outside")
     return Verdict.yes()
@@ -529,7 +551,7 @@ def is_prime_in(n: Submodule, caps: Caps = Caps()) -> Verdict:
 @undecided_on_cap
 def is_semiprime_in(n: Submodule, caps: Caps = Caps()) -> Verdict:
     _require_proper_fully_invariant(n)
-    k = ProductTable(n.ambient, caps).semiprime_failure(n)
+    k = ProductTable.of(n.ambient, caps).semiprime_failure(n)
     if k is not None:
         return Verdict.no(witness=k, reason="square inside, factor outside")
     return Verdict.yes()
@@ -543,8 +565,8 @@ def _require_proper_fully_invariant(n: Submodule) -> None:
 
 
 def spec_of(m: FiniteModule, caps: Caps = Caps()) -> list[Submodule]:
-    """All prime submodules of m, read from one product table."""
-    table = ProductTable(m, caps)
+    """All prime submodules of m, read from its product table."""
+    table = ProductTable.of(m, caps)
     return [n for n in table.fi if not n.is_full() and table.prime_failure(n) is None]
 
 
@@ -799,7 +821,7 @@ def check_prime_iff_maximal(m: FiniteModule, caps: Caps) -> Verdict:
 def check_fi_maximal_is_prime(m: FiniteModule, caps: Caps) -> Verdict:
     """On projective members, a submodule maximal in the lattice of fully
     invariant submodules is prime."""
-    table = ProductTable(m, caps)
+    table = ProductTable.of(m, caps)
     # M is the largest fully invariant submodule, so it leads table.fi
     for n in maximal_members(table.fi[1:]):
         pair = table.prime_failure(n)
@@ -812,8 +834,9 @@ def check_fi_maximal_is_prime(m: FiniteModule, caps: Caps) -> Verdict:
 def check_prime_quotients(m: FiniteModule, caps: Caps) -> Verdict:
     """Zero is prime (semiprime) in M/N whenever N is prime (semiprime) in M.
 
-    M and each quotient M/N read one product table each (M/0 = M reads M's)."""
-    table = ProductTable(m, caps)
+    M and each quotient M/N read the product table kept on their lattice,
+    so M/0 = M reads M's."""
+    table = ProductTable.of(m, caps)
     tests = (ProductTable.prime_failure, ProductTable.semiprime_failure)
     for n in table.fi:
         if n.is_full():
@@ -822,7 +845,7 @@ def check_prime_quotients(m: FiniteModule, caps: Caps) -> Verdict:
         if not holding:
             continue
         q, _ = quotient(m, n)
-        q_table, zero = table if q == m else ProductTable(q, caps), zero_submodule(q)
+        q_table, zero = ProductTable.of(q, caps), zero_submodule(q)
         for test in holding:
             witness = test(q_table, zero)
             if witness is not None:
@@ -1043,7 +1066,8 @@ def analyze(module_id: str, m: FiniteModule, caps: Caps = Caps()) -> PropertyRep
         routes=routes,
         radical_order=unless_capped("radical_order", lambda: radical(m, caps.submodules).order()),
         socle_order=unless_capped("socle_order", lambda: socle(m, caps.submodules).order()),
-        summand_count=unless_capped("summand_count", lambda: len(direct_summands(m, caps))),
+        summand_count=unless_capped(
+            "summand_count", lambda: len(SummandLattice.of(m, caps).summands)),
         spec=unless_capped("spec", lambda: spec_of(m, caps)),
         end_size=hom_group(m, m).size(),
         undecided=undecided,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import prod
 from typing import Iterator, Sequence
 
@@ -262,8 +262,56 @@ def central_pieces(m: FiniteModule, cap: int) -> list[Submodule]:
     return [piece for piece in pieces if not piece.is_zero()]
 
 
+class SubmoduleLattice(tuple):
+    """The submodules of a module, as ``enumerate_submodules`` returns them,
+    and the tables read off them.
+
+    It is a tuple of the submodules, sorted by order and generators, so 0,
+    the one submodule of order 1, comes first, and M, the one of the
+    largest order, comes last.  ``orders``, ``maximal``, ``socle`` and
+    ``radical`` are built the first time they are read, and ``tables``
+    holds what ``lab`` reads off the lattice (``lab.LatticeTable``).  All
+    of them live as long as the lattice, which ``enumerate_submodules``
+    caches, so clearing that cache drops them.
+    """
+
+    @property
+    def ambient(self) -> FiniteModule:
+        return self[0].ambient
+
+    @cached_property
+    def tables(self) -> dict:
+        return {}
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        return tuple(s.order() for s in self)
+
+    @cached_property
+    def maximal(self) -> tuple[Submodule, ...]:
+        """The maximal submodules: the proper ones that no proper one
+        properly contains."""
+        return tuple(maximal_members(self[:-1]))
+
+    @cached_property
+    def socle(self) -> Submodule:
+        """Sum of the minimal submodules: one canonical form of their generators."""
+        nonzero, orders = self[1:], self.orders[1:]
+        minimal = [s for s, o in zip(nonzero, orders)
+                   if not any(properly_contains(s, t, o, ot) for t, ot in zip(nonzero, orders))]
+        rows = [g for s in minimal for g in s.gens]
+        return Submodule(self.ambient, linalg.subgroup_canonical_form(rows, self.ambient.moduli))
+
+    @cached_property
+    def radical(self) -> Submodule:
+        """Intersection of the maximal submodules (the whole module if none)."""
+        if not self.maximal:
+            return full_submodule(self.ambient)
+        return reduce(submodule_intersect, self.maximal)
+
+
 @lru_cache(maxsize=None)
-def enumerate_submodules(m: FiniteModule, cap: int) -> tuple[Submodule, ...]:
+def enumerate_submodules(m: FiniteModule, cap: int) -> SubmoduleLattice:
     """Every submodule, canonical and duplicate-free, sorted by order and
     generators.
 
@@ -284,7 +332,7 @@ def enumerate_submodules(m: FiniteModule, cap: int) -> tuple[Submodule, ...]:
     subs = lattices[0] if lattices else [zero_submodule(m)]
     for lattice in lattices[1:]:
         subs = [submodule_sum(a, b) for a in subs for b in lattice]
-    return tuple(sorted(subs, key=lambda s: (s.order(), s.gens)))
+    return SubmoduleLattice(sorted(subs, key=lambda s: (s.order(), s.gens)))
 
 
 def _sum_closure(m: FiniteModule, piece: Submodule) -> list[Submodule]:
@@ -319,31 +367,16 @@ def maximal_members(subs: Sequence[Submodule]) -> list[Submodule]:
             if not any(properly_contains(t, s, ot, o) for t, ot in zip(subs, orders))]
 
 
-def maximal_submodules(m: FiniteModule, cap: int) -> list[Submodule]:
-    # M is the one submodule of the largest order, so it is sorted last
-    return maximal_members(enumerate_submodules(m, cap)[:-1])
+def maximal_submodules(m: FiniteModule, cap: int) -> tuple[Submodule, ...]:
+    return enumerate_submodules(m, cap).maximal
 
 
 def radical(m: FiniteModule, cap: int) -> Submodule:
-    """Intersection of the maximal submodules (the whole module if none)."""
-    maxes = maximal_submodules(m, cap)
-    if not maxes:
-        return full_submodule(m)
-    acc = maxes[0]
-    for s in maxes[1:]:
-        acc = submodule_intersect(acc, s)
-    return acc
+    return enumerate_submodules(m, cap).radical
 
 
 def socle(m: FiniteModule, cap: int) -> Submodule:
-    """Sum of the minimal submodules: one canonical form of their generators."""
-    # 0 is the one submodule of order 1, so it is sorted first
-    nonzero = enumerate_submodules(m, cap)[1:]
-    orders = [s.order() for s in nonzero]
-    minimal = [s for s, o in zip(nonzero, orders)
-               if not any(properly_contains(s, t, o, ot) for t, ot in zip(nonzero, orders))]
-    rows = [g for s in minimal for g in s.gens]
-    return Submodule(m, linalg.subgroup_canonical_form(rows, m.moduli))
+    return enumerate_submodules(m, cap).socle
 
 
 def is_essential(n: Submodule, cap: int) -> bool:

@@ -80,9 +80,9 @@ def test_ssp_sip():
 
 
 def test_summand_lattice_shape():
-    assert len(lab.direct_summands(reg(6), CAPS)) == 4
-    assert len(lab.direct_summands(reg(2), CAPS)) == 2
-    assert len(lab.direct_summands(plane(), CAPS)) == 5
+    assert len(lab.SummandLattice.of(reg(6), CAPS).summands) == 4
+    assert len(lab.SummandLattice.of(reg(2), CAPS).summands) == 2
+    assert len(lab.SummandLattice.of(plane(), CAPS).summands) == 5
     assert lab.is_distributive_boolean(reg(6), CAPS).value is True
     assert lab.is_distributive_boolean(plane(), CAPS).value is False
     assert lab.is_distributive_boolean(reg(2), CAPS).value is True
@@ -224,9 +224,17 @@ def test_cap_hits_become_undecided_verdicts_that_name_the_cap(caps):
 # ---------------------------------------------------------------------------
 
 
+def _fully_invariant_submodules(m, caps):
+    """Reference: the fully invariant submodules, largest first, from a
+    fresh scan of the lattice."""
+    subs = [n for n in modules.enumerate_submodules(m, caps.submodules)
+            if homs.is_fully_invariant(n)]
+    return sorted(subs, key=lambda n: (-n.order(), n.gens))
+
+
 @undecided_on_cap
 def _prime_in_eager(n, caps):
-    fi = lab.fully_invariant_submodules(n.ambient, caps)
+    fi = _fully_invariant_submodules(n.ambient, caps)
     for k, l in itertools.product(fi, repeat=2):
         prod_kl = homs.product_submodules(k, l)
         if n.contains_sub(prod_kl) and not n.contains_sub(k) and not n.contains_sub(l):
@@ -236,7 +244,7 @@ def _prime_in_eager(n, caps):
 
 @undecided_on_cap
 def _semiprime_in_eager(n, caps):
-    for k in lab.fully_invariant_submodules(n.ambient, caps):
+    for k in _fully_invariant_submodules(n.ambient, caps):
         if n.contains_sub(homs.product_submodules(k, k)) and not n.contains_sub(k):
             return Verdict.no(witness=k, reason="square inside, factor outside")
     return Verdict.yes()
@@ -255,13 +263,13 @@ def _semiprime_module_eager(m, caps):
 
 
 def _spec_eager(m, caps):
-    fi = lab.fully_invariant_submodules(m, caps)
+    fi = _fully_invariant_submodules(m, caps)
     return [n for n in fi if not n.is_full() and _prime_in_eager(n, caps).value is True]
 
 
 @undecided_on_cap
 def _fi_maximal_is_prime_eager(m, caps):
-    fi = lab.fully_invariant_submodules(m, caps)
+    fi = _fully_invariant_submodules(m, caps)
     for n in fi:
         if n.is_full() or any(
             k.contains_sub(n) and not n.contains_sub(k) and not k.is_full() for k in fi
@@ -275,7 +283,7 @@ def _fi_maximal_is_prime_eager(m, caps):
 
 @undecided_on_cap
 def _prime_quotients_eager(m, caps):
-    for n in lab.fully_invariant_submodules(m, caps):
+    for n in _fully_invariant_submodules(m, caps):
         if n.is_full():
             continue
         for holds, quotient_test in (
@@ -321,7 +329,7 @@ def test_prime_and_semiprime_equal_the_eager_loops(caps):
             assert _observable(got) == _observable(reference(m, caps)), (fast.__name__, m.name)
             failures[fast.__name__] += got.value is False
         try:
-            fi = lab.fully_invariant_submodules(m, caps)
+            fi = _fully_invariant_submodules(m, caps)
         except CapExceeded:
             continue
         for n in fi:
@@ -340,9 +348,29 @@ def test_prime_and_semiprime_equal_the_eager_loops(caps):
     assert caps != CAPS or primes > 20 and all(failures[f.__name__] for f in predicates), failures
 
 
-def test_each_product_is_computed_once_per_call(monkeypatch):
-    """Each K's images of Hom(M, K) are formed at most once per call, and
-    each K_M L is read from them at most once."""
+@pytest.fixture
+def own_lattices(monkeypatch):
+    """A lattice cache of the test's own, empty at the start, read by every
+    namespace that binds ``enumerate_submodules``, and every memoized route
+    computed afresh.  A lattice carries the names of the first equal module
+    it was built for, so a test that clears the process's lattices would
+    leave them to disagree with the memoized answers about names; clearing
+    its own leaves both as they were."""
+    lattices = functools.lru_cache(maxsize=None)(modules.enumerate_submodules.__wrapped__)
+    for namespace in (modules, lab, workspace):
+        monkeypatch.setattr(namespace, "enumerate_submodules", lattices)
+    for namespace in (lab, rings):
+        for f in _memoized(namespace):
+            monkeypatch.setattr(namespace, f.__name__, f.__wrapped__)
+    return lattices
+
+
+def test_each_product_is_formed_once_per_lattice(monkeypatch, own_lattices):
+    """Each K's images of Hom(M, K) are formed at most once per lattice, and
+    each K_M L is read from them at most once, across every reader of the
+    product tables: ``spec_of``, ``check_prime_quotients`` (for M and each
+    M/N), ``check_fi_maximal_is_prime``, ``is_prime_in`` and
+    ``is_semiprime_in``."""
     formed, computed = collections.Counter(), collections.Counter()
     factor_of = {}
     form, multiply = lab.product_images, lab.product_from_images
@@ -359,17 +387,66 @@ def test_each_product_is_computed_once_per_call(monkeypatch):
 
     monkeypatch.setattr(lab, "product_images", counted_images)
     monkeypatch.setattr(lab, "product_from_images", counted_product)
-    for call, n in (
-        (lab.check_fi_maximal_is_prime, 30),
-        (lab.check_prime_quotients, 30),
-        (lab.spec_of, 60),
-    ):
-        formed.clear()
-        computed.clear()
-        call(reg(n), CAPS)
-        assert computed and max(computed.values()) == 1, (call.__name__, n, computed)
-        assert max(formed.values()) == 1, (call.__name__, n, formed)
-        assert {k for k, _ in computed} == set(formed), (call.__name__, n)
+    for n in (12, 30, 60):
+        m = reg(n)
+        for call in (lab.spec_of, lab.check_prime_quotients, lab.check_fi_maximal_is_prime):
+            call(m, CAPS)
+        for k in lab.ProductTable.of(m, CAPS).fi[1:]:
+            lab.is_prime_in(k, CAPS)
+            lab.is_semiprime_in(k, CAPS)
+    assert computed and max(computed.values()) == 1, computed
+    assert max(formed.values()) == 1, formed
+    assert {k for k, _ in computed} == set(formed)
+
+
+def _table_answers(m, caps):
+    """Every answer read from the summand lattice or the product table of m
+    (and of its quotients), as it reaches the output stream."""
+    answers = [_observable(f(m, caps)) for f in (
+        lab.has_ssp, lab.has_sip, lab.is_distributive_boolean,
+        lab.check_fi_maximal_is_prime, lab.check_prime_quotients)]
+    answers.append(_spec_or_cap(lab.spec_of, m, caps))
+    answers.append(lab.analyze("probe", m, caps).summand_count)
+    try:
+        fi = _fully_invariant_submodules(m, caps)
+    except CapExceeded:
+        fi = []
+    for n in fi:
+        if not n.is_full():
+            answers += [_observable(lab.is_prime_in(n, caps)),
+                        _observable(lab.is_semiprime_in(n, caps))]
+    return answers
+
+
+@pytest.mark.parametrize("caps", (CAPS,) + TIGHT_CAPS, ids=str)
+def test_shared_tables_answer_as_fresh_tables(caps, monkeypatch, own_lattices):
+    """The summand lattices and product tables kept on the submodule
+    lattices give the answers of a table built afresh for every read, in
+    either order over the corpus, each run from an empty lattice cache.  A
+    lattice keeps the names of the first equal module it was built for, so
+    both runs of an order build their lattices from the same modules."""
+    corpus = _cap_corpus() + _memo_corpus()
+    for order in (corpus, corpus[::-1]):
+        modules.enumerate_submodules.cache_clear()
+        with monkeypatch.context() as fresh:
+            fresh.setattr(lab.LatticeTable, "of", classmethod(
+                lambda cls, m, caps: cls(modules.enumerate_submodules(m, caps.submodules))))
+            want = [_table_answers(m, caps) for m in order]
+        modules.enumerate_submodules.cache_clear()
+        for m, answers in zip(order, want):
+            assert _table_answers(m, caps) == answers, m.name
+
+
+def test_lattice_tables_are_keyed_by_the_lattice(own_lattices):
+    """A table is shared by every caps with the same submodule cap, and
+    ``enumerate_submodules.cache_clear()`` drops it with its lattice."""
+    m = reg(12)
+    for table in (lab.SummandLattice, lab.ProductTable):
+        kept = table.of(m, CAPS)
+        assert table.of(modules.regular_module(z(12), name="other"), Caps(1, 512, 1)) is kept
+        assert table.of(m, Caps(submodules=16)) is not kept
+        modules.enumerate_submodules.cache_clear()
+        assert table.of(m, CAPS) is not kept
 
 
 def _product_corpus():
@@ -388,7 +465,7 @@ def test_the_table_products_equal_the_product_definition():
     submodules, row by row as the searches fill the table."""
     pairs = 0
     for m in _product_corpus():
-        table = lab.ProductTable(m, CAPS)
+        table = lab.ProductTable.of(m, CAPS)
         for i, j in itertools.product(range(len(table.fi)), repeat=2):
             want = homs.product_submodules(table.fi[i], table.fi[j])
             assert table._product(i, j).gens == want.gens, (m.name, i, j)
@@ -463,10 +540,16 @@ def test_is_essential_equals_the_definition_on_every_submodule():
                 n, CAPS.submodules), (m.name, n.gens)
 
 
+def _direct_summands(m, caps):
+    """Reference: the direct summands, from a fresh scan of the lattice."""
+    return [n for n in modules.enumerate_submodules(m, caps.submodules)
+            if homs.summand_test(n) is not None]
+
+
 @undecided_on_cap
 def _distributive_boolean_by_triples(m, caps):
     """Reference: recompute every sum and intersection for every triple."""
-    summands = lab.direct_summands(m, caps)
+    summands = _direct_summands(m, caps)
     for a in summands:
         if not any(modules.submodule_intersect(a, b).is_zero()
                    and modules.submodule_sum(a, b).is_full() for b in summands):
@@ -499,7 +582,7 @@ def test_distributive_boolean_equals_the_triple_loop(caps):
 @undecided_on_cap
 def _ssp_all_pairs(m, caps):
     """Reference: sum every pair of summands, comparable pairs included."""
-    for a, b in itertools.combinations(lab.direct_summands(m, caps), 2):
+    for a, b in itertools.combinations(_direct_summands(m, caps), 2):
         if homs.summand_test(modules.submodule_sum(a, b)) is None:
             return Verdict.no(witness=(a, b), reason="sum of summands not a summand")
     return Verdict.yes()
@@ -508,7 +591,7 @@ def _ssp_all_pairs(m, caps):
 @undecided_on_cap
 def _sip_all_pairs(m, caps):
     """Reference: intersect every pair of summands, comparable pairs included."""
-    for a, b in itertools.combinations(lab.direct_summands(m, caps), 2):
+    for a, b in itertools.combinations(_direct_summands(m, caps), 2):
         if homs.summand_test(modules.submodule_intersect(a, b)) is None:
             return Verdict.no(witness=(a, b), reason="intersection of summands not a summand")
     return Verdict.yes()
@@ -519,7 +602,7 @@ def _distributive_boolean_eager(m, caps):
     """Reference: the full tables of pairwise sums and intersections, a
     complement searched by sum and intersection, then every triple with B
     before C."""
-    summands = lab.direct_summands(m, caps)
+    summands = _direct_summands(m, caps)
     n = len(summands)
     meet = [[None] * n for _ in range(n)]
     join = [[None] * n for _ in range(n)]
@@ -577,7 +660,7 @@ def test_ssp_and_sip_take_no_pair_when_every_submodule_is_a_summand(monkeypatch)
         monkeypatch.setattr(lab, name, lambda a, b, op=op, name=name: made.update([name]) or op(a, b))
     assert lab.has_ssp(cube, CAPS).value is True and lab.has_sip(cube, CAPS).value is True
     assert made == {}
-    lattices = [lab.SummandLattice(m, CAPS) for m in _summand_lattice_corpus()]
+    lattices = [lab.SummandLattice.of(m, CAPS) for m in _summand_lattice_corpus()]
     skipped = [t for t in lattices if t.every_submodule and next(t.incomparable_pairs(), None)]
     assert len(skipped) > 5, len(skipped)
 
@@ -590,7 +673,7 @@ def test_triples_with_a_comparable_pair_are_distributive():
     for m in _summand_lattice_corpus():
         if m.size() > 16:
             continue
-        summands = lab.direct_summands(m, CAPS)
+        summands = _direct_summands(m, CAPS)
         index = range(len(summands))
         join = {(j, k): modules.submodule_sum(summands[j], summands[k])
                 for j, k in itertools.product(index, repeat=2)}

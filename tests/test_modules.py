@@ -300,7 +300,7 @@ def _maximal_and_radical_by_all_pairs(m):
     """Reference: the proper submodules that no other proper submodule
     contains, by membership alone over every pair, and their intersection."""
     proper = [s for s in modules.enumerate_submodules(m, CAP) if not s.is_full()]
-    maxes = [s for s in proper if not any(t != s and t.contains_sub(s) for t in proper)]
+    maxes = tuple(s for s in proper if not any(t != s and t.contains_sub(s) for t in proper))
     rad = modules.full_submodule(m)
     for s in maxes:
         rad = modules.submodule_intersect(rad, s)
@@ -312,6 +312,55 @@ def test_maximal_submodules_and_radical_equal_the_all_pairs_scan():
         if m.size() <= CAP:
             got = modules.maximal_submodules(m, CAP), modules.radical(m, CAP)
             assert got == _maximal_and_radical_by_all_pairs(m), m.name
+
+
+def _maximal_socle_radical_by_scans(m, cap):
+    """Reference: the scans each call made before the lattice kept its
+    tables.  The proper submodules that no proper one properly contains,
+    the canonical form of the generators of the nonzero ones that properly
+    contain no nonzero one, and the running meet of the first."""
+    subs = modules.enumerate_submodules(m, cap)
+    orders = [s.order() for s in subs]
+    proper = list(zip(subs[:-1], orders[:-1]))
+    maxes = tuple(s for s, o in proper
+                  if not any(modules.properly_contains(t, s, ot, o) for t, ot in proper))
+    nonzero = list(zip(subs[1:], orders[1:]))
+    minimal = [s for s, o in nonzero
+               if not any(modules.properly_contains(s, t, o, ot) for t, ot in nonzero)]
+    rows = [g for s in minimal for g in s.gens]
+    soc = modules.Submodule(m, linalg.subgroup_canonical_form(rows, m.moduli))
+    if not maxes:
+        return maxes, soc, modules.full_submodule(m)
+    rad = maxes[0]
+    for s in maxes[1:]:
+        rad = modules.submodule_intersect(rad, s)
+    return maxes, soc, rad
+
+
+def _held_out_lattice_modules():
+    """The modules of the held-out lattice and closure workspaces, whose
+    lattices run to 26, 212 and 448 submodules, with their caps."""
+    found = []
+    for path in ("workspaces/held-out-lattices.json", "workspaces/held-out-closure.json"):
+        ws = workspace.parse_workspace(os.path.join(ROOT, path))
+        found += [(m, ws.caps.submodules) for m in ws.modules.values()]
+    return found
+
+
+def test_lattice_tables_equal_the_scans():
+    """The maximal submodules, socle and radical kept on each lattice equal
+    the scans, and ``maximal_submodules``, ``socle`` and ``radical`` read
+    them from the lattice."""
+    corpus = [(m, CAP) for m in _lattice_corpus() if m.size() <= CAP]
+    held_out = _held_out_lattice_modules()
+    assert max(len(modules.enumerate_submodules(m, cap)) for m, cap in held_out) == 448
+    for m, cap in corpus + held_out:
+        lattice = modules.enumerate_submodules(m, cap)
+        assert (lattice.maximal, lattice.socle, lattice.radical) == (
+            _maximal_socle_radical_by_scans(m, cap)), m.name
+        assert modules.maximal_submodules(m, cap) is lattice.maximal
+        assert modules.socle(m, cap) is lattice.socle
+        assert modules.radical(m, cap) is lattice.radical
 
 
 def test_enumerate_submodules_cap():

@@ -7,8 +7,8 @@ a named test-local reference disagrees with the library, or
 ``theorem_suites`` records a fail raised as ``InternalInconsistency``.  If a
 later change weakens a cross-check so that a break goes unnoticed, its case
 fails.  A fast path added, or a route removed, adds its case here.  Every
-patch drops the cached hom groups (``FreshTables``), so no sweep table
-filled by an unbroken run hides a break.
+patch drops the cached hom groups and submodule lattices (``FreshTables``),
+so no sweep table or lattice table filled by an unbroken run hides a break.
 """
 
 import functools
@@ -29,36 +29,38 @@ from test_linalg import (
     _stacked_on_diagonal, _structure_reference, _system_outcome)
 from test_lab import (
     PRIMARY_LOCAL, _azumaya_per_element, _distributive_boolean_eager, _first_failure,
-    _irregular_on, _irregular_orbit, _k_nonsingular_per_hom, _memoized, _observable,
-    _polyform_per_hom, _prime_in_eager, _sip_all_pairs, _ssp_all_pairs, _unit_converses_both_ways,
-    e1R_plus_top, plane, reg, sum_2_3)
+    _fully_invariant_submodules, _irregular_on, _irregular_orbit, _k_nonsingular_per_hom,
+    _memoized, _observable, _polyform_per_hom, _prime_in_eager, _prime_quotients_eager,
+    _sip_all_pairs, _ssp_all_pairs, _unit_converses_both_ways, e1R_plus_top, plane, reg, sum_2_3)
 from test_modules import (
     _generated_by_closure, _generator_lists, _maximal_and_radical_by_all_pairs,
-    _submodules_by_sum_closure)
+    _maximal_socle_radical_by_scans, _submodules_by_sum_closure)
 
 CAPS = Caps()
 
 
-def _drop_hom_groups():
-    """Forget every cached hom group and End ring, and with them every
-    sweep table."""
+def _drop_tables():
+    """Forget every cached hom group, End ring and submodule lattice, and
+    with them every sweep table and every table kept on a lattice."""
     homs.hom_group.cache_clear()
     homs.end_ring.cache_clear()
+    modules.enumerate_submodules.cache_clear()
 
 
 class FreshTables(pytest.MonkeyPatch):
-    """A monkeypatch that drops every hom group as each patch starts and
-    once the patches are undone, so that no sweep table filled on one side
-    of a patch is read on the other: a broken sweep cannot read what the
-    unbroken run found, nor leave what it found to the next run."""
+    """A monkeypatch that drops every hom group and submodule lattice as
+    each patch starts and once the patches are undone, so that no table
+    filled on one side of a patch is read on the other: a broken route
+    cannot read what the unbroken run found, nor leave what it found to the
+    next run."""
 
     def setattr(self, *args, **kwargs):
-        _drop_hom_groups()
+        _drop_tables()
         super().setattr(*args, **kwargs)
 
     def undo(self):
         super().undo()
-        _drop_hom_groups()
+        _drop_tables()
 
 
 @pytest.fixture
@@ -343,6 +345,48 @@ def test_the_maximal_scan_against_the_next_submodule_only(monkeypatch):
     assert _maximal_disagrees(m)
 
 
+def _lattice_tables_disagree(m):
+    """The maximal submodules, socle or radical that the library reads off
+    the lattice of m differ from the scans."""
+    cap = CAPS.submodules
+    got = modules.maximal_submodules(m, cap), modules.socle(m, cap), modules.radical(m, cap)
+    return got != _maximal_socle_radical_by_scans(m, cap)
+
+
+def _radical_without_the_last_maximal(lattice):
+    """``SubmoduleLattice.radical`` as the meet of every maximal submodule
+    but the last."""
+    return functools.reduce(modules.submodule_intersect, lattice.maximal[:-1],
+                            modules.full_submodule(lattice.ambient))
+
+
+def test_the_radical_without_the_last_maximal_submodule(monkeypatch):
+    """Z/6 has the maximal submodules 2Z/6 and 3Z/6, which meet in 0; without
+    the last one the radical is 2Z/6."""
+    m = reg(6)
+    assert not _lattice_tables_disagree(m)
+    monkeypatch.setattr(modules.SubmoduleLattice, "radical",
+                        property(_radical_without_the_last_maximal))
+    assert _lattice_tables_disagree(m)
+
+
+def _socle_of_the_maximal_members(lattice):
+    """``SubmoduleLattice.socle`` summing the maximal submodules in place of
+    the minimal ones."""
+    rows = [g for s in lattice.maximal for g in s.gens]
+    return modules.Submodule(lattice.ambient,
+                             linalg.subgroup_canonical_form(rows, lattice.ambient.moduli))
+
+
+def test_the_socle_from_the_maximal_submodules(monkeypatch):
+    """In Z/12 the minimal submodules 6Z/12 and 4Z/12 sum to 2Z/12, but the
+    maximal ones, 2Z/12 and 3Z/12, sum to all of Z/12."""
+    m = reg(12)
+    assert not _lattice_tables_disagree(m)
+    monkeypatch.setattr(modules.SubmoduleLattice, "socle", property(_socle_of_the_maximal_members))
+    assert _lattice_tables_disagree(m)
+
+
 def _first_failing_disagrees(g):
     got = g.first_failing(lambda f: lab._both_summands(*homs.kernel_and_image(f)))
     return got != _first_failure(g, lab._both_summands)
@@ -437,7 +481,7 @@ def _product_keyed_by_one_index(self, i, j):
 
 
 def _prime_disagreements(m):
-    return [n for n in lab.fully_invariant_submodules(m, CAPS) if not n.is_full()
+    return [n for n in _fully_invariant_submodules(m, CAPS) if not n.is_full()
             and _observable(lab.is_prime_in(n, CAPS)) != _observable(_prime_in_eager(n, CAPS))]
 
 
@@ -459,6 +503,34 @@ def _product_from_the_images_of_j(self, i, j):
             self._images[j] = lab.product_images(self.fi[j])
         self._products[i, j] = lab.product_from_images(self._images[j], self.fi[j])
     return self._products[i, j]
+
+
+@undecided_on_cap
+def _prime_quotients_reading_the_table_of_m(m, caps):
+    """``check_prime_quotients`` reading M's product table, and so M's zero,
+    for every quotient M/N, which tests 0 in M in place of 0 in M/N."""
+    table = lab.ProductTable.of(m, caps)
+    tests = (lab.ProductTable.prime_failure, lab.ProductTable.semiprime_failure)
+    for n in table.fi:
+        if n.is_full():
+            continue
+        holding = [test for test in tests if test(table, n) is None]
+        for test in holding:
+            witness = test(table, modules.zero_submodule(m))
+            if witness is not None:
+                return Verdict.no(witness=(n, witness), reason="quotient loses primeness")
+    return Verdict.yes()
+
+
+def test_the_prime_quotients_read_the_table_of_m(monkeypatch):
+    """In Z/4 the submodule 2Z/4 is prime and Z/4 / 2Z/4 = Z/2 is prime, but
+    0 is not prime in Z/4 itself: (2Z/4)_M (2Z/4) = 0."""
+    m = reg(4)
+    want = _observable(_prime_quotients_eager(m, CAPS))
+    assert want[0] is True
+    assert _observable(lab.check_prime_quotients(m, CAPS)) == want
+    monkeypatch.setattr(lab, "check_prime_quotients", _prime_quotients_reading_the_table_of_m)
+    assert _observable(lab.check_prime_quotients(m, CAPS)) != want
 
 
 def test_the_product_table_reads_the_images_of_the_second_factor(monkeypatch):
@@ -697,9 +769,10 @@ def test_every_submodule_a_summand_counted_against_the_summands(monkeypatch):
     assert [_observable(fast(m, CAPS)) for fast, _, m in cases] == wants
     init = lab.SummandLattice.__init__
 
-    def counted_against_itself(self, m, caps):
-        init(self, m, caps)
-        self.every_submodule = len(self.summands) == len(lab.direct_summands(m, caps))
+    def counted_against_itself(self, lattice):
+        init(self, lattice)
+        self.every_submodule = len(self.summands) == len(
+            [n for n in lattice if lab.summand_test(n) is not None])
 
     monkeypatch.setattr(lab.SummandLattice, "__init__", counted_against_itself)
     assert all(_observable(fast(m, CAPS)) != want for (fast, _, m), want in zip(cases, wants))
