@@ -48,7 +48,7 @@ class HomGroup:
     """Hom_R(M, N) as an abelian group with matrix generators.
 
     ``span`` is a generating set in the flat layout, all that
-    ``summand_test``, ``trace`` and ``product_submodules`` read.  For a
+    ``summand_test``, ``trace`` and ``product_images`` read.  For a
     group of ``hom_group`` it is the canonical form, and the first read of
     ``gens``, ``orders``, ``size()``, coordinates or a sweep builds the
     basis from it.  A primary part's span is its scaled basis, given with
@@ -469,7 +469,9 @@ def is_m_generated(n: Submodule) -> bool:
 
 def product_images(k: Submodule) -> list[IntMatrix]:
     """The matrices G·inc, one per span row G of Hom(M, K), that carry the
-    ambient M into itself through K; K_M L is read from them for every L."""
+    ambient M into itself through K.  The product K_M L, the sum of f(L)
+    over f in Hom(M, K), is read from them for every L (``product_from_images``),
+    so ``lab.ProductTable`` forms them once per K."""
     m = k.ambient
     inner_k, inc = extract(k)
     return [_unflatten(m, inner_k, g).then(inc).matrix for g in hom_group(m, inner_k).span]
@@ -482,22 +484,6 @@ def product_from_images(images: Sequence[IntMatrix], l: Submodule) -> Submodule:
     for a in images:
         rows += linalg.mat_mul(l.gens, a)
     return Submodule(l.ambient, linalg.subgroup_canonical_form(rows, l.ambient.moduli))
-
-
-def product_submodules(k: Submodule, l: Submodule) -> Submodule:
-    """The submodule product K_M L = sum of f(L) over f in Hom(M, K).
-
-    Both K and L live in the same ambient M; homs into the extracted K are
-    pushed back into M through the inclusion.  So K_M L is generated by the
-    rows of L·G·inc, for the generators L of L and each span row G of
-    Hom(M, K); the canonical form takes them mod the moduli.  The images
-    G·inc depend on K alone, so ``lab.ProductTable`` forms them once per K
-    with ``product_images`` and reads every K_M L through
-    ``product_from_images``, as this definition does.
-    """
-    if k.ambient != l.ambient:
-        raise ValueError("product: submodules of different modules")
-    return product_from_images(product_images(k), l)
 
 
 @lru_cache(maxsize=None)
@@ -524,7 +510,7 @@ def summand_test(n: Submodule) -> Optional[ModuleHom]:
     """
     m = n.ambient
     if n.is_zero():
-        return identity_hom(m).scale(0)
+        return ModuleHom(m, m, ((0,) * m.rank,) * m.rank)
     if n.is_full():
         return identity_hom(m)
     inner, inc = extract(n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import linalg, rings
 from .homs import (
@@ -112,13 +112,9 @@ def is_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
     """
     return agree(
         f"endoregular({m.name})",
-        _endoregular_via_ring(m, caps),
+        rings.is_regular(end_ring(m), caps.homs),
         _endoregular_via_summands(m, caps),
     )
-
-
-def _endoregular_via_ring(m: FiniteModule, caps: Caps) -> Verdict:
-    return rings.is_regular(end_ring(m), caps.homs)
 
 
 @undecided_on_cap
@@ -228,14 +224,10 @@ def abelian_endoregular_routes(m: FiniteModule, caps: Caps) -> tuple[Verdict, Ve
     reports the very verdicts that were merged.
     """
     return (
-        abelian_route_end_ring(m, caps),
+        rings.is_abelian_regular(end_ring(m), caps.homs),
         abelian_route_ker_im(m, caps),
         abelian_route_fully_invariant(m, caps),
     )
-
-
-def abelian_route_end_ring(m: FiniteModule, caps: Caps) -> Verdict:
-    return rings.is_abelian_regular(end_ring(m), caps.homs)
 
 
 def abelian_route_ker_im(m: FiniteModule, caps: Caps) -> Verdict:
@@ -256,10 +248,15 @@ def abelian_route_fully_invariant(m: FiniteModule, caps: Caps) -> Verdict:
     endo = is_endoregular(m, caps)
     if not endo.require():
         return Verdict.no(witness=endo.witness, reason="not endoregular")
-    for n in m_generated_submodules(m, caps):
-        if not is_fully_invariant(n):
-            return Verdict.no(witness=n, reason="movable M-generated submodule")
-    return Verdict.yes()
+    return _first_movable(m_generated_submodules(m, caps), "movable M-generated submodule")
+
+
+def _first_movable(subs: Iterable[Submodule], reason: str) -> Verdict:
+    """"No" with the first of subs that is not fully invariant, else "yes":
+    the one test of the fully invariant route, ``is_quasi_duo`` and
+    ``is_duo``.  Lazy subs are tested only up to that first one."""
+    movable = next((n for n in subs if not is_fully_invariant(n)), None)
+    return Verdict.yes() if movable is None else Verdict.no(witness=movable, reason=reason)
 
 
 def is_unit_endoregular(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
@@ -577,18 +574,12 @@ def spec_of(m: FiniteModule, caps: Caps = Caps()) -> list[Submodule]:
 
 @undecided_on_cap
 def is_quasi_duo(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
-    for n in maximal_submodules(m, caps.submodules):
-        if not is_fully_invariant(n):
-            return Verdict.no(witness=n, reason="movable maximal submodule")
-    return Verdict.yes()
+    return _first_movable(maximal_submodules(m, caps.submodules), "movable maximal submodule")
 
 
 @undecided_on_cap
 def is_duo(m: FiniteModule, caps: Caps = Caps()) -> Verdict:
-    for n in enumerate_submodules(m, caps.submodules):
-        if not is_fully_invariant(n):
-            return Verdict.no(witness=n, reason="movable submodule")
-    return Verdict.yes()
+    return _first_movable(enumerate_submodules(m, caps.submodules), "movable submodule")
 
 
 @undecided_on_cap
@@ -867,18 +858,11 @@ def check_fi_summand_descends(m: FiniteModule, caps: Caps) -> Verdict:
         for l in fi_summands:
             if not n.contains_sub(l):
                 continue
-            inside = _pull_into(l, inner, system)
+            # l, rewritten in the coordinates of the extracted n
+            inside = submodule_generated(inner, [coordinates_in_subgroup(g, system) for g in l.gens])
             if not is_fully_invariant(inside):
                 return Verdict.no(witness=(l, n), reason="full invariance lost in submodule")
     return Verdict.yes()
-
-
-def _pull_into(l: Submodule, inner: FiniteModule, system: linalg.CongruenceSystem) -> Submodule:
-    """Rewrite l, which lies in the image of the inclusion of the extracted
-    submodule inner, in the coordinates of inner; system is the
-    ``coordinate_system`` of that inclusion."""
-    gens_inside = [coordinates_in_subgroup(g, system) for g in l.gens]
-    return submodule_generated(inner, gens_inside)
 
 
 def check_polyform_implies_k_nonsingular(m: FiniteModule, caps: Caps) -> Verdict:
@@ -913,8 +897,8 @@ def check_unit_converses(m: FiniteModule, caps: Caps) -> Verdict:
     commutes with both has e·x·(1−e) = 0 = (1−e)·x·e, so e·x = e·x·e = x·e.
     It is read only once ``is_unit_endoregular`` has found End(M) regular,
     and a regular ring is abelian regular exactly when its idempotents are
-    central, so it is ``abelian_route_end_ring``, which enumerates End(M)
-    under the same ring-element cap.
+    central, so it is the End-ring route ``rings.is_abelian_regular``, which
+    enumerates End(M) under the same ring-element cap.
 
     A hypothesis that holds is a route that says yes, and then
     ``is_abelian_endoregular`` says yes or raises InternalInconsistency.

@@ -81,13 +81,6 @@ class ModuleHom:
         mat = linalg.mat_mod(linalg.mat_mul(self.matrix, nxt.matrix), nxt.codomain.moduli)
         return ModuleHom(self.domain, nxt.codomain, mat)
 
-    def scale(self, k: int) -> "ModuleHom":
-        mat = tuple(
-            linalg.vec_mod([k * v for v in row], self.codomain.moduli)
-            for row in self.matrix
-        )
-        return ModuleHom(self.domain, self.codomain, mat)
-
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.matrix)
 

@@ -130,12 +130,6 @@ class RingElement:
     coords: IntVector
     ring: FiniteRing
 
-    def __add__(self, other: "RingElement") -> "RingElement":
-        return self.ring.element([a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self.ring.element([a - b for a, b in zip(self.coords, other.coords)])
-
     def __mul__(self, other: "RingElement") -> "RingElement":
         return RingElement(self.ring.mul_coords(self.coords, other.coords), self.ring)
 

@@ -219,6 +219,58 @@ def test_cap_hits_become_undecided_verdicts_that_name_the_cap(caps):
 
 
 # ---------------------------------------------------------------------------
+# One fully invariant scan, against the three loops it replaced
+# ---------------------------------------------------------------------------
+
+
+@undecided_on_cap
+def _quasi_duo_loop(m, caps):
+    for n in modules.maximal_submodules(m, caps.submodules):
+        if not homs.is_fully_invariant(n):
+            return Verdict.no(witness=n, reason="movable maximal submodule")
+    return Verdict.yes()
+
+
+@undecided_on_cap
+def _duo_loop(m, caps):
+    for n in modules.enumerate_submodules(m, caps.submodules):
+        if not homs.is_fully_invariant(n):
+            return Verdict.no(witness=n, reason="movable submodule")
+    return Verdict.yes()
+
+
+@undecided_on_cap
+def _fully_invariant_route_loop(m, caps):
+    endo = lab.is_endoregular(m, caps)
+    if not endo.require():
+        return Verdict.no(witness=endo.witness, reason="not endoregular")
+    for n in modules.enumerate_submodules(m, caps.submodules):
+        if homs.is_m_generated(n) and not homs.is_fully_invariant(n):
+            return Verdict.no(witness=n, reason="movable M-generated submodule")
+    return Verdict.yes()
+
+
+@pytest.mark.parametrize("caps", (CAPS,) + TIGHT_CAPS, ids=str)
+def test_fully_invariant_scans_equal_their_loops(caps):
+    """``is_quasi_duo``, ``is_duo`` and the fully invariant route give the
+    value, reason and witness of a loop over their submodules, on the memo
+    and cap corpora."""
+    pairs = (
+        (lab.is_quasi_duo, _quasi_duo_loop),
+        (lab.is_duo, _duo_loop),
+        (lab.abelian_route_fully_invariant, _fully_invariant_route_loop),
+    )
+    outcomes = collections.Counter()
+    for m in _memo_corpus() + _cap_corpus():
+        for scan, loop in pairs:
+            got = scan(m, caps)
+            assert _observable(got) == _observable(loop(m, caps)), (scan.__name__, m.name)
+            outcomes[got.value] += 1
+    if caps == CAPS:
+        assert outcomes[True] and outcomes[False], outcomes
+
+
+# ---------------------------------------------------------------------------
 # Prime and semiprime submodules from one product table, against the eager
 # per-N loops that recompute every product K_M L for each N
 # ---------------------------------------------------------------------------
@@ -236,7 +288,7 @@ def _fully_invariant_submodules(m, caps):
 def _prime_in_eager(n, caps):
     fi = _fully_invariant_submodules(n.ambient, caps)
     for k, l in itertools.product(fi, repeat=2):
-        prod_kl = homs.product_submodules(k, l)
+        prod_kl = homs.product_from_images(homs.product_images(k), l)
         if n.contains_sub(prod_kl) and not n.contains_sub(k) and not n.contains_sub(l):
             return Verdict.no(witness=(k, l), reason="product inside, factors outside")
     return Verdict.yes()
@@ -245,7 +297,8 @@ def _prime_in_eager(n, caps):
 @undecided_on_cap
 def _semiprime_in_eager(n, caps):
     for k in _fully_invariant_submodules(n.ambient, caps):
-        if n.contains_sub(homs.product_submodules(k, k)) and not n.contains_sub(k):
+        square = homs.product_from_images(homs.product_images(k), k)
+        if n.contains_sub(square) and not n.contains_sub(k):
             return Verdict.no(witness=k, reason="square inside, factor outside")
     return Verdict.yes()
 
@@ -461,14 +514,18 @@ def _product_corpus():
 
 def test_the_table_products_equal_the_product_definition():
     """Every K_M L that a product table reads from row K's images equals
-    ``homs.product_submodules(K, L)``, over every pair of fully invariant
+    the sum of f(L) over the invariant-factor basis of Hom(M, K), which
+    shares no code with the images, over every pair of fully invariant
     submodules, row by row as the searches fill the table."""
+    # test_homs imports this module, so its reference is imported here
+    from test_homs import _product_over_the_basis
+
     pairs = 0
     for m in _product_corpus():
         table = lab.ProductTable.of(m, CAPS)
         for i, j in itertools.product(range(len(table.fi)), repeat=2):
-            want = homs.product_submodules(table.fi[i], table.fi[j])
-            assert table._product(i, j).gens == want.gens, (m.name, i, j)
+            want = _product_over_the_basis(table.fi[i], table.fi[j])
+            assert table._product(i, j).gens == want, (m.name, i, j)
             pairs += 1
     assert pairs > 700, pairs
 
