@@ -34,6 +34,7 @@ from .modules import (
     ModuleHom,
     Submodule,
     SubmoduleLattice,
+    action_span,
     coordinate_system,
     coordinates_in_subgroup,
     direct_sum,
@@ -963,6 +964,14 @@ def check_direct_sum_family(members: Sequence[CorpusMember], caps: Caps) -> Verd
     )
 
 
+@memo
+def _class_records(moduli: tuple[int, ...], span: linalg.IntMatrix, projective: bool,
+                   caps: Caps) -> dict[str, str]:
+    """The pass details, by check id, of one class of members; empty until
+    ``theorem_suites`` runs the first."""
+    return {}
+
+
 def theorem_suites(
     corpus: Sequence[CorpusMember],
     caps: Caps = Caps(),
@@ -970,14 +979,25 @@ def theorem_suites(
 ) -> SuiteReport:
     """Run each of ``MEMBER_CHECKS`` over each corpus member, then
     ``check_direct_sum_family`` over the given families (of at most 3
-    members).  Both names are read on each call, so a tracer may rebind them."""
-    checks = itertools.chain(
-        ((mem.id, check_id, functools.partial(fn, mem.module, caps, mem.projective))
-         for mem in corpus for check_id, fn in MEMBER_CHECKS),
-        (("+".join(mem.id for mem in fam), "direct-sum-characterization",
-          functools.partial(check_direct_sum_family, fam, caps)) for fam in families),
-    )
-    return SuiteReport([_record(*check) for check in checks])
+    members).  Both names are read on each call, so a tracer may rebind them.
+    A member whose moduli, ``action_span`` and projective flag equal an
+    earlier one's is given that one's passes, which depend on those alone
+    and name no module; its skips and fails, which may name one, are
+    computed for it (README, "One check per action algebra")."""
+    records = []
+    for mem in corpus:
+        m = mem.module
+        passes = _class_records(m.moduli, action_span(m), mem.projective, caps)
+        for check_id, fn in MEMBER_CHECKS:
+            if check_id in passes:
+                records.append(ResultRecord(mem.id, check_id, "pass", passes[check_id]))
+                continue
+            records.append(_record(mem.id, check_id, functools.partial(fn, m, caps, mem.projective)))
+            if records[-1].status == "pass":
+                passes[check_id] = records[-1].detail
+    records += [_record("+".join(mem.id for mem in fam), "direct-sum-characterization",
+                        functools.partial(check_direct_sum_family, fam, caps)) for fam in families]
+    return SuiteReport(records)
 
 
 # ---------------------------------------------------------------------------

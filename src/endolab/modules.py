@@ -89,6 +89,21 @@ def identity_hom(m: FiniteModule) -> ModuleHom:
     return ModuleHom(m, m, linalg.identity_matrix(m.rank))
 
 
+def action_span(m: FiniteModule) -> IntMatrix:
+    """The image of the ring in End_Z(m): the canonical form of the
+    additive span of the action matrices, each flattened row by row, so
+    that entry (i, j) is read mod moduli[j].
+
+    rho(r) is an integer combination of the rho(b_t), so the span is every
+    rho(r).  The submodules of m are the subgroups this image keeps, and
+    its endomorphisms the additive maps that commute with it, so two
+    modules with equal moduli and equal spans have equal lattices and End
+    rings, whatever their rings (restriction of scalars, Anderson–Fuller).
+    """
+    rows = [tuple(v for row in mat for v in row) for mat in m.action]
+    return linalg.subgroup_canonical_form(rows, m.moduli * m.rank)
+
+
 def validate_module(m: FiniteModule) -> tuple[bool, str]:
     """Check the right-module laws on the presentation; (ok, first violation)."""
     ring = m.ring

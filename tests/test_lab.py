@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import dataclasses
 import functools
 import glob
 import itertools
@@ -16,7 +17,8 @@ import pytest
 
 from endolab import homs, lab, linalg, modules, rings, workspace
 from endolab.verdicts import (
-    CapExceeded, Caps, InternalInconsistency, Verdict, assuming, both, implies, undecided_on_cap)
+    CapExceeded, Caps, InternalInconsistency, Verdict, assuming, both, implies, memo,
+    undecided_on_cap)
 from support import zero_module
 
 CAPS = Caps()
@@ -1137,10 +1139,12 @@ def _memo_corpus():
 
 
 def test_memo_answers_equal_fresh_computation_in_either_order():
-    module_routes = _memoized(lab)
+    # The class table of ``theorem_suites`` is no route: it starts empty and
+    # is compared with an empty one in ``test_each_member_records_as_if_alone``.
+    assert {f.__name__ for f in _memoized(lab)} == {
+        "_endoregular_via_summands", "abelian_endoregular_routes", "_class_records"}
+    module_routes = [f for f in _memoized(lab) if f is not lab._class_records]
     ring_routes = _memoized(rings)
-    assert {f.__name__ for f in module_routes} == {
-        "_endoregular_via_summands", "abelian_endoregular_routes"}
     assert {f.__name__ for f in ring_routes} == {"is_regular", "is_abelian_regular"}
     corpus = _memo_corpus()
     for order in (corpus, corpus[::-1]):
@@ -1250,6 +1254,10 @@ def test_both_equals_the_pairwise_fold():
 
 
 def test_route_disagreement_fails_with_its_message(monkeypatch):
+    # Z/6 shares its class with every regular module of Z/6 run before, so
+    # the checks run with no class table: none reads an unbroken pass, and
+    # no pass of the broken route is kept.
+    monkeypatch.setattr(lab, "_class_records", _NO_CLASS_TABLE)
     monkeypatch.setattr(
         lab, "abelian_route_ker_im", lambda m, caps: Verdict.no(reason="forced disagreement"))
     m = modules.regular_module(z(6), name="disagreement-probe")
@@ -1282,3 +1290,106 @@ def test_library_has_no_assert_statements():
             for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# One check per action-algebra class
+# ---------------------------------------------------------------------------
+
+
+# The class table's computation: an empty table on every call, so that no
+# member reads another's passes.
+_NO_CLASS_TABLE = lab._class_records.__wrapped__
+
+
+def _class_corpora():
+    """The members of the ``families`` benchmark, of the demo workspace
+    followed by each of them untagged (equal modules apart in the projective
+    flag alone), and of ``search`` seeds 7 and 11 × 40."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    families = workspace.parse_workspace(
+        os.path.join(root, "perfbench", "workspaces", "families.json"))
+    demo = workspace.parse_workspace(os.path.join(root, "workspaces", "demo.json"))
+    tagged = [mem for members in demo.corpora.values() for mem in members]
+    untagged = [dataclasses.replace(mem, id=f"{mem.id}-untagged", projective=False)
+                for mem in tagged]
+    return [
+        *families.corpora.values(),
+        tagged + untagged,
+        workspace.random_modules(40, 7, CAPS),
+        workspace.random_modules(40, 11, CAPS),
+    ]
+
+
+def _records_unlike_alone(corpus, caps):
+    """The records of ``theorem_suites`` over the corpus, read through the
+    class table bound now, that differ from the member's records computed
+    with an empty table, each paired with the one computed alone."""
+    shared = lab.theorem_suites(corpus, caps).records
+    with pytest.MonkeyPatch.context() as alone:
+        alone.setattr(lab, "_class_records", _NO_CLASS_TABLE)
+        own = [r for mem in corpus for r in lab.theorem_suites([mem], caps).records]
+    return [(a, b) for a, b in zip(shared, own, strict=True) if a != b]
+
+
+@pytest.mark.parametrize("caps", (CAPS,) + TIGHT_CAPS, ids=str)
+def test_each_member_records_as_if_alone(caps, monkeypatch):
+    """Every member's records, read through one class table that the corpus
+    fills from empty, equal that member's records computed with an empty
+    table, in corpus order and in reverse; and members do share tables."""
+    members = classes = 0
+    for corpus in _class_corpora():
+        for order in (corpus, corpus[::-1]):
+            monkeypatch.setattr(lab, "_class_records", memo(_NO_CLASS_TABLE))
+            assert _records_unlike_alone(order, caps) == []
+            members += len(order)
+            classes += len({(mem.module.moduli, modules.action_span(mem.module),
+                             mem.projective) for mem in order})
+    assert classes < members
+
+
+def _inflated(m):
+    """m over R × Z/2, with Z/2 acting as zero."""
+    zero = ((0,) * m.rank,) * m.rank
+    return modules.FiniteModule(rings.product_ring(m.ring, z(2)), m.moduli,
+                                m.action + (zero,), name=f"{m.name} over R x Z/2")
+
+
+def _reversed_generators(m):
+    """m on its generators in reverse order: the moduli reversed and each
+    action matrix conjugated by the reversal."""
+    perm = range(m.rank - 1, -1, -1)
+    action = tuple(tuple(tuple(mat[i][j] for j in perm) for i in perm) for mat in m.action)
+    return modules.FiniteModule(m.ring, tuple(m.moduli[i] for i in perm), action,
+                                name=f"{m.name} reversed")
+
+
+def _presentation_free(m, caps):
+    """What no presentation of m may change: the values of the properties
+    and of the abelian routes, |End M|, the radical, socle and summand
+    counts, and the status of every suite record."""
+    report = lab.analyze("probe", m, caps)
+    records = lab.theorem_suites([lab.CorpusMember("probe", m)], caps).records
+    return ([v.value for v in report.properties.values()],
+            [v.value for v in report.routes.values()],
+            report.end_size, report.radical_order, report.socle_order, report.summand_count,
+            [r.status for r in records])
+
+
+def test_verdicts_do_not_depend_on_the_ring_or_the_generators(monkeypatch):
+    """Each distinct module of ``search`` seed 7 × 1000 gets the same
+    answers over R × Z/2, with Z/2 acting as zero, and on its generators in
+    reverse order.  The inflated copy has the module's moduli and action
+    span, so it is the class key's soundness on display; each copy runs
+    with no class table, or it would read the module's own passes."""
+    monkeypatch.setattr(lab, "_class_records", _NO_CLASS_TABLE)
+    distinct = {mem.module: None for mem in workspace.random_modules(1000, 7, CAPS)}
+    for m in distinct:
+        inflated, turned = _inflated(m), _reversed_generators(m)
+        assert modules.validate_module(inflated) == modules.validate_module(turned) == (True, "")
+        assert (inflated.moduli, modules.action_span(inflated)) == (
+            m.moduli, modules.action_span(m))
+        want = _presentation_free(m, CAPS)
+        assert _presentation_free(inflated, CAPS) == want, m.name
+        assert _presentation_free(turned, CAPS) == want, m.name
+    assert len(distinct) == 161

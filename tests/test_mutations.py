@@ -7,8 +7,9 @@ a named test-local reference disagrees with the library, or
 ``theorem_suites`` records a fail raised as ``InternalInconsistency``.  If a
 later change weakens a cross-check so that a break goes unnoticed, its case
 fails.  A fast path added, or a route removed, adds its case here.  Every
-patch drops the cached hom groups and submodule lattices (``FreshTables``),
-so no sweep table or lattice table filled by an unbroken run hides a break.
+patch drops the cached hom groups and submodule lattices, and runs the
+theorem suites with no class table (``FreshTables``), so no sweep table,
+lattice table or stored pass filled by an unbroken run hides a break.
 """
 
 import functools
@@ -18,7 +19,7 @@ import math
 import pytest
 
 from endolab import homs, incidence, lab, linalg, modules, rings
-from endolab.verdicts import Caps, Verdict, implies, undecided_on_cap
+from endolab.verdicts import Caps, Verdict, implies, memo, undecided_on_cap
 from support import is_module_hom
 from test_homs import (
     _hom_system_by_columns, _orbit_walk_to_the_end, _summand_disagreements,
@@ -28,10 +29,11 @@ from test_linalg import (
     KERNEL_SYSTEM_CASES, UNIT_AFTER_A_TWO, _ReferenceSystem, _smith_reference,
     _stacked_on_diagonal, _structure_reference, _system_outcome)
 from test_lab import (
-    PRIMARY_LOCAL, _azumaya_per_element, _distributive_boolean_eager, _first_failure,
-    _fully_invariant_submodules, _irregular_on, _irregular_orbit, _k_nonsingular_per_hom,
-    _memoized, _observable, _polyform_per_hom, _prime_in_eager, _prime_quotients_eager,
-    _sip_all_pairs, _ssp_all_pairs, _unit_converses_both_ways, e1R_plus_top, plane, reg, sum_2_3)
+    _NO_CLASS_TABLE, PRIMARY_LOCAL, _azumaya_per_element, _class_corpora,
+    _distributive_boolean_eager, _first_failure, _fully_invariant_submodules, _irregular_on,
+    _irregular_orbit, _k_nonsingular_per_hom, _memoized, _observable, _polyform_per_hom,
+    _prime_in_eager, _prime_quotients_eager, _records_unlike_alone, _sip_all_pairs,
+    _ssp_all_pairs, _unit_converses_both_ways, e1R_plus_top, plane, reg, sum_2_3)
 from test_modules import (
     _generated_by_closure, _generator_lists, _maximal_and_radical_by_all_pairs,
     _maximal_socle_radical_by_scans, _submodules_by_sum_closure)
@@ -49,10 +51,15 @@ def _drop_tables():
 
 class FreshTables(pytest.MonkeyPatch):
     """A monkeypatch that drops every hom group and submodule lattice as
-    each patch starts and once the patches are undone, so that no table
-    filled on one side of a patch is read on the other: a broken route
-    cannot read what the unbroken run found, nor leave what it found to the
-    next run."""
+    each patch starts and once the patches are undone, and under which
+    ``theorem_suites`` keeps no class table, so that no table filled on one
+    side of a patch is read on the other: a broken route cannot read what
+    the unbroken run found, nor leave what it found to the next run.  A
+    case that tests the class table binds one of its own."""
+
+    def __init__(self):
+        super().__init__()
+        super().setattr(lab, "_class_records", _NO_CLASS_TABLE)
 
     def setattr(self, *args, **kwargs):
         _drop_tables()
@@ -1041,3 +1048,62 @@ def test_the_span_read_without_its_last_row(monkeypatch):
     monkeypatch.setattr(homs, "hom_group",
                         lambda dom, cod: homs.HomGroup(dom, cod, hom_group(dom, cod).span[:-1]))
     assert disagreements()
+
+
+def _class_table_without(dropped):
+    """A fresh class table whose key leaves out the argument ``dropped``."""
+    tables = memo(lambda *key: {})
+    return lambda *key: tables(*(part for i, part in enumerate(key) if i != dropped))
+
+
+def _suites_copying_skips(corpus, caps):
+    """``lab.theorem_suites`` over members only, keeping skip records in the
+    class table as well as passes."""
+    records = []
+    for mem in corpus:
+        m = mem.module
+        kept = lab._class_records(m.moduli, modules.action_span(m), mem.projective, caps)
+        for check_id, fn in lab.MEMBER_CHECKS:
+            if check_id in kept:
+                records.append(lab.ResultRecord(mem.id, check_id, *kept[check_id]))
+                continue
+            record = lab._record(mem.id, check_id, functools.partial(fn, m, caps, mem.projective))
+            if record.status != "fail":
+                kept[check_id] = record.status, record.detail
+            records.append(record)
+    return lab.SuiteReport(records)
+
+
+def test_the_class_key_without_the_moduli(unmemoized):
+    """Z/2, ..., Z/6 of the ``families`` corpus all act by the span ((1,),).
+    Keyed without the moduli, Z/4 reads the passes of Z/2, whose End ring is
+    regular, such as the plain pass of "endoregular-implies-ssp-sip"; alone,
+    its hypothesis fails."""
+    corpus = _class_corpora()[0]
+    unmemoized.setattr(lab, "_class_records", memo(_NO_CLASS_TABLE))
+    assert _records_unlike_alone(corpus, CAPS) == []
+    unmemoized.setattr(lab, "_class_records", _class_table_without(0))
+    assert _records_unlike_alone(corpus, CAPS)
+
+
+def test_the_class_key_without_the_projective_flag(unmemoized):
+    """The demo members, then each untagged: keyed without the projective
+    flag, an untagged copy reads the pass of "prime-iff-maximal", which it
+    skips alone, since it needs a projective member."""
+    corpus = _class_corpora()[1]
+    unmemoized.setattr(lab, "_class_records", memo(_NO_CLASS_TABLE))
+    assert _records_unlike_alone(corpus, CAPS) == []
+    unmemoized.setattr(lab, "_class_records", _class_table_without(2))
+    assert _records_unlike_alone(corpus, CAPS)
+
+
+def test_a_skip_record_copied(unmemoized):
+    """Under caps of 1, ``search`` seed 7 skips "abelian-route-agreement"
+    with a reason that names the module it merged, so a member that copies
+    the skip of an earlier one of its class names that one's module."""
+    caps, corpus = Caps(1, 1, 1), _class_corpora()[2]
+    unmemoized.setattr(lab, "_class_records", memo(_NO_CLASS_TABLE))
+    assert _records_unlike_alone(corpus, caps) == []
+    unmemoized.setattr(lab, "theorem_suites", _suites_copying_skips)
+    unmemoized.setattr(lab, "_class_records", memo(_NO_CLASS_TABLE))
+    assert _records_unlike_alone(corpus, caps)
