@@ -22,6 +22,7 @@ from .modules import (
     FiniteModule,
     ModuleHom,
     Submodule,
+    action_span,
     coordinate_system,
     coordinates_in_subgroup,
     extract,
@@ -433,14 +434,36 @@ def end_ring(m: FiniteModule) -> FiniteRing:
     whose solve reduces it mod the moduli.
     """
     homs = hom_group(m, m)
-    mats = [g.matrix for g in homs.gens]
-    coords = lambda mat: coordinates_in_subgroup(_flatten(mat), homs._coordinates)
+    return _composition_ring([g.matrix for g in homs.gens], homs.orders, homs._coordinates,
+                             f"End({m.name})" if m.name else "End")
+
+
+def action_algebra(m: FiniteModule) -> FiniteRing:
+    """The image A of the ring in End_Z(m), ``modules.action_span``, as a
+    FiniteRing on the invariant-factor basis of that span, built as
+    ``end_ring`` builds End(m).
+
+    rho is multiplicative, so the span is closed under products and holds
+    the identity rho(1).  Composing its maps as ``end_ring`` does, x*y is
+    the matrix rho(y)·rho(x), so the ring is A's opposite, which has the
+    same Jacobson radical.
+    """
+    moduli = m.moduli * m.rank
+    gens, orders = linalg.subgroup_structure(action_span(m), moduli)
+    mats = [_unflatten(m, m, g).matrix for g in gens]
+    return _composition_ring(mats, orders, coordinate_system(gens, orders, moduli),
+                             f"A({m.name})" if m.name else "A")
+
+
+def _composition_ring(mats: Sequence[IntMatrix], orders: tuple[int, ...],
+                      coordinates: linalg.CongruenceSystem, name: str) -> FiniteRing:
+    """The ring of the additive maps with invariant-factor generators
+    ``mats`` (closed under composition, and holding the identity), its
+    structure constants read through their coordinate system."""
+    coords = lambda mat: coordinates_in_subgroup(_flatten(mat), coordinates)
     mul = tuple(tuple(coords(linalg.mat_mul(b, a)) for b in mats) for a in mats)
-    one = homs.coords_of(identity_hom(m)) if mats else ()
-    return FiniteRing(
-        moduli=homs.orders, mul=mul, one=one,
-        name=f"End({m.name})" if m.name else "End",
-    )
+    one = coords(linalg.identity_matrix(len(mats[0]))) if mats else ()
+    return FiniteRing(moduli=orders, mul=mul, one=one, name=name)
 
 
 # ---------------------------------------------------------------------------

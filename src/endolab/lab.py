@@ -12,11 +12,13 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import linalg, rings
 from .homs import (
     HomGroup,
+    action_algebra,
     block_permutations,
     end_ring,
     find_embedding,
@@ -151,12 +153,56 @@ def _sweep_ker_im(m: FiniteModule, caps: Caps, pred: Callable[[Submodule, Submod
 
 
 @memo
+@undecided_on_cap
 def _endoregular_via_summands(m: FiniteModule, caps: Caps) -> Verdict:
     """Every endomorphism has summand kernel and image.  Memoized because
     every ``is_endoregular`` call reads it, and
     ``check_ker_im_summands_in_powers`` asks it of M ⊕ M, which is also the
-    sum of a family (M, M)."""
+    sum of a family (M, M).
+
+    Ker f and Im f are submodules, so when every submodule of m is a
+    summand the answer is "yes" with no endomorphism read.  That "yes" is
+    read off ``SummandLattice``, one ``summand_test`` per submodule, and
+    only where it is cheaper than the sweep and bound to hold:
+
+    - End(m) is within the hom cap, read first, so an undecided verdict
+      keeps the sweep's reason;
+    - m's exponent is a prime p, since the sweep reads End(m) one primary
+      part at a time, and a mixed-prime module such as (Z/6)², with 30
+      submodules and parts of 16 and 81 homs, sweeps faster;
+    - |m| < |End(m)|, since a sweep of a small End costs less than the
+      lattice of m and the radical of its action algebra, as on Z/2(X),
+      with |End| = 2 and a 9-dimensional action algebra;
+    - |m| is within the submodule cap, so the lattice is enumerated;
+    - m is semisimple (``_is_semisimple``), since every submodule is a
+      summand exactly then (Anderson–Fuller, *Rings and Categories of
+      Modules*), so no lattice is built only to find a non-summand.
+
+    Every other module, and every "no" with its witness, is the two-sided
+    ``_sweep_ker_im``.  The lattice decides with its own ``summand_test``
+    solves, so a wrong semisimplicity test changes only the path, not the
+    verdict.
+    """
+    homs = end_homs(m, caps.homs)
+    size, exponent = m.size(), lcm(*m.moduli)
+    if (next(linalg.prime_divisors(exponent), None) == exponent
+            and size < homs.size() and size <= caps.submodules
+            and _is_semisimple(m) and SummandLattice.of(m, caps).every_submodule):
+        return Verdict.yes()
     return _sweep_ker_im(m, caps, _both_summands, True, "kernel or image not a summand")
+
+
+def _is_semisimple(m: FiniteModule) -> bool:
+    """m is semisimple: J(A) = 0 for its action algebra A (``rings.is_semisimple``).
+
+    A = rho(R) acts on m faithfully, and m has the same submodules over A
+    as over R.  A is finite, so if J(A) = 0, A is semisimple and so is
+    every A-module.  If m is semisimple, the additive generators x_1..x_k
+    of m give an A-linear a -> (x_i·a)_i, injective since an a that kills
+    every x_i kills m, so A_A embeds in m^k, a semisimple module, and
+    J(A) = 0.
+    """
+    return rings.is_semisimple(action_algebra(m))
 
 
 def _both_summands(ker: Submodule, im: Submodule) -> bool:
@@ -755,6 +801,15 @@ def check_ker_im_summands_in_powers(m: FiniteModule, caps: Caps) -> Verdict:
     ``_endoregular_via_summands(M ⊕ M)``, run once every
     |Hom(M^n, M^l)| = |End M|^(n·l) is within the hom cap.  That route is
     memoized, so the sum of a family (M, M) reuses its answer.
+
+    M ⊕ M has M's exponent, and it is semisimple exactly when M is (sums
+    and summands of semisimple modules are semisimple).  So for a
+    semisimple M of prime exponent whose square is within the submodule
+    cap, the route reads "yes" off the submodule lattice of M ⊕ M: Ker F
+    and Im F are submodules, so every one of them is a summand when every
+    submodule is.  |M ⊕ M| = |M|² is below |End(M ⊕ M)| = |End M|⁴
+    whenever |M| < |End M|.  Any other M, and every "no", sweeps
+    End(M ⊕ M).
     """
     end_size = hom_group(m, m).size()
     for n, l in ((1, 1), (1, 2), (2, 1), (2, 2)):

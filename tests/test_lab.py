@@ -836,18 +836,104 @@ def test_first_failing_equals_the_first_failure_of_the_plain_sweep():
     assert permuted["summands", 2, True] >= 2 and permuted["summands", 3, False] >= 2, permuted
 
 
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, n))
+
+
+def _ker_im_routes_against_the_plain_sweep(caps):
+    """The routes of ``PRIMARY_LOCAL`` on the Ker/Im corpus, read from
+    ``lab`` so that a patch reaches them and computed afresh, against the
+    plain sweep of End(m) in ``iter_homs`` order.
+
+    Returns the (route, module) pairs that differ, and a count of the
+    prime-exponent modules whose summand route is decided, by its path:
+    "lattice" when it said "yes" with no sweep of End(m), else "sweep".
+    """
+    differ, paths, swept = [], collections.Counter(), []
+    sweep = lab._sweep_ker_im
+
+    def watched(m, caps, predicate, *rest):
+        swept.append(predicate)
+        return sweep(m, caps, predicate, *rest)
+
+    corpus = _cap_corpus() + _memo_corpus() + _powers(_power_blocks(), caps.homs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lab, "_sweep_ker_im", watched)
+        for m in corpus:
+            for name, predicate, route, reason, _ in PRIMARY_LOCAL:
+
+                @undecided_on_cap
+                def plain(m, caps):
+                    f = _first_failure(lab.end_homs(m, caps.homs), predicate)
+                    return Verdict.yes() if f is None else Verdict.no(witness=f, reason=reason)
+
+                swept.clear()
+                computed = getattr(lab, route.__name__)
+                got = getattr(computed, "__wrapped__", computed)(m, caps)
+                if _observable(got) != _observable(plain(m, caps)):
+                    differ.append((name, m.name))
+                if name == "summands" and got.decided and _is_prime(math.lcm(*m.moduli)):
+                    paths["sweep" if swept else "lattice"] += 1
+    return differ, paths
+
+
 @pytest.mark.parametrize("caps", (CAPS,) + TIGHT_CAPS, ids=str)
 def test_ker_im_routes_equal_the_plain_sweep(caps):
-    corpus = _cap_corpus() + _memo_corpus() + _powers(_power_blocks(), caps.homs)
+    """Both routes, on both paths of the summand route: a semisimple
+    prime-exponent module reads "yes" off its lattice wherever the caps let
+    it, and every other prime-exponent module sweeps End(m)."""
+    differ, paths = _ker_im_routes_against_the_plain_sweep(caps)
+    assert differ == []
+    if caps.homs >= 16 and caps.submodules >= 4:
+        assert paths["lattice"] >= 1 and paths["sweep"] >= 1, paths
+    if caps == CAPS:
+        assert paths == {"lattice": 4, "sweep": 23}, paths
+
+
+def _semisimple_by_the_socle_corpus():
+    """The prime-exponent modules among the distinct values of ``search``
+    seed 7 × 1000 and seed 11 × 300, and e1R, the eR-ut2z2-* modules and
+    Z/2(X) of the workspaces."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    demo = workspace.parse_workspace(os.path.join(root, "workspaces", "demo.json"))
+    end_rings = workspace.parse_workspace(
+        os.path.join(root, "perfbench", "workspaces", "end-rings.json"))
+    drawn = workspace.random_modules(1000, 7, CAPS) + workspace.random_modules(300, 11, CAPS)
+    named = [mem.module for mem in demo.corpora["demo"]
+             if mem.id == "e1R" or mem.id.startswith("eR-ut2z2-")]
+    named.append(end_rings.modules["Z/2(X)"])
+    found = dict.fromkeys([mem.module for mem in drawn] + named)
+    return [m for m in found if _is_prime(math.lcm(*m.moduli))]
+
+
+def _semisimple_mismatches(corpus):
+    """The modules of the corpus on which ``lab._is_semisimple``, J = 0 for
+    the action algebra, differs from socle = M, and the count of those
+    with socle = M."""
+    differ, semisimple = [], 0
     for m in corpus:
-        for name, predicate, route, reason, _ in PRIMARY_LOCAL:
+        by_socle = modules.socle(m, CAPS.elements).is_full()
+        semisimple += by_socle
+        if lab._is_semisimple(m) != by_socle:
+            differ.append(m.name)
+    return differ, semisimple
 
-            @undecided_on_cap
-            def plain(m, caps):
-                f = _first_failure(lab.end_homs(m, caps.homs), predicate)
-                return Verdict.yes() if f is None else Verdict.no(witness=f, reason=reason)
 
-            assert _observable(route(m, caps)) == _observable(plain(m, caps)), (name, m.name)
+def test_a_module_is_semisimple_exactly_when_its_action_algebra_is():
+    """The selector of the summand route's lattice path, against the socle:
+    M is semisimple iff Soc M = M.  The workspace modules other than Z/2(X)
+    equal drawn ones.  A regular module is faithful, so its action
+    algebra is a ring of the same order, and semisimple with it."""
+    corpus = _semisimple_by_the_socle_corpus()
+    differ, semisimple = _semisimple_mismatches(corpus)
+    assert differ == []
+    assert (len(corpus), semisimple) == (79, 67)
+    for r in (rings.matrix_ring_presentation(2, 2),
+              rings.matrix_ring_presentation(2, 2, upper_triangular=True)):
+        algebra = homs.action_algebra(modules.regular_module(r))
+        assert rings.validate_ring(algebra) == (True, "")
+        assert (algebra.size(), rings.is_semisimple(algebra)) == (
+            r.size(), rings.is_semisimple(r)), r.name
 
 
 def test_ker_plus_im_is_m_exactly_when_ker_meets_im_in_zero():

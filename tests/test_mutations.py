@@ -31,9 +31,11 @@ from test_linalg import (
 from test_lab import (
     _NO_CLASS_TABLE, PRIMARY_LOCAL, _azumaya_per_element, _class_corpora,
     _distributive_boolean_eager, _first_failure, _fully_invariant_submodules, _irregular_on,
-    _irregular_orbit, _k_nonsingular_per_hom, _memoized, _observable, _polyform_per_hom,
-    _prime_in_eager, _prime_quotients_eager, _records_unlike_alone, _sip_all_pairs,
-    _ssp_all_pairs, _unit_converses_both_ways, e1R_plus_top, plane, reg, sum_2_3)
+    _irregular_orbit, _k_nonsingular_per_hom, _ker_im_routes_against_the_plain_sweep, _memoized,
+    _observable, _polyform_per_hom, _prime_in_eager, _prime_quotients_eager,
+    _records_unlike_alone, _semisimple_by_the_socle_corpus, _semisimple_mismatches,
+    _sip_all_pairs, _ssp_all_pairs, _unit_converses_both_ways, e1R_plus_top, plane, reg,
+    sum_2_3)
 from test_modules import (
     _generated_by_closure, _generator_lists, _maximal_and_radical_by_all_pairs,
     _maximal_socle_radical_by_scans, _submodules_by_sum_closure)
@@ -715,19 +717,58 @@ class _WalksKeyedWithoutThePermutations(dict):
 
 
 def test_the_sweep_table_keyed_without_the_permutation_group(unmemoized):
-    """The summand route sweeps End(Z/2 ⊕ Z/2) by two-sided block
-    permutations and finds no failure.  The complementary route, sweeping
-    next, then reads those representatives, in which [[0, 0], [1, 0]], the
-    first hom with Ker = Im, lies in the orbit of diag(0, 1), met first
-    and with Ker ⊕ Im = M, so the first failure moves."""
+    """The Azumaya check sweeps End(Z/2 ⊕ Z/2) by two-sided block
+    permutations and finds no disagreement.  The complementary route,
+    sweeping next, then reads those representatives, in which
+    [[0, 0], [1, 0]], the first hom with Ker = Im, lies in the orbit of
+    diag(0, 1), met first and with Ker ⊕ Im = M, so the first failure
+    moves.  (The summand route reads the plane's lattice and sweeps
+    nothing.)"""
     m = plane()
-    assert lab._endoregular_via_summands(m, CAPS).value is True
+    assert lab.azumaya_agreement(m, CAPS).value is True
     assert not _route_disagrees("complementary", m)
     walks = functools.cached_property(lambda self: _WalksKeyedWithoutThePermutations())
     walks.__set_name__(homs.HomGroup, "_walks")
     unmemoized.setattr(homs.HomGroup, "_walks", walks)
-    assert lab._endoregular_via_summands(m, CAPS).value is True
+    assert lab.azumaya_agreement(m, CAPS).value is True
     assert _route_disagrees("complementary", m)
+
+
+@undecided_on_cap
+def _summands_with_the_lattice_before_the_hom_cap(m, caps):
+    """``lab._endoregular_via_summands`` reading the lattice before End(m)
+    is checked against the hom cap."""
+    size, exponent = m.size(), math.lcm(*m.moduli)
+    if (next(linalg.prime_divisors(exponent), None) == exponent
+            and size < homs.hom_group(m, m).size() and size <= caps.submodules
+            and lab._is_semisimple(m) and lab.SummandLattice.of(m, caps).every_submodule):
+        return Verdict.yes()
+    return lab._sweep_ker_im(m, caps, lab._both_summands, True, "kernel or image not a summand")
+
+
+@pytest.mark.parametrize("caps, caught", (
+    (Caps(4096, 4, 8), "Z2 + Z2"), (Caps(4096, 512, 16), "sub(Z/5 + Z/5)")), ids=str)
+def test_the_lattice_read_before_the_hom_cap(unmemoized, caps, caught):
+    """Z/2 ⊕ Z/2, with 4 elements and 16 endomorphisms, is past a hom cap
+    of 8, and a drawn Z/5 ⊕ Z/5, with 25 and 625, past one of 16, so the
+    summand route must be undecided on each; read first, the lattice says
+    "yes"."""
+    assert _ker_im_routes_against_the_plain_sweep(caps)[0] == []
+    unmemoized.setattr(lab, "_endoregular_via_summands",
+                       _summands_with_the_lattice_before_the_hom_cap)
+    assert _ker_im_routes_against_the_plain_sweep(caps)[0] == [("summands", caught)]
+
+
+def test_a_semisimplicity_test_that_says_yes_for_every_module(unmemoized):
+    """Told that every module is semisimple, the summand route reads the
+    lattice of each prime-exponent module, finds a non-summand where there
+    is one and sweeps End(m): no verdict moves, only the selector's
+    reference sees the break."""
+    corpus = _semisimple_by_the_socle_corpus()
+    assert _semisimple_mismatches(corpus)[0] == []
+    unmemoized.setattr(lab, "_is_semisimple", lambda m: True)
+    assert _ker_im_routes_against_the_plain_sweep(CAPS)[0] == []
+    assert _semisimple_mismatches(corpus)[0]
 
 
 def _ker_im_keyed_by_the_first_row(self, f):
